@@ -1,33 +1,13 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
-
-The implementation is chosen once at import time from the PENTASEVEN_KERNELS
-environment variable: "numba" (require the jit path), "numpy" (force the
-fallback), or "auto" (default: numba when importable).  Both paths are exact
-and return identical results; ``benchmarks/bench_kernels.py`` compares them.
-"""
+"""Numpy kernel for the simplicial elimination prefix."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_MODE = os.environ.get("PENTASEVEN_KERNELS", "auto").strip().lower()
-if _MODE not in ("auto", "numba", "numpy"):
-    raise ValueError(f"PENTASEVEN_KERNELS must be auto|numba|numpy, got {_MODE!r}")
-
-_HAVE_NUMBA = False
-if _MODE in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _MODE == "numba":
-            raise
+BACKEND = "numpy"
 
 
-def _np_nonedge_counts(adj):
+def nonedge_counts(adj):
     """counts[v] = number of nonadjacent vertex pairs inside N(v)."""
     a = adj.astype(np.int64)
     deg = a.sum(axis=1)
@@ -36,7 +16,7 @@ def _np_nonedge_counts(adj):
     return deg * (deg - 1) // 2 - tri
 
 
-def _np_simplicial_elimination(adj):
+def simplicial_elimination(adj):
     """Maximal simplicial elimination prefix, smallest eligible index first.
 
     Returns (order, alive) where order lists the eliminated vertices and
@@ -44,7 +24,7 @@ def _np_simplicial_elimination(adj):
     """
     n = adj.shape[0]
     a = adj.copy()
-    counts = _np_nonedge_counts(a)
+    counts = nonedge_counts(a)
     alive = np.ones(n, dtype=np.bool_)
     order = []
     while True:
@@ -65,117 +45,3 @@ def _np_simplicial_elimination(adj):
         a[u, :] = False
         a[:, u] = False
     return np.asarray(order, dtype=np.int64), alive
-
-
-def _np_disconnected_after_removal(nbr_masks, removed_masks, full_mask):
-    """For each removal mask, is the rest of the graph disconnected?
-
-    Graphs are encoded as one uint64 neighborhood mask per vertex (n <= 64).
-    A graph on 0 or 1 remaining vertices counts as connected.
-    """
-    out = np.zeros(len(removed_masks), dtype=np.bool_)
-    masks = [int(m) for m in nbr_masks]
-    full = int(full_mask)
-    for idx, rem in enumerate(removed_masks):
-        keep = full & ~int(rem)
-        if keep == 0:
-            continue
-        start = keep & -keep
-        reach = start
-        frontier = start
-        while frontier:
-            v = frontier & -frontier
-            frontier &= frontier - 1
-            new = masks[v.bit_length() - 1] & keep & ~reach
-            reach |= new
-            frontier |= new
-        out[idx] = reach != keep
-    return out
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_nonedge_counts(adj):
-        n = adj.shape[0]
-        counts = np.zeros(n, dtype=np.int64)
-        for v in range(n):
-            c = 0
-            for i in range(n):
-                if adj[v, i]:
-                    for j in range(i + 1, n):
-                        if adj[v, j] and not adj[i, j]:
-                            c += 1
-            counts[v] = c
-        return counts
-
-    @njit(cache=True)
-    def _nb_simplicial_elimination(adj):
-        n = adj.shape[0]
-        a = adj.copy()
-        counts = _nb_nonedge_counts(a)
-        alive = np.ones(n, dtype=np.bool_)
-        order = np.empty(n, dtype=np.int64)
-        t = 0
-        while True:
-            u = -1
-            for v in range(n):
-                if alive[v] and counts[v] == 0:
-                    u = v
-                    break
-            if u < 0:
-                break
-            order[t] = u
-            t += 1
-            alive[u] = False
-            for v in range(n):
-                if alive[v] and a[u, v]:
-                    d = 0
-                    for w in range(n):
-                        if alive[w] and w != u and a[v, w] and not a[u, w]:
-                            d += 1
-                    counts[v] -= d
-            for v in range(n):
-                a[u, v] = False
-                a[v, u] = False
-        return order[:t], alive
-
-    @njit(cache=True)
-    def _nb_disconnected_after_removal(nbr_masks, removed_masks, full_mask):
-        m = removed_masks.shape[0]
-        out = np.zeros(m, dtype=np.bool_)
-        for idx in range(m):
-            keep = full_mask & ~removed_masks[idx]
-            if keep == np.uint64(0):
-                continue
-            start = keep & (~keep + np.uint64(1))
-            reach = start
-            frontier = start
-            while frontier != np.uint64(0):
-                v = frontier & (~frontier + np.uint64(1))
-                frontier ^= v
-                bit = 0
-                vv = v
-                while vv > np.uint64(1):
-                    vv >>= np.uint64(1)
-                    bit += 1
-                new = nbr_masks[bit] & keep & ~reach
-                reach |= new
-                frontier |= new
-            out[idx] = reach != keep
-        return out
-
-    nonedge_counts = _nb_nonedge_counts
-    simplicial_elimination = _nb_simplicial_elimination
-    disconnected_after_removal = _nb_disconnected_after_removal
-    BACKEND = "numba"
-else:
-    nonedge_counts = _np_nonedge_counts
-    simplicial_elimination = _np_simplicial_elimination
-    disconnected_after_removal = _np_disconnected_after_removal
-    BACKEND = "numpy"
-
-# fallbacks stay importable under either backend, for tests and benchmarks
-numpy_nonedge_counts = _np_nonedge_counts
-numpy_simplicial_elimination = _np_simplicial_elimination
-numpy_disconnected_after_removal = _np_disconnected_after_removal

@@ -36,10 +36,6 @@ class SizeCapError(Exception):
     pass
 
 
-def _oracle_cap() -> int:
-    return int(os.environ.get("PENTASEVEN_ORACLE_CAP", oracle.VERDICT_CAP))
-
-
 # ---------------------------------------------------------------------------
 # graph file formats
 
@@ -87,9 +83,11 @@ def parse_edge_json(text: str) -> Graph:
         raise InputError(f"invalid JSON: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InputError("edge-json needs an object with 'n' and 'edges'")
+    if not isinstance(data["edges"], list):
+        raise InputError("'edges' must be a list of vertex pairs")
     try:
-        return build_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
-    except (ValueError, TypeError) as exc:
+        return build_graph(data["n"], data["edges"])
+    except ValueError as exc:
         raise InputError(str(exc)) from None
 
 
@@ -224,9 +222,10 @@ def run_recognize(path: str, crosscheck: bool, dot: str | None) -> tuple[int, di
     rep = recognize.recognize(g)
     body = {"verdict": report_to_json(rep)}
     if crosscheck:
-        cap = _oracle_cap()
-        if g.n > cap:
-            raise SizeCapError(f"oracle crosscheck capped at {cap} vertices")
+        if g.n > oracle.VERDICT_CAP:
+            raise SizeCapError(
+                f"oracle crosscheck capped at {oracle.VERDICT_CAP} vertices"
+            )
         verdict = oracle.class_verdict(g)
         body["oracle"] = {
             "in_class": verdict.in_class,

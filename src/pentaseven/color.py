@@ -16,7 +16,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .core import Graph, bits_of
+from .core import Graph, bits_of, greedy_extend
+from .oracle import holes
 from .recognize import NotInClassError, RecognitionReport, recognize
 
 QUOTIENT_CAP = 12
@@ -67,33 +68,9 @@ def _max_weighted_clique(rows: list[int], weights: tuple[int, ...], support: int
     return best
 
 
-def _maximal_indep_with(co_rows: list[int], support: int, pivot: int) -> list[int]:
-    """Maximal independent sets of the support subgraph containing pivot,
-    via maximal cliques of the complement."""
-    out: list[int] = []
-
-    def bk(r: int, p: int, x: int):
-        if not p and not x:
-            out.append(r)
-            return
-        pivot_pool = p | x
-        u = (pivot_pool & -pivot_pool).bit_length() - 1
-        cand = p & ~co_rows[u]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            bk(r | low, p & co_rows[v], x & co_rows[v])
-            p &= ~low
-            x |= low
-
-    start = 1 << pivot
-    bk(start, co_rows[pivot] & support, 0)
-    return out
-
-
-def _all_maximal_indep(co_rows: list[int], full: int) -> list[int]:
-    """Every maximal independent set, as maximal cliques of the complement."""
+def _maximal_indep(co_rows: list[int], r: int, p: int) -> list[int]:
+    """Maximal independent sets that contain r and otherwise draw from p, as
+    maximal cliques of the complement (Bron-Kerbosch with pivoting)."""
     out: list[int] = []
 
     def bk(r: int, p: int, x: int):
@@ -111,7 +88,7 @@ def _all_maximal_indep(co_rows: list[int], full: int) -> list[int]:
             p &= ~low
             x |= low
 
-    bk(0, full, 0)
+    bk(r, p, 0)
     return out
 
 
@@ -176,25 +153,7 @@ def _odd_holes(q: Graph) -> list[tuple[tuple[int, ...], int]]:
     Any color class meets a (2k+1)-hole in at most k vertices, so
     ceil(weight(hole) / k) lower-bounds the weighted chromatic number.
     """
-    rows = q.rows
-    holes: list[tuple[tuple[int, ...], int]] = []
-    for s in range(q.n):
-        higher = ~((1 << (s + 1)) - 1)
-        s_row = rows[s]
-
-        def grow(path: list[int], blocked: int):
-            last = path[-1]
-            ext = rows[last] & higher & ~blocked
-            for w in bits_of(ext):
-                if s_row >> w & 1:
-                    if len(path) >= 4 and len(path) % 2 == 0 and path[1] < w:
-                        holes.append((tuple(path + [w]), len(path) // 2))
-                    continue
-                grow(path + [w], blocked | rows[last] | (1 << w))
-
-        for v1 in bits_of(s_row & higher):
-            grow([s, v1], (1 << s) | (1 << v1))
-    return holes
+    return [(h, len(h) // 2) for h in holes(q) if len(h) % 2]
 
 
 def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
@@ -212,12 +171,12 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     rows = q.rows
     full = q.full_mask
     co_rows = [full & ~q.closed_row(v) for v in range(q.n)]
-    holes = _odd_holes(q)
+    odd_holes = _odd_holes(q)
     mis_cache: dict[tuple[int, int], list[int]] = {}
 
     def bound(wvec, support: int) -> int:
         lb = _max_weighted_clique(rows, wvec, support)
-        for hole, k in holes:
+        for hole, k in odd_holes:
             total = sum(wvec[v] for v in hole)
             lb = max(lb, -(-total // k))
         return lb
@@ -225,7 +184,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     # fractional relaxation at the root: a verified-feasible dual vector is
     # a sound lower bound by weak duality; the primal multiplicities, rounded
     # down, leave only a small residual instance to solve exactly
-    all_sets = _all_maximal_indep(co_rows, full)
+    all_sets = _maximal_indep(co_rows, 0, full)
     lp_floor = 0
     lp_base: list[tuple[int, int]] = []
     lp_value, y, x = _lp_cover(all_sets, inst.weights)
@@ -291,7 +250,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
         key = (support, pivot)
         sets = mis_cache.get(key)
         if sets is None:
-            sets = _maximal_indep_with(co_rows, support, pivot)
+            sets = _maximal_indep(co_rows, 1 << pivot, co_rows[pivot] & support)
             mis_cache[key] = sets
         best: int | None = ub if ub <= budget else None
         best_set: object = "greedy"
@@ -384,15 +343,6 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     return k, color_sets
 
 
-def _greedy_extend(g: Graph, order: list[int], assignment: dict[int, int]) -> None:
-    for v in order:
-        used = {assignment[u] for u in bits_of(g.row(v)) if u in assignment}
-        c = 1
-        while c in used:
-            c += 1
-        assignment[v] = c
-
-
 def color_in_class(g: Graph) -> Coloring:
     """Optimal coloring, or NotInClassError carrying the recognition report.
 
@@ -403,7 +353,7 @@ def color_in_class(g: Graph) -> Coloring:
     prefix = report.prefix
     if prefix is not None and not prefix.remainder:
         assignment: dict[int, int] = {}
-        _greedy_extend(g, list(reversed(prefix.order)), assignment)
+        greedy_extend(g, list(reversed(prefix.order)), assignment)
         return Coloring(assignment, max(assignment.values()))
     if not report.in_class:
         raise NotInClassError(report)
@@ -422,7 +372,7 @@ def _color_from_report(g: Graph, report: RecognitionReport) -> Coloring:
     for v in sorted(report.universal_w):
         nxt += 1
         assignment[v] = nxt
-    _greedy_extend(g, list(reversed(report.prefix.order)), assignment)
+    greedy_extend(g, list(reversed(report.prefix.order)), assignment)
     return Coloring(assignment, max(assignment.values()))
 
 

@@ -118,16 +118,30 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates collapse.
 
-    Rejects loops and out-of-range endpoints, naming the offending pair.
+    Rejects non-integer counts and endpoints (bools included), loops and
+    out-of-range endpoints, naming the offending value or pair.
     """
+    if not _is_int(n):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("graphs are nonnull: need n >= 1")
     adj = np.zeros((n, n), dtype=np.bool_)
     for pair in edges:
-        u, v = pair
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {pair!r} is not a pair of vertices") from None
+        if type(u) is not int or type(v) is not int:  # plain ints skip the check
+            for x in (u, v):
+                if not _is_int(x):
+                    raise ValueError(f"edge endpoint {x!r} in {pair!r} is not an integer")
         if u == v:
             raise ValueError(f"loop edge {pair!r}")
         if not (0 <= u < n and 0 <= v < n):
@@ -172,34 +186,41 @@ def relation(g: Graph, a: Iterable[int], b: Iterable[int]) -> str:
     return COMPLETE if seen_edge or not seen_nonedge else ANTICOMPLETE
 
 
-def _components_of_rows(rows: list[int], full: int) -> list[frozenset[int]]:
+def reach_mask(rows: list[int], start: int, within: int) -> int:
+    """Vertices of within reachable from the vertices of start (a submask of
+    within) by paths inside within; rows are neighborhood bitmasks."""
+    reach = frontier = start
+    while frontier:
+        v = frontier & -frontier
+        frontier ^= v
+        new = rows[v.bit_length() - 1] & within & ~reach
+        reach |= new
+        frontier |= new
+    return reach
+
+
+def component_masks(rows: list[int], within: int) -> list[int]:
+    """Components of the subgraph induced on within, as bitmasks ordered by
+    smallest member."""
     out = []
-    todo = full
+    todo = within
     while todo:
-        start = todo & -todo
-        reach = start
-        frontier = start
-        while frontier:
-            v = frontier & -frontier
-            frontier ^= v
-            new = rows[v.bit_length() - 1] & todo & ~reach
-            reach |= new
-            frontier |= new
-        out.append(bits_of(reach))
+        reach = reach_mask(rows, todo & -todo, within)
+        out.append(reach)
         todo &= ~reach
     return out
 
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of connected components, ordered by smallest member."""
-    return _components_of_rows(g.rows, g.full_mask)
+    return [bits_of(m) for m in component_masks(g.rows, g.full_mask)]
 
 
 def anticomponents(g: Graph) -> list[frozenset[int]]:
     """Components of the complement; pairwise complete to each other in g."""
     full = g.full_mask
     co_rows = [full & ~g.closed_row(v) for v in range(g.n)]
-    return _components_of_rows(co_rows, full)
+    return [bits_of(m) for m in component_masks(co_rows, full)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -212,12 +233,7 @@ def is_anticonnected(g: Graph) -> bool:
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     """Empty and singleton sets count as cliques."""
-    mask = _mask_of(s)
-    rows = g.rows
-    for v in _iter_bits(mask):
-        if mask & ~(1 << v) & ~rows[v]:
-            return False
-    return True
+    return is_clique_mask(g, _mask_of(s))
 
 
 def is_clique_mask(g: Graph, mask: int) -> bool:
@@ -244,3 +260,14 @@ def universal_vertices(g: Graph) -> frozenset[int]:
 def is_stable_set(g: Graph, s: Iterable[int]) -> bool:
     mask = _mask_of(s)
     return all(not (g.row(v) & mask) for v in _iter_bits(mask))
+
+
+def greedy_extend(g: Graph, order: Iterable[int], assignment: dict[int, int]) -> None:
+    """Give each vertex of order, in turn, the smallest color (from 1) that
+    none of its already colored neighbors has."""
+    for v in order:
+        used = {assignment[u] for u in bits_of(g.row(v)) if u in assignment}
+        c = 1
+        while c in used:
+            c += 1
+        assignment[v] = c

@@ -193,8 +193,14 @@ def expr_complete(k: int) -> Expr:
     return _complete_expr(list(range(k)), 1, 2)
 
 
-def _relabel(expr: Expr, mapping: dict[int, int]) -> Expr:
-    """Apply an injective label mapping textually to every node."""
+def _rebuild(
+    expr: Expr,
+    mapping: dict[int, int],
+    leaf: Create | None = None,
+    replacement: Expr | None = None,
+) -> Expr:
+    """Copy expr with the injective label mapping applied to every node and
+    replacement put in place of the create node leaf."""
 
     def m(x: int) -> int:
         return mapping.get(x, x)
@@ -210,7 +216,10 @@ def _relabel(expr: Expr, mapping: dict[int, int]) -> Expr:
                 work.append((kid, False))
             continue
         if isinstance(node, Create):
-            results.append(Create(m(node.label), node.vertex))
+            if node == leaf:
+                results.append(replacement)
+            else:
+                results.append(Create(m(node.label), node.vertex))
         elif isinstance(node, Union):
             right = results.pop()
             left = results.pop()
@@ -219,29 +228,6 @@ def _relabel(expr: Expr, mapping: dict[int, int]) -> Expr:
             results.append(Join(m(node.i), m(node.j), results.pop()))
         else:
             results.append(Rename(m(node.old), m(node.new), results.pop()))
-    return results.pop()
-
-
-def _replace_leaf(expr: Expr, leaf: Create, replacement: Expr) -> Expr:
-    results: list[Expr] = []
-    work: list[tuple[Expr, bool]] = [(expr, False)]
-    while work:
-        node, ready = work.pop()
-        if not ready:
-            work.append((node, True))
-            for kid in reversed(_children(node)):
-                work.append((kid, False))
-            continue
-        if isinstance(node, Create):
-            results.append(replacement if node == leaf else node)
-        elif isinstance(node, Union):
-            right = results.pop()
-            left = results.pop()
-            results.append(Union(left, right))
-        elif isinstance(node, Join):
-            results.append(Join(node.i, node.j, results.pop()))
-        else:
-            results.append(Rename(node.old, node.new, results.pop()))
     return results.pop()
 
 
@@ -268,11 +254,11 @@ def expr_substitute(e_g: Expr, v: int, e_h: Expr) -> Expr:
         pool.append(nxt)
         nxt += 1
     mapping = dict(zip(sub_labels, pool))
-    staged = _relabel(e_h, mapping)
+    staged = _rebuild(e_h, mapping)
     for lab in mapping.values():
         if lab != leaf.label:
             staged = Rename(lab, leaf.label, staged)
-    return _replace_leaf(e_g, leaf, staged)
+    return _rebuild(e_g, {}, leaf, staged)
 
 
 def _fresh_labels(used: frozenset[int], count: int) -> list[int]:

@@ -9,12 +9,10 @@ Size caps are enforced, not advisory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-import numpy as np
-
-from . import _kernels
 from .catalog import NamedGraph, pattern
-from .core import Graph, bits_of, is_connected
+from .core import Graph, bits_of, greedy_extend, is_connected, reach_mask
 
 PATTERN_CAP = 10
 HOLE_CAP = 16
@@ -111,12 +109,10 @@ def find_induced(g: Graph, h: NamedGraph) -> Embedding | None:
     return None
 
 
-def all_hole_lengths(g: Graph) -> set[int]:
-    """Exact set of induced-cycle lengths >= 4."""
-    if g.n > HOLE_CAP:
-        raise ValueError(f"hole enumeration capped at {HOLE_CAP} vertices")
+def holes(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Every hole (induced cycle of length >= 4) once, as a vertex tuple
+    that starts at its smallest vertex."""
     rows = g.rows
-    lengths: set[int] = set()
     for s in range(g.n):
         higher = ~((1 << (s + 1)) - 1)
         s_row = rows[s]
@@ -124,19 +120,25 @@ def all_hole_lengths(g: Graph) -> set[int]:
         # path = s, v1, ..., vk with all vi > s; a vertex adjacent to s may
         # only close the cycle, and interior chords are excluded by blocking
         # the neighborhoods of interior vertices
-        def grow(path: list[int], blocked: int):
+        def grow(path: tuple[int, ...], blocked: int):
             last = path[-1]
             ext = rows[last] & higher & ~blocked
             for w in bits_of(ext):
                 if s_row >> w & 1:
                     if len(path) >= 3 and path[1] < w:
-                        lengths.add(len(path) + 1)
+                        yield path + (w,)
                     continue
-                grow(path + [w], blocked | rows[last] | (1 << w))
+                yield from grow(path + (w,), blocked | rows[last] | (1 << w))
 
         for v1 in bits_of(s_row & higher):
-            grow([s, v1], (1 << s) | (1 << v1))
-    return lengths
+            yield from grow((s, v1), (1 << s) | (1 << v1))
+
+
+def all_hole_lengths(g: Graph) -> set[int]:
+    """Exact set of induced-cycle lengths >= 4."""
+    if g.n > HOLE_CAP:
+        raise ValueError(f"hole enumeration capped at {HOLE_CAP} vertices")
+    return {len(h) for h in holes(g)}
 
 
 def max_clique_mask(g: Graph) -> int:
@@ -166,17 +168,6 @@ def max_clique_mask(g: Graph) -> int:
     return best
 
 
-def _greedy_coloring(g: Graph, order: list[int]) -> dict[int, int]:
-    color: dict[int, int] = {}
-    for v in order:
-        used = {color[u] for u in color if g.has_edge(u, v)}
-        c = 1
-        while c in used:
-            c += 1
-        color[v] = c
-    return color
-
-
 def chromatic_number_bf(g: Graph) -> tuple[int, dict[int, int]]:
     """Exact chromatic number with a witness coloring."""
     if g.n > CHROMATIC_CAP:
@@ -184,7 +175,8 @@ def chromatic_number_bf(g: Graph) -> tuple[int, dict[int, int]]:
     clique = max_clique_mask(g)
     lb = clique.bit_count()
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    witness = _greedy_coloring(g, order)
+    witness: dict[int, int] = {}
+    greedy_extend(g, order, witness)
     ub = max(witness.values())
     if lb == ub:
         return lb, witness
@@ -254,16 +246,12 @@ def clique_cutset_bf(g: Graph) -> frozenset[int] | None:
         return frozenset()
     if g.n <= 2:
         return None
-    masks = _all_clique_masks(g)
-    nbr = np.asarray(g.rows, dtype=np.uint64)
-    full = np.uint64(g.full_mask)
-    chunk = 8192
-    for lo in range(0, len(masks), chunk):
-        removed = np.asarray(masks[lo : lo + chunk], dtype=np.uint64)
-        hits = _kernels.disconnected_after_removal(nbr, removed, full)
-        idx = np.flatnonzero(hits)
-        if idx.size:
-            return bits_of(masks[lo + int(idx[0])])
+    rows = g.rows
+    full = g.full_mask
+    for mask in _all_clique_masks(g):
+        keep = full & ~mask
+        if keep and reach_mask(rows, keep & -keep, keep) != keep:
+            return bits_of(mask)
     return None
 
 

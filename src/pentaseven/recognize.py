@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .catalog import catalog_entry, match_catalog, pattern
-from .core import Graph, _mask_of, bits_of, induced_subgraph
+from .core import Graph, _mask_of, bits_of, component_masks, induced_subgraph
 from .decompose import (
     SimplicialPrefix,
     simplicial_prefix,
@@ -559,26 +559,10 @@ def _clique_components_ordered(
 ) -> tuple[tuple[int, ...], ...]:
     """Split members into connected components, each ordered by decreasing
     closed degree.  Chain validity is left to the verifier."""
-    mask = _mask_of(members)
-    rows = g.rows
-    comps: list[tuple[int, ...]] = []
-    todo = mask
-    while todo:
-        start = todo & -todo
-        reach = start
-        frontier = start
-        while frontier:
-            v = frontier & -frontier
-            frontier ^= v
-            new = rows[v.bit_length() - 1] & mask & ~reach
-            reach |= new
-            frontier |= new
-        ordered = sorted(
-            bits_of(reach), key=lambda u: (-(g.closed_row(u).bit_count()), u)
-        )
-        comps.append(tuple(ordered))
-        todo &= ~reach
-    return tuple(comps)
+    return tuple(
+        tuple(sorted(bits_of(m), key=lambda u: (-(g.closed_row(u).bit_count()), u)))
+        for m in component_masks(g.rows, _mask_of(members))
+    )
 
 
 def build_saucer_from_hole(

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from pentaseven import cli
 from pentaseven.catalog import pattern
@@ -47,6 +53,21 @@ class TestFormats:
         code, _ = run(capsys, "recognize", str(path))
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"n": 3, "edges": [[0, 1.7]]}', "1.7"),
+        ('{"n": 3, "edges": [[0, true]]}', "True"),
+        ('{"n": "3", "edges": []}', "'3'"),
+        ('{"n": 3.9, "edges": []}', "3.9"),
+        ('{"n": 3, "edges": [[0, 1, 2]]}', "[0, 1, 2]"),
+        ('{"n": 3, "edges": [7]}', "7"),
+    ])
+    def test_non_integer_input_exit_2(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, reports = run(capsys, "recognize", str(path))
+        assert code == cli.EXIT_INPUT
+        assert named in reports[0]["error"]
+
 
 class TestRecognizeCmd:
     def test_t1_accepted(self, tmp_path, capsys):
@@ -88,6 +109,28 @@ class TestRecognizeCmd:
         assert code == 0 and len(reports) == 3
         kinds = [r["verdict"]["kind"] for r in reports]
         assert kinds == ["in-class-with-T0", "in-class-with-T0", "in-class-with-C7"]
+
+
+    def test_environment_does_not_change_caps(self, tmp_path):
+        # no environment variable may raise the crosscheck cap past the
+        # oracle's own cap or break the import
+        g = build_graph(21, [(i, i + 1) for i in range(20)])
+        path = write_graph(tmp_path, "p21.json", g)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PENTASEVEN_ORACLE_CAP="30",
+                   PENTASEVEN_KERNELS="bogus",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pentaseven.cli", "recognize",
+             "--oracle-crosscheck", path],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_SIZE_CAP, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert "capped at 20" in json.loads(lines[0])["error"]
 
 
 class TestColorCwdCmd:

@@ -54,6 +54,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(0, [])
 
+    def test_numpy_integers_accepted(self):
+        g = build_graph(np.int64(3), [(np.int32(0), np.int64(1)), (1, np.uint8(2))])
+        assert g == build_graph(3, [(0, 1), (1, 2)])
+
+    def test_bool_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="endpoint True"):
+            build_graph(3, [(0, True)])
+
 
 class TestInducedSubgraph:
     def test_path_in_cycle(self):

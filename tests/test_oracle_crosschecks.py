@@ -127,7 +127,7 @@ def test_lp_bound_vs_scipy_if_available():
     scipy_opt = pytest.importorskip("scipy.optimize")
     from fractions import Fraction
 
-    from pentaseven.color import _all_maximal_indep, _lp_cover
+    from pentaseven.color import _lp_cover, _maximal_indep
 
     rng = np.random.default_rng(7)
     for trial in range(25):
@@ -138,7 +138,7 @@ def test_lp_bound_vs_scipy_if_available():
         weights = tuple(int(rng.integers(1, 20)) for _ in range(n))
         full = g.full_mask
         co_rows = [full & ~g.closed_row(v) for v in range(n)]
-        sets = _all_maximal_indep(co_rows, full)
+        sets = _maximal_indep(co_rows, 0, full)
         value, y, x = _lp_cover(sets, weights)
         # independent solve of the primal: min 1.x, A x >= w, x >= 0
         a_ub = np.zeros((n, len(sets)))
