@@ -1,47 +1,39 @@
-"""Numpy kernel for the simplicial elimination prefix."""
+"""Bitset kernel for the simplicial elimination prefix."""
 
 from __future__ import annotations
 
-import numpy as np
+import heapq
 
-BACKEND = "numpy"
+from .core import Graph, _iter_bits, _mask_of, simplicial_vertices
 
-
-def nonedge_counts(adj):
-    """counts[v] = number of nonadjacent vertex pairs inside N(v)."""
-    a = adj.astype(np.int64)
-    deg = a.sum(axis=1)
-    # edges inside N(v) = triangles through v = diag(A^3)/2
-    tri = np.einsum("ij,jk,ki->i", a, a, a) // 2
-    return deg * (deg - 1) // 2 - tri
+BACKEND = "bitset"
 
 
-def simplicial_elimination(adj):
-    """Maximal simplicial elimination prefix, smallest eligible index first.
+def simplicial_elimination(g: Graph) -> tuple[list[int], int]:
+    """Maximal simplicial elimination prefix, smallest eligible vertex first.
 
-    Returns (order, alive) where order lists the eliminated vertices and
-    alive marks the remainder, which contains no simplicial vertex.
+    Returns (order, rest): the eliminated vertices and the bitmask of the
+    remainder, which has no simplicial vertex.  Deleting vertices never makes
+    a simplicial vertex non-simplicial, so eligible vertices wait in a heap.
     """
-    n = adj.shape[0]
-    a = adj.copy()
-    counts = nonedge_counts(a)
-    alive = np.ones(n, dtype=np.bool_)
+    rows = g.rows
+    heap = sorted(simplicial_vertices(g))
+    queued = _mask_of(heap)
+    missing: dict[int, int] = {}  # v -> nonadjacent pairs left in N(v)
+    alive = g.full_mask
     order = []
-    while True:
-        eligible = np.flatnonzero(alive & (counts == 0))
-        if eligible.size == 0:
-            break
-        u = int(eligible[0])
+    while heap:
+        u = heapq.heappop(heap)
         order.append(u)
-        alive[u] = False
-        # removing u deletes, inside each neighbor's neighborhood, the
-        # nonadjacent pairs {u, w} with w alive, w in N(v), w not in N(u)
-        nbrs = a[u] & alive
-        if nbrs.any():
-            outside = alive & ~a[u]
-            outside[u] = False
-            delta = (a[nbrs][:, outside]).sum(axis=1)
-            counts[nbrs] -= delta
-        a[u, :] = False
-        a[:, u] = False
-    return np.asarray(order, dtype=np.int64), alive
+        alive ^= 1 << u
+        for v in _iter_bits(rows[u] & alive & ~queued):
+            left = rows[v] & alive
+            if v in missing:
+                missing[v] -= (left & ~rows[u]).bit_count()
+            else:  # first deleted neighbor: each pair counts twice, each w once
+                counted = sum((left & ~rows[w]).bit_count() for w in _iter_bits(left))
+                missing[v] = (counted - left.bit_count()) // 2
+            if not missing[v]:
+                heapq.heappush(heap, v)
+                queued |= 1 << v
+    return order, alive

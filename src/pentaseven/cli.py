@@ -40,8 +40,22 @@ class SizeCapError(Exception):
 # graph file formats
 
 
+VERTEX_CAP = 10_000
+
+
+def _build(n, edges) -> Graph:
+    """build_graph behind the vertex cap, which is checked before the n x n
+    adjacency is allocated; malformed input becomes an InputError."""
+    if isinstance(n, int) and n > VERTEX_CAP:
+        raise SizeCapError(f"graphs are capped at {VERTEX_CAP} vertices, got {n}")
+    try:
+        return build_graph(n, edges)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def parse_dimacs(text: str) -> Graph:
-    n = None
+    n = m = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -49,11 +63,13 @@ def parse_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise InputError(f"line {lineno}: second header {line!r}")
             if len(parts) != 4 or parts[1] != "edge":
                 raise InputError(f"line {lineno}: malformed header {line!r}")
             try:
                 n = int(parts[2])
-                int(parts[3])
+                m = int(parts[3])
             except ValueError:
                 raise InputError(f"line {lineno}: malformed header {line!r}") from None
         elif parts[0] == "e":
@@ -70,10 +86,9 @@ def parse_dimacs(text: str) -> Graph:
             raise InputError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise InputError("missing 'p edge' header")
-    try:
-        return build_graph(n, edges)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if m != len(edges):
+        raise InputError(f"header declares {m} edges, found {len(edges)} 'e' lines")
+    return _build(n, edges)
 
 
 def parse_edge_json(text: str) -> Graph:
@@ -81,14 +96,14 @@ def parse_edge_json(text: str) -> Graph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past the digit limit, or nesting past the recursion limit
+        raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InputError("edge-json needs an object with 'n' and 'edges'")
     if not isinstance(data["edges"], list):
         raise InputError("'edges' must be a list of vertex pairs")
-    try:
-        return build_graph(data["n"], data["edges"])
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return _build(data["n"], data["edges"])
 
 
 def load_graph(path: str) -> tuple[Graph, str]:
@@ -146,6 +161,19 @@ def report_to_json(rep: recognize.RecognitionReport) -> dict:
             "image": {str(k): v for k, v in sorted(rep.witness.image.items())},
         }
     return out
+
+
+def verdict_to_json(verdict: oracle.ClassVerdict) -> dict:
+    return {
+        "in_class": verdict.in_class,
+        "flags": {
+            "2P3-free": verdict.is_2p3_free,
+            "C4-free": verdict.is_c4_free,
+            "C6-free": verdict.is_c6_free,
+            "C7-free": verdict.is_c7_free,
+            "has-T0": verdict.has_t0,
+        },
+    }
 
 
 def _wrap(command: str, path: str, digest: str, body: dict, t0: float) -> dict:
@@ -227,16 +255,7 @@ def run_recognize(path: str, crosscheck: bool, dot: str | None) -> tuple[int, di
                 f"oracle crosscheck capped at {oracle.VERDICT_CAP} vertices"
             )
         verdict = oracle.class_verdict(g)
-        body["oracle"] = {
-            "in_class": verdict.in_class,
-            "flags": {
-                "2P3-free": verdict.is_2p3_free,
-                "C4-free": verdict.is_c4_free,
-                "C6-free": verdict.is_c6_free,
-                "C7-free": verdict.is_c7_free,
-                "has-T0": verdict.has_t0,
-            },
-        }
+        body["oracle"] = verdict_to_json(verdict)
         body["agreement"] = verdict.in_class == rep.in_class
     if dot:
         with open(dot, "w") as fh:
@@ -312,14 +331,7 @@ def run_oracle(path: str, args) -> tuple[int, dict]:
             body["clique_cutset"] = None if cut is None else _sorted(cut)
         else:
             verdict = oracle.class_verdict(g)
-            body["in_class"] = verdict.in_class
-            body["flags"] = {
-                "2P3-free": verdict.is_2p3_free,
-                "C4-free": verdict.is_c4_free,
-                "C6-free": verdict.is_c6_free,
-                "C7-free": verdict.is_c7_free,
-                "has-T0": verdict.has_t0,
-            }
+            body.update(verdict_to_json(verdict))
     except ValueError as exc:
         if "capped" in str(exc):
             raise SizeCapError(str(exc)) from None

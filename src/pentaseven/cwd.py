@@ -105,8 +105,11 @@ def vertex_ids(expr: Expr) -> list[int]:
 
 def eval_expr(expr: Expr) -> LabeledGraph:
     """Evaluate the four-operation semantics; joins are idempotent."""
-    # iterative post-order; value = (ids list, label dict, edge set)
-    results: list[tuple[list[int], dict[int, int], set[tuple[int, int]]]] = []
+    # iterative post-order; value = (ids list, label dict, joins), where each
+    # join is the pair of id lists it made complete to each other
+    results: list[
+        tuple[list[int], dict[int, int], list[tuple[list[int], list[int]]]]
+    ] = []
     work: list[tuple[Expr, str, bool]] = [(expr, "", False)]
     while work:
         node, path, ready = work.pop()
@@ -122,42 +125,44 @@ def eval_expr(expr: Expr) -> LabeledGraph:
                 raise ExprError(path, f"label must be >= 1, got {node.label}")
             if node.vertex < 0:
                 raise ExprError(path, f"vertex id must be >= 0, got {node.vertex}")
-            results.append(([node.vertex], {node.vertex: node.label}, set()))
+            results.append(([node.vertex], {node.vertex: node.label}, []))
         elif isinstance(node, Union):
-            rids, rlab, redg = results.pop()
-            lids, llab, ledg = results.pop()
+            rids, rlab, rjoins = results.pop()
+            lids, llab, ljoins = results.pop()
             dup = set(lids) & set(rids)
             if dup:
                 raise ExprError(path, f"duplicate vertex ids across union: {sorted(dup)}")
             llab.update(rlab)
-            ledg.update(redg)
-            results.append((lids + rids, llab, ledg))
+            ljoins.extend(rjoins)
+            results.append((lids + rids, llab, ljoins))
         elif isinstance(node, Join):
             if node.i == node.j:
                 raise ExprError(path, f"join needs two distinct labels, got {node.i}")
             if node.i < 1 or node.j < 1:
                 raise ExprError(path, "join labels must be >= 1")
-            ids, lab, edg = results.pop()
+            ids, lab, joins = results.pop()
             side_i = [v for v in ids if lab[v] == node.i]
             side_j = [v for v in ids if lab[v] == node.j]
-            for a in side_i:
-                for b in side_j:
-                    edg.add((a, b) if a < b else (b, a))
-            results.append((ids, lab, edg))
+            if side_i and side_j:
+                joins.append((side_i, side_j))
+            results.append((ids, lab, joins))
         else:
             if node.old < 1 or node.new < 1:
                 raise ExprError(path, "rename labels must be >= 1")
-            ids, lab, edg = results.pop()
+            ids, lab, joins = results.pop()
             for v in ids:
                 if lab[v] == node.old:
                     lab[v] = node.new
-            results.append((ids, lab, edg))
-    ids, lab, edg = results.pop()
+            results.append((ids, lab, joins))
+    ids, lab, joins = results.pop()
     order = sorted(ids)
     index = {v: k for k, v in enumerate(order)}
     adj = np.zeros((len(order), len(order)), dtype=np.bool_)
-    for a, b in edg:
-        adj[index[a], index[b]] = adj[index[b], index[a]] = True
+    for side_i, side_j in joins:
+        a = [index[v] for v in side_i]
+        b = [index[v] for v in side_j]
+        adj[np.ix_(a, b)] = True
+    adj |= adj.T
     return LabeledGraph(Graph(adj), tuple(order), dict(lab))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import Graph, induced_subgraph, universal_vertices
+from .core import Graph, bits_of, induced_subgraph, universal_vertices
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,12 @@ class TwinDecomposition:
 def simplicial_prefix(g: Graph) -> SimplicialPrefix:
     """Greedy maximal simplicial elimination, smallest eligible vertex first.
 
-    Keeps, per vertex, the count of nonadjacent pairs inside its current
-    neighborhood; a vertex is simplicial exactly when its count is zero.
+    Starts from the simplicial vertices of g; after a neighbor of v is
+    deleted, keeps the count of nonadjacent pairs left inside v's
+    neighborhood on the bitset rows, and v becomes eligible when it is zero.
     """
-    order, alive = _kernels.simplicial_elimination(g.adj)
-    return SimplicialPrefix(
-        order=tuple(int(v) for v in order),
-        remainder=frozenset(np.flatnonzero(alive).tolist()),
-    )
+    order, rest = _kernels.simplicial_elimination(g)
+    return SimplicialPrefix(order=tuple(order), remainder=bits_of(rest))
 
 
 def twin_classes(g: Graph) -> TwinDecomposition:
@@ -54,15 +52,10 @@ def twin_classes(g: Graph) -> TwinDecomposition:
     for v in range(g.n):
         groups.setdefault(g.closed_row(v), []).append(v)
     classes = sorted(groups.values(), key=lambda c: c[0])
-    reps = tuple(c[0] for c in classes)
-    k = len(classes)
-    adj = np.zeros((k, k), dtype=np.bool_)
-    for i in range(k):
-        for j in range(i + 1, k):
-            adj[i, j] = adj[j, i] = g.has_edge(reps[i], reps[j])
+    reps = tuple(c[0] for c in classes)  # increasing, so quotient vertex i is reps[i]
     return TwinDecomposition(
         classes=tuple(frozenset(c) for c in classes),
-        quotient=Graph(adj),
+        quotient=induced_subgraph(g, reps)[0],
         reps=reps,
     )
 

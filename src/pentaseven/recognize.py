@@ -422,6 +422,36 @@ def _check_nested_chain(
             return
 
 
+def _check_pendant_components(
+    g: Graph,
+    label: str,
+    comps: tuple[tuple[int, ...], ...],
+    union: int,
+    out: list[Violation],
+) -> None:
+    """The components of the pendant set label (A or Z, with vertex mask
+    union): nonempty cliques, each ordered by nested closed neighborhoods,
+    pairwise anticomplete, covering union exactly."""
+    clause = f"{label.lower()}-components"
+    name = f"{label}-component"
+    comp_union = 0
+    for comp in comps:
+        cmask = _mask_of(comp)
+        if not comp:
+            out.append(Violation(clause, "empty component listed"))
+            continue
+        if cmask & comp_union:
+            out.append(Violation(clause, "components overlap"))
+        comp_union |= cmask
+        _check_clique(g, name, cmask, out)
+        _check_nested_chain(g, name, comp, out)
+    if comp_union != union:
+        out.append(Violation(clause, f"components do not cover {label} exactly"))
+    for i, ca in enumerate(comps):
+        for cb in comps[i + 1 :]:
+            _check_anticomplete(g, name, _mask_of(ca), name, _mask_of(cb), out)
+
+
 def verify_saucer_partition(g: Graph, p: SaucerPartition) -> list[Violation]:
     """Full 7-saucer check: special partition off A, the A attachment rules,
     and the pendant clique components with nested closed neighborhoods."""
@@ -445,24 +475,7 @@ def verify_saucer_partition(g: Graph, p: SaucerPartition) -> list[Violation]:
                     hits[0].witness,
                 )
             )
-    comp_union = 0
-    for comp in p.a_components:
-        cmask = _mask_of(comp)
-        if not comp:
-            out.append(Violation("a-components", "empty component listed"))
-            continue
-        if cmask & comp_union:
-            out.append(Violation("a-components", "components overlap"))
-        comp_union |= cmask
-        _check_clique(g, "A-component", cmask, out)
-        _check_nested_chain(g, "A-component", comp, out)
-    if comp_union != amask:
-        out.append(Violation("a-components", "components do not cover A exactly"))
-    for i, ca in enumerate(p.a_components):
-        for cb in p.a_components[i + 1 :]:
-            _check_anticomplete(
-                g, "A-component", _mask_of(ca), "A-component", _mask_of(cb), out
-            )
+    _check_pendant_components(g, "A", p.a_components, amask, out)
     return out
 
 
@@ -529,24 +542,7 @@ def verify_tent_partition(g: Graph, p: TentPartition) -> list[Violation]:
         out.append(Violation("y-order", "ordering does not enumerate Y exactly"))
     else:
         _check_nested_chain(g, "Y", p.y_order, out)
-    comp_union = 0
-    for compnt in p.z_components:
-        cmask = _mask_of(compnt)
-        if not compnt:
-            out.append(Violation("z-components", "empty component listed"))
-            continue
-        if cmask & comp_union:
-            out.append(Violation("z-components", "components overlap"))
-        comp_union |= cmask
-        _check_clique(g, "Z-component", cmask, out)
-        _check_nested_chain(g, "Z-component", compnt, out)
-    if comp_union != m["Z"]:
-        out.append(Violation("z-components", "components do not cover Z exactly"))
-    for i, ca in enumerate(p.z_components):
-        for cb in p.z_components[i + 1 :]:
-            _check_anticomplete(
-                g, "Z-component", _mask_of(ca), "Z-component", _mask_of(cb), out
-            )
+    _check_pendant_components(g, "Z", p.z_components, m["Z"], out)
     return out
 
 

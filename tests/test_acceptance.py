@@ -266,7 +266,7 @@ def test_criterion_11_scaling_smoke_advisory():
         assert rep.kind == IN_CLASS_C7
         return dt
 
-    at_size(50)  # warm the jit path before timing
+    at_size(50)  # fills the catalog caches before timing
     t100, t200, t400 = at_size(100), at_size(200), at_size(400)
     r1 = t200 / max(t100, 1e-9)
     r2 = t400 / max(t200, 1e-9)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentaseven import cli
 from pentaseven.catalog import pattern
@@ -67,6 +71,72 @@ class TestFormats:
         code, reports = run(capsys, "recognize", str(path))
         assert code == cli.EXIT_INPUT
         assert named in reports[0]["error"]
+
+    MALFORMED = {
+        "count.col": ("p edge 3 7\ne 1 2\n", "declares 7 edges, found 1"),
+        "second_p.col": ("p edge 3 1\ne 1 2\np edge 2 1\n", "second header"),
+        "deep.json": ('{"n": 3, "edges": ' + "[" * 200000 + "]" * 200000 + "}",
+                      "recursion"),
+        "digits.json": ('{"n": ' + "9" * 5000 + ', "edges": []}', "digits"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_input_exit_2(self, tmp_path, capsys, name):
+        text, named = self.MALFORMED[name]
+        path = tmp_path / name
+        path.write_text(text)
+        code, reports = run(capsys, "recognize", str(path))
+        assert code == cli.EXIT_INPUT
+        assert len(reports) == 1 and named in reports[0]["error"]
+
+    @pytest.mark.parametrize("name, text", [
+        ("big.col", "p edge 100000000 1\ne 1 2\n"),
+        ("big.json", '{"n": 100000000, "edges": []}'),
+    ])
+    def test_vertex_cap_exit_4(self, tmp_path, capsys, name, text):
+        # the cap is checked before the adjacency is allocated
+        path = tmp_path / name
+        path.write_text(text)
+        code, reports = run(capsys, "recognize", str(path))
+        assert code == cli.EXIT_SIZE_CAP
+        assert len(reports) == 1
+        assert f"capped at {cli.VERTEX_CAP}" in reports[0]["error"]
+
+
+# exit-code contract inputs: any bytes, JSON of small ints, nested lists and
+# strings, and DIMACS-like lines; vertex counts stay <= 64 so runs are fast
+small_ints = st.integers(-2, 64)
+json_values = st.recursive(
+    small_ints | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=6),
+    max_leaves=30,
+)
+edge_lists = st.lists(st.lists(small_ints, min_size=2, max_size=2), max_size=40)
+edge_json = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"n": json_values, "edges": json_values}),
+    st.fixed_dictionaries({"n": small_ints, "edges": edge_lists}),
+).map(json.dumps).map(str.encode)
+dimacs_lines = st.one_of(
+    st.builds("p edge {} {}".format, small_ints, small_ints),
+    st.builds("e {} {}".format, small_ints, small_ints),
+    st.sampled_from(["c note", "p", "e 1", "p col 3 1", "x"]),
+)
+dimacs = st.lists(dimacs_lines, max_size=30).map("\n".join).map(str.encode)
+
+
+@given(raw=st.one_of(st.binary(max_size=200), edge_json, dimacs))
+@settings(max_examples=300, deadline=None)
+def test_recognize_exit_codes_on_any_input(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz-input"
+    path.write_bytes(raw)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["recognize", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_REFUSED, cli.EXIT_SIZE_CAP)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    assert isinstance(json.loads(lines[0]), dict)
 
 
 class TestRecognizeCmd:

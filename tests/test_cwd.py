@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pentaseven import cwd
@@ -80,6 +81,46 @@ class TestEval:
         base = Join(1, 2, Union(Create(1, 0), Create(2, 1)))
         again = Join(1, 2, base)
         assert eval_to_graph(again) == eval_to_graph(base)
+
+    def test_matches_edge_by_edge_reference(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            ids = rng.choice(100, size=int(rng.integers(1, 25)), replace=False)
+            expr = random_expr(rng, ids.tolist())
+            lab, edges = eval_by_edges(expr)
+            lg = eval_expr(expr)
+            assert lg.labeling == lab
+            assert {frozenset((lg.ids[a], lg.ids[b])) for a, b in lg.graph.edges()} == edges
+
+
+def random_expr(rng, ids):
+    """Random expression over the vertex ids, labels 1..3."""
+    if len(ids) == 1:
+        e = Create(int(rng.integers(1, 4)), ids[0])
+    else:
+        cut = int(rng.integers(1, len(ids)))
+        e = Union(random_expr(rng, ids[:cut]), random_expr(rng, ids[cut:]))
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = rng.choice([1, 2, 3], size=2, replace=False).tolist()
+        e = Join(i, j, e) if rng.random() < 0.6 else Rename(i, j, e)
+    return e
+
+
+def eval_by_edges(expr):
+    """Reference semantics: (labels, edge set), adding one edge at a time."""
+    if isinstance(expr, Create):
+        return {expr.vertex: expr.label}, set()
+    if isinstance(expr, Union):
+        (la, ea), (lb, eb) = eval_by_edges(expr.left), eval_by_edges(expr.right)
+        return {**la, **lb}, ea | eb
+    lab, edges = eval_by_edges(expr.child)
+    if isinstance(expr, Join):
+        for a in lab:
+            for b in lab:
+                if lab[a] == expr.i and lab[b] == expr.j:
+                    edges.add(frozenset((a, b)))
+        return lab, edges
+    return {v: expr.new if x == expr.old else x for v, x in lab.items()}, edges
 
 
 class TestComplete:

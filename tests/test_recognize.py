@@ -161,6 +161,47 @@ class TestVerifyStructures:
         raise AssertionError("no tent with nonempty Y generated")
 
 
+def _with_edge(g, a, b):
+    adj = g.adj.copy()
+    adj[a, b] = adj[b, a] = True
+    return Graph(adj)
+
+
+# each break takes (g, components) to a broken (g, components) and names the
+# clause and detail it must raise; {L} is the pendant set's label
+PENDANT_BREAKS = {
+    "empty": (lambda g, c: (g, c + ((),)),
+              "{l}-components", "empty component listed"),
+    "overlap": (lambda g, c: (g, c + (c[0][:1],)),
+                "{l}-components", "components overlap"),
+    "cover": (lambda g, c: (g, c[:-1]),
+              "{l}-components", "components do not cover {L} exactly"),
+    "clique": (lambda g, c: (g, (c[0] + c[1],) + c[2:]),
+               "clique", "{L}-component is not a clique"),
+    "anticomplete": (lambda g, c: (_with_edge(g, c[0][0], c[1][0]), c),
+                     "anticomplete", "{L}-component not anticomplete to {L}-component"),
+}
+
+
+@pytest.mark.parametrize("label", ["A", "Z"])
+@pytest.mark.parametrize("brk", sorted(PENDANT_BREAKS))
+def test_pendant_component_clauses(label, brk):
+    from dataclasses import replace
+
+    if label == "A":
+        g, part = gen_saucer(GenParams(seed=1, a_components=(2, 2)))
+        field, verify = "a_components", verify_saucer_partition
+    else:
+        g, part = gen_tent(GenParams(seed=1, z_components=(2, 2)))
+        field, verify = "z_components", verify_tent_partition
+    assert verify(g, part) == []
+    mutate, clause, detail = PENDANT_BREAKS[brk]
+    g2, comps = mutate(g, getattr(part, field))
+    found = verify(g2, replace(part, **{field: comps}))
+    want = (clause.format(l=label.lower()), detail.format(L=label))
+    assert want in [(v.clause, v.detail) for v in found]
+
+
 class TestBuildSaucer:
     def test_m3_buckets(self):
         m3 = catalog_entry("M3")
