@@ -474,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         jobs = [(args.command, p, opts) for p in args.paths]
         if args.jobs > 1 and len(jobs) > 1:
-            with Pool(args.jobs) as pool:
+            with Pool(min(args.jobs, len(jobs))) as pool:
                 results = pool.map(_one_file, jobs)
         else:
             results = [_one_file(j) for j in jobs]

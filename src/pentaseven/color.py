@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import Graph, bits_of, greedy_extend
-from .oracle import holes
+from .oracle import holes, max_weighted_clique
 from .recognize import NotInClassError, RecognitionReport, recognize
 
 QUOTIENT_CAP = 12
@@ -40,32 +40,6 @@ class WeightedInstance:
             raise ValueError("one weight per quotient vertex")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be >= 1")
-
-
-def _max_weighted_clique(rows: list[int], weights: tuple[int, ...], support: int) -> int:
-    best = 0
-
-    def grow(cand: int, total: int, bound: int):
-        nonlocal best
-        if total + bound <= best:
-            return
-        if not cand:
-            best = max(best, total)
-            return
-        pool = cand
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            v = low.bit_length() - 1
-            rest_bound = sum(weights[u] for u in bits_of(pool | low))
-            if total + rest_bound <= best:
-                return
-            grow(cand & rows[v] & ~((low << 1) - 1), total + weights[v],
-                 rest_bound - weights[v])
-        best = max(best, total)
-
-    grow(support, 0, sum(weights[u] for u in bits_of(support)))
-    return best
 
 
 def _maximal_indep(co_rows: list[int], r: int, p: int) -> list[int]:
@@ -175,7 +149,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     mis_cache: dict[tuple[int, int], list[int]] = {}
 
     def bound(wvec, support: int) -> int:
-        lb = _max_weighted_clique(rows, wvec, support)
+        lb = max_weighted_clique(rows, wvec, support)[0]
         for hole, k in odd_holes:
             total = sum(wvec[v] for v in hole)
             lb = max(lb, -(-total // k))

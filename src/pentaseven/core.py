@@ -252,11 +252,6 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if is_simplicial(g, v))
 
 
-def universal_vertices(g: Graph) -> frozenset[int]:
-    full = g.full_mask
-    return frozenset(v for v in range(g.n) if g.closed_row(v) == full)
-
-
 def is_stable_set(g: Graph, s: Iterable[int]) -> bool:
     mask = _mask_of(s)
     return all(not (g.row(v) & mask) for v in _iter_bits(mask))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph
+from .core import Graph, simplicial_vertices
 from .recognize import NotInClassError, recognize
 
 
@@ -362,12 +362,13 @@ def expr_for_class_graph(g: Graph) -> Expr:
     Applies only to accepted graphs with no simplicial vertices: those are
     exactly thickenings of a catalog base under extra universal vertices.
     """
-    report = recognize(g)
-    if report.prefix is not None and report.prefix.order:
+    simplicial = simplicial_vertices(g)
+    if simplicial:
         raise ExpressionRefusal(
-            f"graph has a simplicial vertex ({report.prefix.order[0]}); "
+            f"graph has a simplicial vertex ({min(simplicial)}); "
             "the width bound only covers simplicial-free graphs"
         )
+    report = recognize(g)
     if not report.in_class:
         raise NotInClassError(report)
     return thickening_expr(

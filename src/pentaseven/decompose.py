@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import Graph, bits_of, induced_subgraph, universal_vertices
+from .core import Graph, _iter_bits, _mask_of, bits_of, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class TwinDecomposition:
 
     classes: tuple[frozenset[int], ...]
     quotient: Graph
-    reps: tuple[int, ...]
 
 
 def simplicial_prefix(g: Graph) -> SimplicialPrefix:
@@ -46,17 +45,20 @@ def simplicial_prefix(g: Graph) -> SimplicialPrefix:
     return SimplicialPrefix(order=tuple(order), remainder=bits_of(rest))
 
 
-def twin_classes(g: Graph) -> TwinDecomposition:
-    """Partition by the closed-neighborhood relation N[x] = N[y]."""
+def twin_classes(g: Graph, within: int) -> TwinDecomposition:
+    """Partition the vertex mask within by the closed-neighborhood relation
+    N[x] = N[y] of the subgraph it induces.
+
+    Classes are ordered by smallest member, so quotient vertex i is the
+    smallest member of class i.
+    """
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.closed_row(v), []).append(v)
-    classes = sorted(groups.values(), key=lambda c: c[0])
-    reps = tuple(c[0] for c in classes)  # increasing, so quotient vertex i is reps[i]
+    for v in _iter_bits(within):  # increasing, so groups open in class order
+        groups.setdefault(g.closed_row(v) & within, []).append(v)
+    classes = list(groups.values())
     return TwinDecomposition(
         classes=tuple(frozenset(c) for c in classes),
-        quotient=induced_subgraph(g, reps)[0],
-        reps=reps,
+        quotient=induced_subgraph(g, [c[0] for c in classes])[0],
     )
 
 
@@ -92,18 +94,14 @@ def expand_thickening(
     return Graph(adj), classmap
 
 
-def strip_universals(g: Graph) -> tuple[frozenset[int], Graph | None, tuple[int, ...]]:
-    """Remove all universal vertices at once.
+def strip_universals(g: Graph, within: int) -> tuple[frozenset[int], int]:
+    """Remove all universal vertices of the subgraph induced on within at once.
 
-    Returns (w, remainder, remainder_vertices); remainder is None when the
-    graph is complete (every vertex universal).
+    Returns (w, rest): the universal vertices and the mask of the others;
+    rest is 0 when that subgraph is complete (every vertex universal).
     """
-    w = universal_vertices(g)
-    if len(w) == g.n:
-        return w, None, ()
-    rest = sorted(set(range(g.n)) - w)
-    sub, _ = induced_subgraph(g, rest)
-    return w, sub, tuple(rest)
+    w = frozenset(v for v in _iter_bits(within) if g.closed_row(v) & within == within)
+    return w, within & ~_mask_of(w)
 
 
 def is_thickening_of(g: Graph, classes: list[list[int]], h: Graph) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import NamedGraph, family_M, pattern
-from .core import Graph
+from .core import Graph, build_graph
 from .recognize import (
     MOD7,
     SaucerPartition,
@@ -89,10 +89,7 @@ class _Builder:
                 self.edges.append((a, b))
 
     def graph(self) -> Graph:
-        adj = np.zeros((self.n, self.n), dtype=np.bool_)
-        for a, b in self.edges:
-            adj[a, b] = adj[b, a] = True
-        return Graph(adj)
+        return build_graph(self.n, self.edges)
 
 
 def _thicken_named(rng, base: NamedGraph, params: GenParams, b: _Builder):

@@ -9,10 +9,10 @@ Size caps are enforced, not advisory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .catalog import NamedGraph, pattern
-from .core import Graph, bits_of, greedy_extend, is_connected, reach_mask
+from .core import Graph, _iter_bits, bits_of, greedy_extend, is_connected, reach_mask
 
 PATTERN_CAP = 10
 HOLE_CAP = 16
@@ -141,31 +141,41 @@ def all_hole_lengths(g: Graph) -> set[int]:
     return {len(h) for h in holes(g)}
 
 
+def max_weighted_clique(
+    rows: list[int], weights: Sequence[int], support: int
+) -> tuple[int, int]:
+    """Exact maximum weight clique inside the vertex mask support, as
+    (weight, mask); weights are >= 0.
+
+    Branch and bound over cliques grown in increasing vertex order, bounded
+    by the weight of the candidates left.  The mask changes only on a strict
+    improvement, so of several best cliques the first one reached is kept.
+    """
+    best = best_mask = 0
+
+    def grow(cur: int, cand: int, total: int):
+        nonlocal best, best_mask
+        if not cand:
+            if total > best:
+                best, best_mask = total, cur
+            return
+        rest = sum(weights[u] for u in _iter_bits(cand))
+        while cand:
+            if total + rest <= best:
+                return
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            rest -= weights[v]
+            grow(cur | low, cand & rows[v], total + weights[v])
+
+    grow(0, support, 0)
+    return best, best_mask
+
+
 def max_clique_mask(g: Graph) -> int:
     """Exact maximum clique, as a bitmask."""
-    rows = g.rows
-    best = 0
-    best_size = 0
-
-    def expand(cur: int, size: int, cand: int):
-        nonlocal best, best_size
-        if size + cand.bit_count() <= best_size:
-            return
-        if not cand:
-            if size > best_size:
-                best, best_size = cur, size
-            return
-        pool = cand
-        while pool:
-            low = pool & -pool
-            v = low.bit_length() - 1
-            if size + pool.bit_count() <= best_size:
-                return
-            expand(cur | low, size + 1, cand & rows[v] & ~((low << 1) - 1))
-            pool ^= low
-
-    expand(0, 0, g.full_mask)
-    return best
+    return max_weighted_clique(g.rows, [1] * g.n, g.full_mask)[1]
 
 
 def chromatic_number_bf(g: Graph) -> tuple[int, dict[int, int]]:

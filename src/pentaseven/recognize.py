@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 from . import oracle
 from .catalog import catalog_entry, match_catalog, pattern
-from .core import Graph, _mask_of, bits_of, component_masks, induced_subgraph
+from .core import Graph, _mask_of, bits_of, component_masks
+# unused here, but perfbench/spans.py patches recognize.induced_subgraph
+from .core import induced_subgraph  # noqa: F401
 from .decompose import (
     SimplicialPrefix,
     simplicial_prefix,
@@ -434,9 +436,9 @@ def _check_pendant_components(
     pairwise anticomplete, covering union exactly."""
     clause = f"{label.lower()}-components"
     name = f"{label}-component"
+    masks = [_mask_of(comp) for comp in comps]
     comp_union = 0
-    for comp in comps:
-        cmask = _mask_of(comp)
+    for comp, cmask in zip(comps, masks):
         if not comp:
             out.append(Violation(clause, "empty component listed"))
             continue
@@ -447,9 +449,17 @@ def _check_pendant_components(
         _check_nested_chain(g, name, comp, out)
     if comp_union != union:
         out.append(Violation(clause, f"components do not cover {label} exactly"))
-    for i, ca in enumerate(comps):
-        for cb in comps[i + 1 :]:
-            _check_anticomplete(g, name, _mask_of(ca), name, _mask_of(cb), out)
+    later = [0] * (len(masks) + 1)  # later[i]: union of components i, i+1, ...
+    for i in range(len(masks) - 1, -1, -1):
+        later[i] = later[i + 1] | masks[i]
+    rows = g.rows
+    for i, ma in enumerate(masks):
+        reach = 0
+        for v in comps[i]:
+            reach |= rows[v]
+        if reach & later[i + 1]:  # else no later component meets this one
+            for mb in masks[i + 1 :]:
+                _check_anticomplete(g, name, ma, name, mb, out)
 
 
 def verify_saucer_partition(g: Graph, p: SaucerPartition) -> list[Violation]:
@@ -672,10 +682,9 @@ def _reject(
 ) -> RecognitionReport:
     witness = None
     if g.n <= oracle.VERDICT_CAP:
-        verdict = oracle.class_verdict(g)
         for nm in ("2P3", "C4", "C6"):
-            if nm in verdict.witnesses:
-                witness = verdict.witnesses[nm]
+            witness = oracle.find_induced(g, pattern(nm))
+            if witness is not None:
                 break
     return RecognitionReport(
         kind=NOT_IN_CLASS,
@@ -692,7 +701,8 @@ def recognize(g: Graph) -> RecognitionReport:
 
     Pipeline: maximal simplicial prefix -> universal strip -> twin quotient
     -> catalog match -> partition reconstruction on the original graph ->
-    full verification.
+    full verification.  The strip steps work on vertex masks of g, so the
+    twin quotient is the only graph built along the way.
     """
     stages: list[tuple[str, str]] = []
     pre = simplicial_prefix(g)
@@ -702,20 +712,14 @@ def recognize(g: Graph) -> RecognitionReport:
             g, "chordal: the simplicial elimination consumed the whole graph",
             stages, pre,
         )
-    rest = sorted(pre.remainder)
-    g1, _ = induced_subgraph(g, rest)
-    w_local, g2, rest2 = strip_universals(g1)
-    w_orig = frozenset(rest[v] for v in w_local)
-    stages.append(("universal-strip", f"|W| = {len(w_orig)}"))
-    if g2 is None:
+    w, core = strip_universals(g, _mask_of(pre.remainder))
+    stages.append(("universal-strip", f"|W| = {len(w)}"))
+    if not core:
         return _reject(g, "remainder after the prefix is a complete graph",
                        stages, pre)
-    g2_orig = [rest[v] for v in rest2]
-    twins = twin_classes(g2)
+    twins = twin_classes(g, core)
     stages.append(("twin-quotient", f"{twins.quotient.n} classes"))
-    class_ids = tuple(
-        tuple(sorted(g2_orig[u] for u in cls)) for cls in twins.classes
-    )
+    class_ids = tuple(tuple(sorted(cls)) for cls in twins.classes)
     if twins.quotient.n > 12:
         return _reject(
             g, f"twin quotient has {twins.quotient.n} classes (limit 12)",
@@ -733,7 +737,7 @@ def recognize(g: Graph) -> RecognitionReport:
     common = dict(
         stages=tuple(stages),
         prefix=pre,
-        universal_w=w_orig,
+        universal_w=w,
         quotient=twins.quotient,
         class_ids=class_ids,
         catalog_name=name,

@@ -14,8 +14,8 @@ from pentaseven.core import (
     is_anticonnected,
     is_stable_set,
     simplicial_vertices,
-    universal_vertices,
 )
+from pentaseven.decompose import strip_universals
 from pentaseven.oracle import find_induced, is_free_of
 
 
@@ -47,7 +47,7 @@ class TestFamily:
             g = entry.graph
             assert is_anticonnected(g), entry.name
             assert not simplicial_vertices(g), entry.name
-            assert not universal_vertices(g), entry.name
+            assert not strip_universals(g, g.full_mask)[0], entry.name
 
     def test_no_member_has_twins(self):
         for entry in family_M() + [pattern("T0"), pattern("T1")]:

@@ -180,6 +180,32 @@ class TestRecognizeCmd:
         kinds = [r["verdict"]["kind"] for r in reports]
         assert kinds == ["in-class-with-T0", "in-class-with-T0", "in-class-with-C7"]
 
+    def test_jobs_capped_at_file_count(self, tmp_path, capsys, monkeypatch):
+        # a fake pool that records its size and maps inline: no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli, "Pool", InlinePool)
+        paths = [
+            write_graph(tmp_path, f"g{i}.json", pattern(nm).graph)
+            for i, nm in enumerate(("T0", "C7"))
+        ]
+        code, reports = run(capsys, "recognize", *paths, "--jobs", "64")
+        assert code == 0 and len(reports) == 2
+        assert sizes == [2]
+
 
     def test_environment_does_not_change_caps(self, tmp_path):
         # no environment variable may raise the crosscheck cap past the

@@ -17,8 +17,8 @@ from pentaseven.core import (
     is_simplicial,
     relation,
     simplicial_vertices,
-    universal_vertices,
 )
+from pentaseven.decompose import strip_universals
 from pentaseven.oracle import find_induced
 
 from conftest import random_graphs
@@ -125,12 +125,12 @@ class TestPredicates:
     def test_c7_no_simplicial_no_universal(self):
         g = c7()
         assert not simplicial_vertices(g)
-        assert not universal_vertices(g)
+        assert not strip_universals(g, g.full_mask)[0]
 
     def test_t0_no_simplicial_no_universal(self):
         g = pattern("T0").graph
         assert not simplicial_vertices(g)
-        assert not universal_vertices(g)
+        assert not strip_universals(g, g.full_mask)[0]
 
     def test_p3_ends_simplicial(self):
         g = pattern("P3").graph

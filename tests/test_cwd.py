@@ -22,8 +22,8 @@ from pentaseven.cwd import (
     to_sexpr,
     width,
 )
-from pentaseven.decompose import expand_thickening
-from pentaseven.generate import GenParams, gen_special, gen_tent
+from pentaseven.decompose import expand_thickening, simplicial_prefix
+from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.recognize import NotInClassError
 
 
@@ -247,6 +247,26 @@ class TestClassExpression:
                     expr_for_class_graph(g)
                 return
         raise AssertionError("no tent with nonempty Y generated")
+
+    def test_simplicial_refusal_names_first_prefix_vertex(self, monkeypatch):
+        graphs = [pattern("P3").graph, build_graph(5, [(0, 1), (1, 2), (3, 4)])]
+        for seed in range(20):
+            params = GenParams(seed=seed, a_components=(1, 2), z_components=(1, 2))
+            for gen in (gen_saucer, gen_tent):
+                g, _ = gen(params)
+                graphs += [g, mutate(g, seed)]
+        graphs = [g for g in graphs if simplicial_prefix(g).order]
+        assert len(graphs) >= 40
+
+        def no_recognize(g):
+            raise AssertionError("cwd ran recognize on a simplicial graph")
+
+        monkeypatch.setattr(cwd, "recognize", no_recognize)
+        for g in graphs:
+            first = simplicial_prefix(g).order[0]
+            with pytest.raises(ExpressionRefusal,
+                               match=rf"simplicial vertex \({first}\)"):
+                expr_for_class_graph(g)
 
     def test_out_of_class_refused(self):
         with pytest.raises(NotInClassError):

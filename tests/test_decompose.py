@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from pentaseven.catalog import is_isomorphic_small, pattern
 from pentaseven.core import (
     Graph,
+    _mask_of,
+    bits_of,
     build_graph,
     induced_subgraph,
     is_simplicial,
     simplicial_vertices,
-    universal_vertices,
 )
 from pentaseven.decompose import (
     expand_thickening,
@@ -24,6 +25,33 @@ from conftest import random_graphs
 
 def complete(k):
     return build_graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def universals(g):
+    return strip_universals(g, g.full_mask)[0]
+
+
+# reference versions that build a new graph at each step; the pipeline's
+# versions work on vertex masks of the input graph instead
+
+
+def strip_universals_by_graph(g):
+    full = g.full_mask
+    w = frozenset(v for v in range(g.n) if g.closed_row(v) == full)
+    if len(w) == g.n:
+        return w, None, ()
+    rest = sorted(set(range(g.n)) - w)
+    sub, _ = induced_subgraph(g, rest)
+    return w, sub, tuple(rest)
+
+
+def twin_classes_by_graph(g):
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(g.closed_row(v), []).append(v)
+    classes = sorted(groups.values(), key=lambda c: c[0])
+    quotient, _ = induced_subgraph(g, [c[0] for c in classes])
+    return tuple(frozenset(c) for c in classes), quotient
 
 
 class TestSimplicialPrefix:
@@ -73,11 +101,13 @@ class TestSimplicialPrefix:
 
 class TestTwinClasses:
     def test_k5_single_class(self):
-        dec = twin_classes(complete(5))
+        k5 = complete(5)
+        dec = twin_classes(k5, k5.full_mask)
         assert len(dec.classes) == 1 and dec.quotient.n == 1
 
     def test_c7_all_singletons(self):
-        dec = twin_classes(pattern("C7").graph)
+        c7 = pattern("C7").graph
+        dec = twin_classes(c7, c7.full_mask)
         assert len(dec.classes) == 7
         assert is_isomorphic_small(dec.quotient, pattern("C7").graph) is not None
 
@@ -85,7 +115,7 @@ class TestTwinClasses:
         t0 = pattern("T0").graph
         sizes = [2, 1, 1, 1, 1, 1, 1, 1, 1]
         big, classmap = expand_thickening(t0, sizes)
-        dec = twin_classes(big)
+        dec = twin_classes(big, big.full_mask)
         assert is_isomorphic_small(dec.quotient, t0) is not None
         assert sorted(map(len, dec.classes)) == sorted(sizes)
 
@@ -114,8 +144,9 @@ class TestExpandThickening:
 
 class TestStripUniversals:
     def test_complete_graph_flagged(self):
-        w, rest, ids = strip_universals(complete(4))
-        assert len(w) == 4 and rest is None
+        k4 = complete(4)
+        w, rest = strip_universals(k4, k4.full_mask)
+        assert len(w) == 4 and rest == 0
 
     def test_apex_over_c7(self):
         c7 = pattern("C7").graph
@@ -123,12 +154,35 @@ class TestStripUniversals:
         adj[:7, :7] = c7.adj
         adj[7, :7] = adj[:7, 7] = True
         g = Graph(adj)
-        w, rest, ids = strip_universals(g)
-        assert w == {7} and rest == c7 and ids == tuple(range(7))
+        w, rest = strip_universals(g, g.full_mask)
+        assert w == {7} and rest == c7.full_mask
 
     def test_t0_has_none(self):
-        w, rest, _ = strip_universals(pattern("T0").graph)
-        assert not w and rest == pattern("T0").graph
+        t0 = pattern("T0").graph
+        w, rest = strip_universals(t0, t0.full_mask)
+        assert not w and rest == t0.full_mask
+
+    def test_within_a_mask(self):
+        # inside the 7-hole, vertices 0, 1, 2 induce a P3 whose middle is universal
+        c7 = pattern("C7").graph
+        w, rest = strip_universals(c7, 0b111)
+        assert w == {1} and rest == 0b101
+
+
+@given(random_graphs(max_n=12), st.data())
+@settings(max_examples=80, deadline=None)
+def test_mask_steps_match_graph_building_reference(g, data):
+    within = data.draw(st.integers(1, g.full_mask))
+    vs = sorted(bits_of(within))
+    sub, _ = induced_subgraph(g, vs)
+    w_ref, _, ids_ref = strip_universals_by_graph(sub)
+    w, rest = strip_universals(g, within)
+    assert w == {vs[i] for i in w_ref}
+    assert rest == _mask_of(vs[i] for i in ids_ref)
+    classes_ref, quotient_ref = twin_classes_by_graph(sub)
+    dec = twin_classes(g, within)
+    assert dec.classes == tuple(frozenset(vs[i] for i in c) for c in classes_ref)
+    assert dec.quotient == quotient_ref
 
 
 @given(random_graphs(max_n=8), st.data())
@@ -141,9 +195,9 @@ def test_thickening_roundtrip_and_props(g, data):
     assert is_thickening_of(big, classmap, g)
     # simplicial and universal presence transfer both ways
     assert bool(simplicial_vertices(big)) == bool(simplicial_vertices(g))
-    assert bool(universal_vertices(big)) == bool(universal_vertices(g))
+    assert bool(universals(big)) == bool(universals(g))
     if not has_twins(g):
-        dec = twin_classes(big)
+        dec = twin_classes(big, big.full_mask)
         assert is_isomorphic_small(dec.quotient, g) is not None
 
 
@@ -157,11 +211,11 @@ def test_adding_universals_preserves_simplicial_presence(g, k):
     adj[:, g.n :] = True
     np.fill_diagonal(adj, False)
     joined = Graph(adj)
-    w, rest, _ = strip_universals(joined)
+    w, rest = strip_universals(joined, joined.full_mask)
     assert bool(simplicial_vertices(joined)) == bool(simplicial_vertices(g))
-    if not universal_vertices(g):
+    if not universals(g):
         assert w == set(range(g.n, n))
-        assert rest == g
+        assert rest == g.full_mask
 
 
 def test_prefix_remainder_stable_under_relabeling():

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentaseven.catalog import pattern
 from pentaseven.core import Graph, bits_of
@@ -15,6 +16,7 @@ from pentaseven.oracle import (
     clique_cutset_bf,
     find_induced,
     max_clique_mask,
+    max_weighted_clique,
 )
 
 from conftest import random_graphs
@@ -109,18 +111,26 @@ def test_clique_cutset_vs_subset_scan(g):
     assert (clique_cutset_bf(g) is not None) == clique_cutset_by_subset_scan(g)
 
 
-@given(random_graphs(max_n=10))
+@given(random_graphs(max_n=10), st.data())
 @settings(max_examples=40, deadline=None)
-def test_max_clique_vs_subset_scan(g):
-    best = max(
-        (mask.bit_count() for mask in range(1 << g.n)
-         if all(
-             (g.row(v) & mask & ~(1 << v)).bit_count() == mask.bit_count() - 1
-             for v in bits_of(mask)
-         )),
-        default=0,
-    )
-    assert max_clique_mask(g).bit_count() == best
+def test_max_clique_vs_subset_scan(g, data):
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=g.n, max_size=g.n))
+    support = data.draw(st.integers(0, g.full_mask))
+    cliques = [
+        mask for mask in range(1 << g.n)
+        if all(
+            (g.row(v) & mask & ~(1 << v)).bit_count() == mask.bit_count() - 1
+            for v in bits_of(mask)
+        )
+    ]
+
+    def weight(mask):
+        return sum(weights[v] for v in bits_of(mask))
+
+    assert max_clique_mask(g).bit_count() == max(m.bit_count() for m in cliques)
+    best, mask = max_weighted_clique(g.rows, weights, support)
+    assert best == max(weight(m) for m in cliques if not m & ~support)
+    assert mask in cliques and not mask & ~support and weight(mask) == best
 
 
 def test_lp_bound_vs_scipy_if_available():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pentaseven import oracle
 from pentaseven.catalog import catalog_entry, pattern
-from pentaseven.core import Graph, build_graph, is_clique
-from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent
+from pentaseven.core import Graph, _mask_of, build_graph, is_clique
+from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.oracle import class_verdict, clique_cutset_bf
 from pentaseven.recognize import (
     IN_CLASS_C7,
@@ -14,6 +17,8 @@ from pentaseven.recognize import (
     SpecialPartition,
     T0_LABELS,
     Violation,
+    _check_anticomplete,
+    _check_pendant_components,
     build_saucer_from_hole,
     build_tent_from_T0,
     classify_vs_C7,
@@ -24,6 +29,8 @@ from pentaseven.recognize import (
     verify_tent_partition,
     yz_outcome,
 )
+
+from conftest import random_graphs
 
 
 def t0_host_map():
@@ -202,6 +209,24 @@ def test_pendant_component_clauses(label, brk):
     assert want in [(v.clause, v.detail) for v in found]
 
 
+@given(random_graphs(max_n=12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pendant_components_match_all_pairs_scan(g, data):
+    # components may overlap or be empty; the report must equal a scan that
+    # checks every pair
+    vertices = st.lists(st.integers(0, g.n - 1), max_size=4, unique=True)
+    comps = tuple(tuple(c) for c in data.draw(st.lists(vertices, max_size=6)))
+    union = _mask_of(v for c in comps for v in c)
+    got: list[Violation] = []
+    _check_pendant_components(g, "A", comps, union, got)
+    pairs: list[Violation] = []
+    for i, ca in enumerate(comps):
+        for cb in comps[i + 1 :]:
+            _check_anticomplete(g, "A-component", _mask_of(ca),
+                                "A-component", _mask_of(cb), pairs)
+    assert [v for v in got if v.clause == "anticomplete"] == pairs
+
+
 class TestBuildSaucer:
     def test_m3_buckets(self):
         m3 = catalog_entry("M3")
@@ -326,6 +351,69 @@ class TestRecognize:
         assert tried >= 40
 
 
+def _witness_by_class_verdict(g):
+    # the refusal witness as first picked: the first of 2P3, C4, C6 that the
+    # full class verdict found
+    verdict = class_verdict(g)
+    for nm in ("2P3", "C4", "C6"):
+        if nm in verdict.witnesses:
+            return verdict.witnesses[nm]
+    return None
+
+
+@given(random_graphs(max_n=20))
+@settings(max_examples=60, deadline=None)
+def test_refusal_witness_matches_class_verdict_pick(g):
+    rep = recognize(g)
+    if not rep.in_class:
+        assert rep.witness == _witness_by_class_verdict(g)
+
+
+def test_refusal_witness_on_single_flip_mutants(monkeypatch):
+    small = []
+    for seed in range(30):
+        params = GenParams(seed=seed, max_class_size=1, universal_count=(0, 1),
+                           a_components=(0, 1), z_components=(0, 1),
+                           max_component_size=2)
+        for gen in (gen_saucer, gen_tent):
+            g = mutate(gen(params)[0], seed)
+            if g.n <= oracle.VERDICT_CAP:
+                small.append(g)
+    want = [_witness_by_class_verdict(g) for g in small]
+
+    def no_verdict(g):
+        raise AssertionError("recognize ran the full class verdict")
+
+    monkeypatch.setattr(oracle, "class_verdict", no_verdict)
+    reports = [recognize(g) for g in small]
+    refused = [(rep.witness, w) for rep, w in zip(reports, want) if not rep.in_class]
+    assert sum(w is not None for _, w in refused) >= 20
+    for got, w in refused:
+        assert got == w
+
+
+def test_in_class_recognize_builds_only_the_quotient(monkeypatch):
+    graphs = [
+        gen_saucer(GenParams(seed=3, max_class_size=2, a_components=(1, 2)))[0],
+        gen_tent(GenParams(seed=1, p_nonempty=1.0, z_components=(1, 2)))[0],
+        gen_special(GenParams(seed=2, max_class_size=2, universal_count=(1, 2)))[0],
+    ]
+    for g in graphs:  # fills the catalog caches
+        assert recognize(g).in_class
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, adj):
+        built.append(np.asarray(adj).shape[0])
+        init(self, adj)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    for g in graphs:
+        built.clear()
+        rep = recognize(g)
+        assert rep.in_class and built == [rep.quotient.n]
+
+
 class TestStructureFacts:
     def test_yz_dichotomy_on_generated(self):
         for seed in range(30):
@@ -371,5 +459,5 @@ class TestStructureFacts:
             assert len(nontrivial) == 1
             assert nontrivial[0] == frozenset(range(g.n)) - part.w
             core, _ = induced_subgraph(g, nontrivial[0])
-            got = match_catalog(twin_classes(core).quotient)
+            got = match_catalog(twin_classes(core, core.full_mask).quotient)
             assert got is not None
