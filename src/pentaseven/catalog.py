@@ -17,7 +17,9 @@ from itertools import combinations
 from .core import Graph, build_graph, induced_subgraph
 
 ISO_SIZE_CAP = 16
-MATCH_SIZE_CAP = 12
+# Largest catalog entry (M0); also the cap on the twin quotients that
+# recognition matches, the weighted colorer solves and cwd thickens.
+QUOTIENT_CAP = 12
 
 M0_OPTIONAL = ("y0", "y3", "z0", "z3", "z4")
 
@@ -175,7 +177,7 @@ def is_isomorphic_small(g: Graph, h: Graph) -> dict[int, int] | None:
     placed_mask = 0
     remaining = set(range(g.n))
     while remaining:
-        candidates = [v for v in remaining if g.row(v) & placed_mask]
+        candidates = [v for v in remaining if g.rows[v] & placed_mask]
         pool = candidates or list(remaining)
         v = min(pool, key=lambda u: (degs_g[u], u))
         order.append(v)
@@ -236,7 +238,7 @@ def match_catalog(g: Graph) -> tuple[str, dict[int, int]] | None:
 
     Returns (entry name, map from entry vertices to g vertices), or None.
     """
-    if g.n > MATCH_SIZE_CAP:
+    if g.n > QUOTIENT_CAP:
         return None
     for entry in _dedup_targets():
         if entry.graph.n != g.n:

@@ -44,8 +44,8 @@ VERTEX_CAP = 10_000
 
 
 def _build(n, edges) -> Graph:
-    """build_graph behind the vertex cap, which is checked before the n x n
-    adjacency is allocated; malformed input becomes an InputError."""
+    """build_graph behind the vertex cap, which is checked before the n
+    neighborhood rows are allocated; malformed input becomes an InputError."""
     if isinstance(n, int) and n > VERTEX_CAP:
         raise SizeCapError(f"graphs are capped at {VERTEX_CAP} vertices, got {n}")
     try:
@@ -258,8 +258,11 @@ def run_recognize(path: str, crosscheck: bool, dot: str | None) -> tuple[int, di
         body["oracle"] = verdict_to_json(verdict)
         body["agreement"] = verdict.in_class == rep.in_class
     if dot:
-        with open(dot, "w") as fh:
-            fh.write(to_dot(g, rep if rep.in_class else None))
+        try:
+            with open(dot, "w") as fh:
+                fh.write(to_dot(g, rep if rep.in_class else None))
+        except OSError as exc:
+            raise InputError(f"cannot write {dot}: {exc}") from None
         body["dot"] = dot
     return EXIT_OK, _wrap("recognize", path, digest, body, t0)
 
@@ -359,20 +362,23 @@ def run_generate(args) -> tuple[int, dict]:
     else:
         g, part = generate.gen_tent(params)
         cert = tent_to_json(part)
-    os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, f"{args.kind}-{args.seed}")
     graph_path = stem + ".json"
     cert_path = stem + ".cert.json"
-    with open(graph_path, "w") as fh:
-        json.dump(graph_to_edge_json(g), fh, sort_keys=True, indent=None)
-        fh.write("\n")
-    with open(cert_path, "w") as fh:
-        json.dump(
-            {"schema": SCHEMA, "kind": args.kind, "seed": args.seed,
-             "certificate": cert},
-            fh, sort_keys=True, indent=None,
-        )
-        fh.write("\n")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(graph_path, "w") as fh:
+            json.dump(graph_to_edge_json(g), fh, sort_keys=True, indent=None)
+            fh.write("\n")
+        with open(cert_path, "w") as fh:
+            json.dump(
+                {"schema": SCHEMA, "kind": args.kind, "seed": args.seed,
+                 "certificate": cert},
+                fh, sort_keys=True, indent=None,
+            )
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write to {args.out}: {exc}") from None
     return EXIT_OK, {
         "schema": SCHEMA,
         "command": "generate",

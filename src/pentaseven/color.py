@@ -16,11 +16,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+from .catalog import QUOTIENT_CAP
 from .core import Graph, bits_of, greedy_extend
 from .oracle import holes, max_weighted_clique
 from .recognize import NotInClassError, RecognitionReport, recognize
 
-QUOTIENT_CAP = 12
 _MEMO_BUDGET = 500_000
 
 

@@ -1,13 +1,14 @@
 """Immutable simple graphs and the set/neighborhood predicates everything else uses.
 
-Vertices are 0..n-1.  Adjacency is a dense symmetric boolean matrix; each row
-is additionally cached as a Python integer bitmask, which is what the
-combinatorial routines work with.  Graphs are nonnull (n >= 1) and loop-free.
+Vertices are 0..n-1.  A graph is its vertex count and one Python integer
+bitmask per vertex (its neighborhood row); every routine works on these rows.
+Graphs are nonnull (n >= 1) and loop-free.  numpy enters only at the edges:
+`Graph(adj)` packs a dense boolean matrix and `.adj` unpacks one on request.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,9 +36,9 @@ def bits_of(mask: int) -> frozenset[int]:
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..n-1."""
+    """Immutable simple graph on vertices 0..n-1, stored as neighborhood rows."""
 
-    __slots__ = ("n", "adj", "_rows", "_hash")
+    __slots__ = ("n", "rows", "_hash")
 
     def __init__(self, adj: np.ndarray):
         adj = np.asarray(adj, dtype=np.bool_)
@@ -49,26 +50,25 @@ class Graph:
             raise ValueError("adjacency has a loop")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency is not symmetric")
+        packed = np.packbits(adj, axis=1, bitorder="little")
         self.n = adj.shape[0]
-        a = adj.copy()
-        a.flags.writeable = False
-        self.adj = a
-        self._rows: list[int] | None = None
-        self._hash: int | None = None
+        self.rows = tuple(int.from_bytes(p.tobytes(), "little") for p in packed)
+        self._hash = None
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[int]) -> "Graph":
+        """Graph whose vertex v has neighborhood bitmask rows[v].
+
+        The rows are trusted: the caller builds both directions of every
+        edge and sets no bit v in rows[v] and none at or past len(rows).
+        """
+        g = object.__new__(cls)
+        g.n = len(rows)
+        g.rows = tuple(rows)
+        g._hash = None
+        return g
 
     # -- bitmask views -------------------------------------------------
-
-    @property
-    def rows(self) -> list[int]:
-        if self._rows is None:
-            packed = np.packbits(self.adj, axis=1, bitorder="little")
-            self._rows = [
-                int.from_bytes(packed[v].tobytes(), "little") for v in range(self.n)
-            ]
-        return self._rows
-
-    def row(self, v: int) -> int:
-        return self.rows[v]
 
     def closed_row(self, v: int) -> int:
         return self.rows[v] | (1 << v)
@@ -77,41 +77,48 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @property
+    def adj(self) -> np.ndarray:
+        """Read-only dense boolean adjacency matrix, unpacked from the rows."""
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(r.to_bytes(width, "little") for r in self.rows), dtype=np.uint8
+        ).reshape(self.n, width)
+        a = np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(np.bool_)
+        a.flags.writeable = False
+        return a
+
     # -- basic queries --------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
+        return bool(self.rows[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return int(self.adj[v].sum())
+        return self.rows[v].bit_count()
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.adj[v]).tolist())
+        return bits_of(self.rows[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        iu, iv = np.nonzero(np.triu(self.adj, k=1))
-        return list(zip(iu.tolist(), iv.tolist()))
+        # r & -(2 << u) keeps the neighbors above u
+        return [(u, v) for u, r in enumerate(self.rows) for v in _iter_bits(r & -(2 << u))]
 
     @property
     def num_edges(self) -> int:
-        return int(self.adj.sum()) // 2
-
-    def vertices(self) -> range:
-        return range(self.n)
+        return sum(r.bit_count() for r in self.rows) // 2
 
     def complement(self) -> "Graph":
-        a = ~self.adj
-        np.fill_diagonal(a, False)
-        return Graph(a)
+        full = self.full_mask
+        return Graph.from_rows([full & ~self.closed_row(v) for v in range(self.n)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.adj, other.adj)
+        return self.n == other.n and self.rows == other.rows
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.n, self.adj.tobytes()))
+            self._hash = hash((self.n, self.rows))
         return self._hash
 
     def __repr__(self) -> str:
@@ -132,7 +139,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("graphs are nonnull: need n >= 1")
-    adj = np.zeros((n, n), dtype=np.bool_)
+    n = int(n)
+    rows = [0] * n
     for pair in edges:
         try:
             u, v = pair
@@ -142,13 +150,14 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             for x in (u, v):
                 if not _is_int(x):
                     raise ValueError(f"edge endpoint {x!r} in {pair!r} is not an integer")
+            u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"loop edge {pair!r}")
-        if not (0 <= u < n and 0 <= v < n):
+        if not (0 <= u < n and 0 <= v < n):  # before the shifts below
             raise ValueError(f"edge endpoint out of range in {pair!r}")
-        adj[u, v] = True
-        adj[v, u] = True
-    return Graph(adj)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph.from_rows(rows)
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -161,8 +170,15 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
         raise ValueError("induced subgraph of the empty set (graphs are nonnull)")
     if vs[0] < 0 or vs[-1] >= g.n:
         raise ValueError("vertex out of range")
-    idx = np.asarray(vs, dtype=np.intp)
-    return Graph(g.adj[np.ix_(idx, idx)]), {old: new for new, old in enumerate(vs)}
+    index = {old: new for new, old in enumerate(vs)}
+    keep = _mask_of(vs)
+    rows = []
+    for old in vs:
+        r = 0
+        for u in _iter_bits(g.rows[old] & keep):
+            r |= 1 << index[u]
+        rows.append(r)
+    return Graph.from_rows(rows), index
 
 
 def relation(g: Graph, a: Iterable[int], b: Iterable[int]) -> str:
@@ -245,7 +261,7 @@ def is_clique_mask(g: Graph, mask: int) -> bool:
 
 
 def is_simplicial(g: Graph, v: int) -> bool:
-    return is_clique_mask(g, g.row(v))
+    return is_clique_mask(g, g.rows[v])
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:
@@ -254,14 +270,14 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
 
 def is_stable_set(g: Graph, s: Iterable[int]) -> bool:
     mask = _mask_of(s)
-    return all(not (g.row(v) & mask) for v in _iter_bits(mask))
+    return all(not (g.rows[v] & mask) for v in _iter_bits(mask))
 
 
 def greedy_extend(g: Graph, order: Iterable[int], assignment: dict[int, int]) -> None:
     """Give each vertex of order, in turn, the smallest color (from 1) that
     none of its already colored neighbors has."""
     for v in order:
-        used = {assignment[u] for u in bits_of(g.row(v)) if u in assignment}
+        used = {assignment[u] for u in bits_of(g.rows[v]) if u in assignment}
         c = 1
         while c in used:
             c += 1

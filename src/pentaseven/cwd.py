@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import Graph, simplicial_vertices
+from .catalog import QUOTIENT_CAP
+from .core import Graph, _mask_of, simplicial_vertices
 from .recognize import NotInClassError, recognize
 
 
@@ -157,13 +156,16 @@ def eval_expr(expr: Expr) -> LabeledGraph:
     ids, lab, joins = results.pop()
     order = sorted(ids)
     index = {v: k for k, v in enumerate(order)}
-    adj = np.zeros((len(order), len(order)), dtype=np.bool_)
+    rows = [0] * len(order)
     for side_i, side_j in joins:
         a = [index[v] for v in side_i]
         b = [index[v] for v in side_j]
-        adj[np.ix_(a, b)] = True
-    adj |= adj.T
-    return LabeledGraph(Graph(adj), tuple(order), dict(lab))
+        mask_a, mask_b = _mask_of(a), _mask_of(b)
+        for k in a:
+            rows[k] |= mask_b
+        for k in b:
+            rows[k] |= mask_a
+    return LabeledGraph(Graph.from_rows(rows), tuple(order), dict(lab))
 
 
 def eval_to_graph(expr: Expr) -> Graph:
@@ -325,8 +327,8 @@ def thickening_expr(
 
 def expr_thicken(base: Graph, sizes: dict[int, int] | list[int]) -> Expr:
     """Expression for the canonical thickening of base (consecutive ids)."""
-    if base.n > 12:
-        raise ValueError("thickening base capped at 12 vertices")
+    if base.n > QUOTIENT_CAP:
+        raise ValueError(f"thickening base capped at {QUOTIENT_CAP} vertices")
     size_list = [sizes[v] for v in range(base.n)]
     if any(s < 1 for s in size_list):
         raise ValueError("class sizes must be >= 1")

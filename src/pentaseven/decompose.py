@@ -8,9 +8,8 @@ relation so it can be matched against the catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import _kernels
 from .core import Graph, _iter_bits, _mask_of, bits_of, induced_subgraph
@@ -27,11 +26,17 @@ class SimplicialPrefix:
 
 @dataclass(frozen=True)
 class TwinDecomposition:
-    """Twin classes (cliques, pairwise complete or anticomplete) and the
-    quotient graph on one representative per class."""
+    """Twin classes (cliques, pairwise complete or anticomplete) of a vertex
+    mask of graph, and the quotient graph on one representative per class."""
 
     classes: tuple[frozenset[int], ...]
-    quotient: Graph
+    graph: Graph = field(repr=False, compare=False)
+
+    @cached_property
+    def quotient(self) -> Graph:
+        """Subgraph induced on the smallest member of each class, built on
+        first read: a refusal by class count never needs it."""
+        return induced_subgraph(self.graph, [min(c) for c in self.classes])[0]
 
 
 def simplicial_prefix(g: Graph) -> SimplicialPrefix:
@@ -55,11 +60,7 @@ def twin_classes(g: Graph, within: int) -> TwinDecomposition:
     groups: dict[int, list[int]] = {}
     for v in _iter_bits(within):  # increasing, so groups open in class order
         groups.setdefault(g.closed_row(v) & within, []).append(v)
-    classes = list(groups.values())
-    return TwinDecomposition(
-        classes=tuple(frozenset(c) for c in classes),
-        quotient=induced_subgraph(g, [c[0] for c in classes])[0],
-    )
+    return TwinDecomposition(tuple(frozenset(c) for c in groups.values()), g)
 
 
 def expand_thickening(
@@ -73,25 +74,19 @@ def expand_thickening(
     size_list = [sizes[v] for v in range(h.n)]
     if any(s < 1 for s in size_list):
         raise ValueError("thickening class sizes must be >= 1")
-    n = sum(size_list)
     classmap: list[list[int]] = []
     nxt = 0
     for s in size_list:
         classmap.append(list(range(nxt, nxt + s)))
         nxt += s
-    adj = np.zeros((n, n), dtype=np.bool_)
+    masks = [_mask_of(ids) for ids in classmap]
+    rows = []
     for v in range(h.n):
-        ids = classmap[v]
-        for a in ids:
-            for b in ids:
-                if a != b:
-                    adj[a, b] = True
-        for u in range(v + 1, h.n):
-            if h.has_edge(u, v):
-                for a in ids:
-                    for b in classmap[u]:
-                        adj[a, b] = adj[b, a] = True
-    return Graph(adj), classmap
+        out = 0
+        for u in _iter_bits(h.rows[v]):
+            out |= masks[u]
+        rows.extend(out | masks[v] & ~(1 << a) for a in classmap[v])
+    return Graph.from_rows(rows), classmap
 
 
 def strip_universals(g: Graph, within: int) -> tuple[frozenset[int], int]:

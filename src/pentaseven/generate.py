@@ -251,6 +251,7 @@ def mutate(g: Graph, seed: int) -> Graph:
     v = int(rng.integers(0, g.n - 1))
     if v >= u:
         v += 1
-    adj = g.adj.copy()
-    adj[u, v] = adj[v, u] = not adj[u, v]
-    return Graph(adj)
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph.from_rows(rows)

@@ -47,7 +47,7 @@ def _pattern_order(p: Graph) -> list[int]:
     placed = 0
     remaining = set(range(p.n))
     while remaining:
-        touching = [v for v in remaining if p.row(v) & placed]
+        touching = [v for v in remaining if p.rows[v] & placed]
         pool = touching or list(remaining)
         v = max(pool, key=lambda u: (p.degree(u), -u))
         order.append(v)
@@ -67,13 +67,12 @@ def find_induced(g: Graph, h: NamedGraph) -> Embedding | None:
     g_rows = g.rows
     g_closed = [g.closed_row(v) for v in range(g.n)]
     full = g.full_mask
+    # degs_ok[d]: the vertices of degree >= d (degrees above p.n count as p.n)
     degs_ok = [0] * (p.n + 1)
-    for d in range(p.n + 1):
-        m = 0
-        for v in range(g.n):
-            if g.degree(v) >= d:
-                m |= 1 << v
-        degs_ok[d] = m
+    for v, r in enumerate(g_rows):
+        degs_ok[min(r.bit_count(), p.n)] |= 1 << v
+    for d in range(p.n - 1, -1, -1):
+        degs_ok[d] |= degs_ok[d + 1]
 
     image = [-1] * p.n
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .catalog import catalog_entry, match_catalog, pattern
+from .catalog import QUOTIENT_CAP, catalog_entry, match_catalog, pattern
 from .core import Graph, _mask_of, bits_of, component_masks
 # unused here, but perfbench/spans.py patches recognize.induced_subgraph
 from .core import induced_subgraph  # noqa: F401
@@ -223,7 +223,7 @@ def classify_vs_C7(g: Graph, hole, v: int) -> Attachment | Violation:
 
 
 def _classify_vs_c7_unchecked(g: Graph, hole, v: int) -> Attachment | Violation:
-    row = g.row(v)
+    row = g.rows[v]
     mask = 0
     for i in MOD7:
         if row >> hole[i] & 1:
@@ -268,7 +268,7 @@ def classify_vs_T0(g: Graph, t: dict[str, int], x: int) -> Attachment | Violatio
 
 
 def _classify_vs_t0_unchecked(g: Graph, t: dict[str, int], x: int) -> Attachment | Violation:
-    row = g.row(x)
+    row = g.rows[x]
     mask = 0
     for k, lab in enumerate(T0_LABELS):
         if row >> t[lab] & 1:
@@ -702,7 +702,8 @@ def recognize(g: Graph) -> RecognitionReport:
     Pipeline: maximal simplicial prefix -> universal strip -> twin quotient
     -> catalog match -> partition reconstruction on the original graph ->
     full verification.  The strip steps work on vertex masks of g, so the
-    twin quotient is the only graph built along the way.
+    twin quotient is the only graph built along the way, and only when it
+    has at most QUOTIENT_CAP vertices.
     """
     stages: list[tuple[str, str]] = []
     pre = simplicial_prefix(g)
@@ -718,13 +719,14 @@ def recognize(g: Graph) -> RecognitionReport:
         return _reject(g, "remainder after the prefix is a complete graph",
                        stages, pre)
     twins = twin_classes(g, core)
-    stages.append(("twin-quotient", f"{twins.quotient.n} classes"))
-    class_ids = tuple(tuple(sorted(cls)) for cls in twins.classes)
-    if twins.quotient.n > 12:
+    k = len(twins.classes)
+    stages.append(("twin-quotient", f"{k} classes"))
+    if k > QUOTIENT_CAP:  # refused before the quotient graph is built
         return _reject(
-            g, f"twin quotient has {twins.quotient.n} classes (limit 12)",
+            g, f"twin quotient has {k} classes (limit {QUOTIENT_CAP})",
             stages, pre,
         )
+    class_ids = tuple(tuple(sorted(cls)) for cls in twins.classes)
     match = match_catalog(twins.quotient)
     if match is None:
         return _reject(

@@ -164,6 +164,13 @@ class TestRecognizeCmd:
         text = open(dot).read()
         assert "subgraph cluster_0" in text and "complete" in text
 
+    def test_unwritable_dot_exit_2(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "t1.json", pattern("T1").graph)
+        dot = str(tmp_path / "missing" / "out.dot")
+        code, reports = run(capsys, "recognize", path, "--dot", dot)
+        assert code == cli.EXIT_INPUT
+        assert reports[0]["error"].startswith(f"cannot write {dot}")
+
     def test_crosscheck_cap_exit_4(self, tmp_path, capsys):
         g = build_graph(25, [(i, i + 1) for i in range(24)])
         path = write_graph(tmp_path, "big.json", g)
@@ -269,6 +276,15 @@ class TestGenerateCmd:
             assert code == 0
         for name in ("saucer-7.json", "saucer-7.cert.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = cli.main(["generate", "saucer", "--seed", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error.startswith(f"cannot write to {out}")
 
     def test_generated_file_recognizable(self, tmp_path, capsys):
         code, reports = run(capsys, "generate", "tent", "--seed", "3",

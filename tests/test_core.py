@@ -49,6 +49,9 @@ class TestBuildGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 5\)"):
             build_graph(3, [(0, 5)])
+        # checked before the endpoint becomes a bit shift
+        with pytest.raises(ValueError, match=r"\[0, 1000000000000\]"):
+            build_graph(3, [[0, 10**12]])
 
     def test_nonnull(self):
         with pytest.raises(ValueError):

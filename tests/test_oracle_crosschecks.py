@@ -30,7 +30,7 @@ def holes_by_subset_scan(g):
         if size < 4:
             continue
         if any(
-            (g.row(v) & mask).bit_count() != 2 for v in bits_of(mask)
+            (g.rows[v] & mask).bit_count() != 2 for v in bits_of(mask)
         ):
             continue
         start = mask & -mask
@@ -39,7 +39,7 @@ def holes_by_subset_scan(g):
         while frontier:
             v = frontier & -frontier
             frontier ^= v
-            new = g.row(v.bit_length() - 1) & mask & ~reach
+            new = g.rows[v.bit_length() - 1] & mask & ~reach
             reach |= new
             frontier |= new
         if reach == mask:
@@ -119,7 +119,7 @@ def test_max_clique_vs_subset_scan(g, data):
     cliques = [
         mask for mask in range(1 << g.n)
         if all(
-            (g.row(v) & mask & ~(1 << v)).bit_count() == mask.bit_count() - 1
+            (g.rows[v] & mask & ~(1 << v)).bit_count() == mask.bit_count() - 1
             for v in bits_of(mask)
         )
     ]

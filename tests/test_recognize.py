@@ -400,18 +400,38 @@ def test_in_class_recognize_builds_only_the_quotient(monkeypatch):
     ]
     for g in graphs:  # fills the catalog caches
         assert recognize(g).in_class
+    built = _count_graphs(monkeypatch)
+    for g in graphs:
+        built.clear()
+        rep = recognize(g)
+        assert rep.in_class and built == [rep.quotient.n]
+
+
+def test_refusal_by_class_count_builds_no_graph(monkeypatch):
+    c13 = build_graph(13, [(i, (i + 1) % 13) for i in range(13)])
+    recognize(c13)  # fills the pattern caches of the witness search
+    built = _count_graphs(monkeypatch)
+    rep = recognize(c13)
+    assert rep.reason == "twin quotient has 13 classes (limit 12)"
+    assert built == []
+
+
+def _count_graphs(monkeypatch) -> list[int]:
+    """Record the vertex count of every Graph built, by either constructor."""
     built = []
-    init = Graph.__init__
+    init, from_rows = Graph.__init__, Graph.from_rows.__func__
 
     def counting_init(self, adj):
         built.append(np.asarray(adj).shape[0])
         init(self, adj)
 
+    def counting_from_rows(cls, rows):
+        built.append(len(rows))
+        return from_rows(cls, rows)
+
     monkeypatch.setattr(Graph, "__init__", counting_init)
-    for g in graphs:
-        built.clear()
-        rep = recognize(g)
-        assert rep.in_class and built == [rep.quotient.n]
+    monkeypatch.setattr(Graph, "from_rows", classmethod(counting_from_rows))
+    return built
 
 
 class TestStructureFacts:
