@@ -108,11 +108,13 @@ def parse_edge_json(text: str) -> Graph:
 
 def load_graph(path: str) -> tuple[Graph, str]:
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     digest = hashlib.sha256(raw).hexdigest()
     text = raw.decode("utf-8", errors="replace")
+    del raw  # the parsers need only the text
     head = text.lstrip()
     if head.startswith("{"):
         return parse_edge_json(text), digest
@@ -473,6 +475,10 @@ def main(argv: list[str] | None = None) -> int:
             code, report = run_oracle(args.path, args)
             print(json.dumps(report, sort_keys=True))
             return code
+        if getattr(args, "dot", None) and len(args.paths) > 1:
+            raise InputError(
+                f"--dot writes one file; got {len(args.paths)} inputs"
+            )
         opts = {
             "crosscheck": getattr(args, "oracle_crosscheck", False)
             or getattr(args, "crosscheck", False),

@@ -13,6 +13,7 @@ exact branch-and-bound over maximal independent sets of the quotient.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -70,54 +71,74 @@ def _lp_cover(sets: list[int], weights: tuple[int, ...]):
     """Exact rational LP relaxation of the set-multicover formulation.
 
     Solves max w.y subject to sum(y_v for v in S) <= 1 per independent set S,
-    y >= 0 (the dual of min sum x_S with coverage >= w), by dense simplex over
-    Fractions with Bland's rule.  Returns (value, y, x) where y is the dual
-    vector and x maps set index -> primal multiplicity.  Callers must verify
-    y-feasibility before trusting the bound; weak duality then makes w.y a
-    lower bound on the integer optimum regardless of solver bugs.
+    y >= 0 (the dual of min sum x_S with coverage >= w), by dense simplex with
+    Bland's rule.  Each tableau row, and the objective row, is a list of ints
+    over one positive int denominator (Edmonds' integer-preserving
+    elimination): ratios compare by cross-multiplying and each row update is
+    reduced by the gcd of its entries, so the pivots are those of the same
+    simplex over Fractions.  Returns (value, y, x) as Fractions, where y is
+    the dual vector and x maps set index -> primal multiplicity.  Callers must
+    still verify y-feasibility before trusting the bound; weak duality then
+    makes w.y a lower bound on the integer optimum regardless of solver bugs.
     """
     from fractions import Fraction
 
     n = len(weights)
     m = len(sets)
-    zero, one = Fraction(0), Fraction(1)
-    # rows: constraints; columns: y vars, slacks, rhs
-    tab = [[zero] * (n + m + 1) for _ in range(m)]
+    # rows: constraints; columns: y vars, slacks, rhs; row i is tab[i] / den[i]
+    tab = []
     for i, smask in enumerate(sets):
-        for v in range(n):
-            if smask >> v & 1:
-                tab[i][v] = one
-        tab[i][n + i] = one
-        tab[i][-1] = one
-    obj = [Fraction(weights[v]) for v in range(n)] + [zero] * (m + 1)
+        r = [smask >> v & 1 for v in range(n)] + [0] * (m + 1)
+        r[n + i] = r[-1] = 1
+        tab.append(r)
+    den = [1] * m
+    obj = list(weights) + [0] * (m + 1)
+    obj_den = 1
     basis = list(range(n, n + m))
     while True:
         enter = next((j for j in range(n + m) if obj[j] > 0), None)
         if enter is None:
             break
-        ratios = [
-            (tab[i][-1] / tab[i][enter], basis[i], i)
-            for i in range(m)
-            if tab[i][enter] > 0
-        ]
-        if not ratios:
+        # min ratio rhs/a over a > 0, ties to the smaller basic variable
+        row = -1
+        for i, r in enumerate(tab):
+            a = r[enter]
+            if a <= 0:
+                continue
+            if row >= 0:
+                d = r[-1] * best_a - best_rhs * a  # sign of this ratio - best
+                if d > 0 or (d == 0 and basis[i] > basis[row]):
+                    continue
+            row, best_rhs, best_a = i, r[-1], a
+        if row < 0:
             raise ArithmeticError("unbounded LP; constraint matrix is broken")
-        _, _, row = min(ratios)
-        pv = tab[row][enter]
-        tab[row] = [c / pv for c in tab[row]]
-        for i in range(m):
-            if i != row and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
+        # the pivot row divided by its pivot entry is prow / pd
+        prow = tab[row]
+        pd = prow[enter]
+        g = math.gcd(pd, *prow)
+        if g > 1:
+            prow = [c // g for c in prow]
+            pd //= g
+        tab[row], den[row] = prow, pd
+        for i, r in enumerate(tab):
+            f = r[enter]
+            if f and i != row:
+                new = [a * pd - f * b for a, b in zip(r, prow)]
+                g = math.gcd(den[i] * pd, *new)
+                tab[i] = [c // g for c in new] if g > 1 else new
+                den[i] = den[i] * pd // g
         f = obj[enter]
-        obj = [a - f * b for a, b in zip(obj, tab[row])]
+        new = [a * pd - f * b for a, b in zip(obj, prow)]
+        g = math.gcd(obj_den * pd, *new)
+        obj = [c // g for c in new] if g > 1 else new
+        obj_den = obj_den * pd // g
         basis[row] = enter
-    y = [zero] * n
+    y = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            y[b] = tab[i][-1]
-    value = -obj[-1]
-    x = {s: -obj[n + s] for s in range(m) if obj[n + s] != 0}
+            y[b] = Fraction(tab[i][-1], den[i])
+    value = Fraction(-obj[-1], obj_den)
+    x = {s: Fraction(-obj[n + s], obj_den) for s in range(m) if obj[n + s] != 0}
     return value, y, x
 
 
@@ -162,12 +183,16 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     lp_floor = 0
     lp_base: list[tuple[int, int]] = []
     lp_value, y, x = _lp_cover(all_sets, inst.weights)
-    feasible = all(yv >= 0 for yv in y) and all(
-        sum(y[v] for v in bits_of(smask)) <= 1 for smask in all_sets
+    # y checked exactly, as int numerators over one common denominator
+    y_den = math.lcm(*(yv.denominator for yv in y))
+    y_num = [yv.numerator * (y_den // yv.denominator) for yv in y]
+    y_bits = [(1 << v, yn) for v, yn in enumerate(y_num) if yn]
+    feasible = all(yn >= 0 for yn in y_num) and all(
+        sum(yn for bit, yn in y_bits if smask & bit) <= y_den for smask in all_sets
     )
     if feasible:
-        wy = sum(inst.weights[v] * y[v] for v in range(q.n))
-        lp_floor = -(-wy.numerator // wy.denominator)  # ceil of a Fraction
+        wy = sum(w * yn for w, yn in zip(inst.weights, y_num))
+        lp_floor = -(-wy // y_den)  # ceil of w.y
     for s, mult in x.items():
         times = int(mult) if mult >= 0 else 0
         if times > 0:

@@ -164,6 +164,21 @@ class TestRecognizeCmd:
         text = open(dot).read()
         assert "subgraph cluster_0" in text and "complete" in text
 
+    def test_dot_with_several_inputs_exit_2(self, tmp_path, capsys):
+        paths = [
+            write_graph(tmp_path, f"g{i}.json", pattern(nm).graph)
+            for i, nm in enumerate(("T0", "T1"))
+        ]
+        dot = tmp_path / "two.dot"
+        code = cli.main(["recognize", *paths, "--dot", str(dot)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INPUT and out == ""
+        assert "--dot" in json.loads(err)["error"]
+        assert not dot.exists()
+        code, reports = run(capsys, "recognize", paths[0], "--dot", str(dot))
+        assert code == 0 and reports[0]["dot"] == str(dot)
+        assert dot.read_text().startswith("graph decomposition {")
+
     def test_unwritable_dot_exit_2(self, tmp_path, capsys):
         path = write_graph(tmp_path, "t1.json", pattern("T1").graph)
         dot = str(tmp_path / "missing" / "out.dot")
@@ -234,6 +249,19 @@ class TestRecognizeCmd:
         lines = proc.stdout.splitlines()
         assert len(lines) == 1
         assert "capped at 20" in json.loads(lines[0])["error"]
+
+    def test_import_leaves_fractions_unloaded(self):
+        # the colorer's LP imports fractions only when it runs
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pentaseven.cli; print('fractions' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestColorCwdCmd:

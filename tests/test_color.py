@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from pentaseven.catalog import pattern
+from pentaseven.catalog import dedup_family_index, pattern
 from pentaseven.color import (
     Coloring,
     WeightedInstance,
+    _lp_cover,
+    _maximal_indep,
     color_in_class,
     solve_weighted,
     verify_coloring,
@@ -18,6 +22,86 @@ from pentaseven.recognize import NotInClassError, recognize
 
 def complete(k):
     return build_graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def lp_cover_fraction(sets, weights):
+    """Reference: the same dense Bland simplex, over Fractions."""
+    n = len(weights)
+    m = len(sets)
+    zero, one = Fraction(0), Fraction(1)
+    tab = [[zero] * (n + m + 1) for _ in range(m)]
+    for i, smask in enumerate(sets):
+        for v in range(n):
+            if smask >> v & 1:
+                tab[i][v] = one
+        tab[i][n + i] = one
+        tab[i][-1] = one
+    obj = [Fraction(weights[v]) for v in range(n)] + [zero] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] > 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (tab[i][-1] / tab[i][enter], basis[i], i)
+            for i in range(m)
+            if tab[i][enter] > 0
+        ]
+        _, _, row = min(ratios)
+        pv = tab[row][enter]
+        tab[row] = [c / pv for c in tab[row]]
+        for i in range(m):
+            if i != row and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
+        f = obj[enter]
+        obj = [a - f * b for a, b in zip(obj, tab[row])]
+        basis[row] = enter
+    y = [zero] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            y[b] = tab[i][-1]
+    x = {s: -obj[n + s] for s in range(m) if obj[n + s] != 0}
+    return -obj[-1], y, x
+
+
+def all_indep_sets(g):
+    co_rows = [g.full_mask & ~g.closed_row(v) for v in range(g.n)]
+    return _maximal_indep(co_rows, 0, g.full_mask)
+
+
+def assert_lp_matches_reference(g, weights):
+    sets = all_indep_sets(g)
+    value, y, x = _lp_cover(sets, weights)
+    want_value, want_y, want_x = lp_cover_fraction(sets, weights)
+    assert (value, y, x) == (want_value, want_y, want_x)
+    assert list(x) == list(want_x)
+    for got in (value, *y, *x.values()):
+        assert type(got) is Fraction
+
+
+class TestLpCover:
+    def test_catalog_bases_random_weights(self, rng):
+        for entry in dedup_family_index():
+            g = entry.graph
+            for _ in range(3):
+                weights = tuple(int(w) for w in rng.integers(1, 1001, g.n))
+                assert_lp_matches_reference(g, weights)
+
+    def test_random_graphs(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            p = rng.uniform(0.1, 0.9)
+            adj = np.triu(rng.random((n, n)) < p, 1)
+            weights = tuple(int(w) for w in rng.integers(1, 1001, n))
+            assert_lp_matches_reference(Graph(adj | adj.T), weights)
+
+    def test_k12_and_edgeless(self, rng):
+        for g in (complete(12), build_graph(12, [])):
+            weights = tuple(int(w) for w in rng.integers(1, 1001, 12))
+            assert_lp_matches_reference(g, weights)
+        assert len(all_indep_sets(build_graph(12, []))) == 1
+        assert len(all_indep_sets(complete(12))) == 12
 
 
 class TestSolveWeighted:
