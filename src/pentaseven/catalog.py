@@ -160,6 +160,67 @@ def family_M() -> list[NamedGraph]:
     return out
 
 
+def connected_order(g: Graph, key) -> list[int]:
+    """g's vertices in connected-extension order: each next vertex touches an
+    earlier one when any does (per connected piece), the least under key
+    first.  key must tell vertices apart, as (..., u) does."""
+    order: list[int] = []
+    placed = 0
+    remaining = set(range(g.n))
+    while remaining:
+        touching = [v for v in remaining if g.rows[v] & placed]
+        v = min(touching or remaining, key=key)
+        order.append(v)
+        placed |= 1 << v
+        remaining.discard(v)
+    return order
+
+
+def embed(
+    p: Graph, host: Graph, order: list[int], cands: list[int]
+) -> list[int] | None:
+    """First induced embedding of p into host, as the list p vertex -> host
+    vertex, or None.
+
+    Backtracking places order[k] on the lowest unused host vertex of the mask
+    cands[k] that keeps every adjacency and non-adjacency to the vertices
+    placed before it; each placement narrows the later masks, and a branch
+    stops as soon as one of them runs out.  The map found first therefore
+    depends on order, which the caller chooses.
+    """
+    host_rows = host.rows
+    host_closed = [host.closed_row(x) for x in range(host.n)]
+    image = [-1] * p.n
+
+    def extend(k: int, cands: list[int], used: int) -> bool:
+        if k == len(order):
+            return True
+        v = order[k]
+        pool = cands[k] & ~used
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            x = low.bit_length() - 1
+            image[v] = x
+            new_cands = list(cands)
+            ok = True
+            for j in range(k + 1, len(order)):
+                w = order[j]
+                if p.has_edge(w, v):
+                    new_cands[j] &= host_rows[x]
+                else:
+                    new_cands[j] &= ~host_closed[x]
+                if not new_cands[j] & ~(used | low):
+                    ok = False
+                    break
+            if ok and extend(k + 1, new_cands, used | low):
+                return True
+        image[v] = -1
+        return False
+
+    return image if extend(0, cands, 0) else None
+
+
 def is_isomorphic_small(g: Graph, h: Graph) -> dict[int, int] | None:
     """Backtracking isomorphism on <= 16 vertices; returns a g->h vertex map."""
     if g.n > ISO_SIZE_CAP or h.n > ISO_SIZE_CAP:
@@ -170,49 +231,13 @@ def is_isomorphic_small(g: Graph, h: Graph) -> dict[int, int] | None:
     degs_h = [h.degree(v) for v in range(h.n)]
     if sorted(degs_g) != sorted(degs_h):
         return None
-
-    # order g's vertices so each one touches a previously placed vertex
-    # when possible (per connected piece), rarest degree first
-    order: list[int] = []
-    placed_mask = 0
-    remaining = set(range(g.n))
-    while remaining:
-        candidates = [v for v in remaining if g.rows[v] & placed_mask]
-        pool = candidates or list(remaining)
-        v = min(pool, key=lambda u: (degs_g[u], u))
-        order.append(v)
-        placed_mask |= 1 << v
-        remaining.discard(v)
-
-    image = [-1] * g.n
-    used_h = 0
-
-    def extend(k: int) -> bool:
-        nonlocal used_h
-        if k == len(order):
-            return True
-        v = order[k]
-        for w in range(h.n):
-            if used_h >> w & 1 or degs_h[w] != degs_g[v]:
-                continue
-            ok = True
-            for u in order[:k]:
-                if g.has_edge(v, u) != h.has_edge(w, image[u]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            used_h |= 1 << w
-            if extend(k + 1):
-                return True
-            used_h &= ~(1 << w)
-            image[v] = -1
-        return False
-
-    if not extend(0):
-        return None
-    return {v: image[v] for v in range(g.n)}
+    # lowest degree first; g's vertex v may only go to h's vertices of its degree
+    by_degree: dict[int, int] = {}
+    for w, d in enumerate(degs_h):
+        by_degree[d] = by_degree.get(d, 0) | 1 << w
+    order = connected_order(g, key=lambda u: (degs_g[u], u))
+    image = embed(g, h, order, [by_degree[degs_g[v]] for v in order])
+    return None if image is None else dict(enumerate(image))
 
 
 @cache

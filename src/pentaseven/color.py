@@ -7,8 +7,11 @@ a matching lower bound, so the result is optimal.  Chordal inputs (prefix
 consumes everything) are colored greedily off the elimination ordering; any
 other out-of-class input is refused.
 
-The weighted solver replaces an external integer-programming step with an
-exact branch-and-bound over maximal independent sets of the quotient.
+The weighted solver replaces an external integer-programming step: it rounds
+the exact LP relaxation down to a base of color classes, solves the residual
+exactly, and proves the total optimal against the lower bounds max weighted
+clique and ceil(LP), or else finds the optimum by branch and bound over the
+maximal independent sets of the quotient.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 from .catalog import QUOTIENT_CAP
 from .core import Graph, bits_of, greedy_extend
-from .oracle import holes, max_weighted_clique
+from .oracle import max_weighted_clique
 from .recognize import NotInClassError, RecognitionReport, recognize
 
 _MEMO_BUDGET = 500_000
@@ -142,23 +145,18 @@ def _lp_cover(sets: list[int], weights: tuple[int, ...]):
     return value, y, x
 
 
-def _odd_holes(q: Graph) -> list[tuple[tuple[int, ...], int]]:
-    """Induced odd cycles of length >= 5, as (vertex tuple, floor(len/2)).
-
-    Any color class meets a (2k+1)-hole in at most k vertices, so
-    ceil(weight(hole) / k) lower-bounds the weighted chromatic number.
-    """
-    return [(h, len(h) // 2) for h in holes(q) if len(h) % 2]
-
-
 def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     """Exact weighted chromatic number of the quotient.
 
     Returns (k, color sets): vertex v receives exactly weights[v] colors from
-    1..k, and adjacent vertices get disjoint sets.  Branch and bound over
-    maximal independent sets containing a maximum-residual-weight vertex,
-    lower-bounded by the exact maximum weighted clique and by odd-hole
-    counting, with exact values and proven lower bounds memoized separately.
+    1..k, and adjacent vertices get disjoint sets.  The LP primal, rounded
+    down, plus an exact solve of the residual gives k.  When k exceeds the
+    root lower bound, the larger of the maximum weighted clique and ceil(LP),
+    a branch and bound over the whole instance decides the optimum.  Both
+    searches branch on the maximal independent sets containing a
+    maximum-residual-weight vertex, are bounded below by the exact maximum
+    weighted clique, and memoize exact values and proven lower bounds
+    separately.
     """
     q = inst.quotient
     if q.n > QUOTIENT_CAP:
@@ -166,15 +164,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     rows = q.rows
     full = q.full_mask
     co_rows = [full & ~q.closed_row(v) for v in range(q.n)]
-    odd_holes = _odd_holes(q)
     mis_cache: dict[tuple[int, int], list[int]] = {}
-
-    def bound(wvec, support: int) -> int:
-        lb = max_weighted_clique(rows, wvec, support)[0]
-        for hole, k in odd_holes:
-            total = sum(wvec[v] for v in hole)
-            lb = max(lb, -(-total // k))
-        return lb
 
     # fractional relaxation at the root: a verified-feasible dual vector is
     # a sound lower bound by weak duality; the primal multiplicities, rounded
@@ -220,13 +210,8 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     exact: dict[tuple[int, ...], tuple[int, object]] = {}
     floor_memo: dict[tuple[int, ...], int] = {}
 
-    def solve(wvec: tuple[int, ...], budget: int, depth: int | None) -> int | None:
-        """Exact f(wvec) when f <= budget, else None (proving f > budget).
-
-        depth counts branching steps from the root instance; since every step
-        spends one color, f(state) >= lp_floor - depth there.  Residual
-        instances off the root path pass depth=None to skip that term.
-        """
+    def solve(wvec: tuple[int, ...], budget: int) -> int | None:
+        """Exact f(wvec) when f <= budget, else None (proving f > budget)."""
         known = exact.get(wvec)
         if known is not None:
             return known[0] if known[0] <= budget else None
@@ -236,9 +221,9 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
                 support |= 1 << v
         if not support:
             return 0
-        lb = max(bound(wvec, support), floor_memo.get(wvec, 0))
-        if depth is not None:
-            lb = max(lb, lp_floor - depth)
+        lb = max(
+            max_weighted_clique(rows, wvec, support)[0], floor_memo.get(wvec, 0)
+        )
         if lb > budget:
             return None
         ub, _ = greedy(wvec)
@@ -254,14 +239,13 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
         best: int | None = ub if ub <= budget else None
         best_set: object = "greedy"
         limit = (best - 1 if best is not None else budget) - 1
-        child_depth = None if depth is None else depth + 1
         for smask in sets:
             if limit + 1 < lb:
                 break
             nxt = tuple(
                 wvec[v] - 1 if smask >> v & 1 else wvec[v] for v in range(q.n)
             )
-            got = solve(nxt, limit, child_depth)
+            got = solve(nxt, limit)
             if got is not None:
                 best, best_set = 1 + got, smask
                 limit = best - 2
@@ -281,7 +265,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
         out: list[int] = []
         while any(wvec):
             if wvec not in exact:
-                got = solve(wvec, greedy(wvec)[0], None)  # after a flush
+                got = solve(wvec, greedy(wvec)[0])  # after a flush
                 assert got is not None
             choice = exact[wvec][1]
             if choice == "greedy":
@@ -299,7 +283,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 3 * sum(inst.weights) + 10_000))
     try:
-        # upper bound 1: floor of the LP primal plus an exact small residual
+        # the floor of the LP primal plus an exact small residual
         residual = list(inst.weights)
         for smask, times in lp_base:
             for v in bits_of(smask):
@@ -307,24 +291,16 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
         r = tuple(residual)
         base_count = sum(times for _, times in lp_base)
         if any(r):
-            fr = solve(r, greedy(r)[0], None)
+            fr = solve(r, greedy(r)[0])
             assert fr is not None
             classes = [s for smask, t in lp_base for s in [smask] * t] + replay(r)
         else:
             fr = 0
             classes = [s for smask, t in lp_base for s in [smask] * t]
         k = base_count + fr
-        # upper bound 2: plain greedy
-        g_total, g_chosen = greedy(inst.weights)
-        if g_total < k:
-            k = g_total
-            classes = [s for smask, t in g_chosen for s in [smask] * t]
-        support0 = 0
-        for v in range(q.n):
-            support0 |= 1 << v
-        lb_root = max(bound(inst.weights, support0), lp_floor)
+        lb_root = max(max_weighted_clique(rows, inst.weights, full)[0], lp_floor)
         if k > lb_root:
-            got = solve(inst.weights, k - 1, 0)
+            got = solve(inst.weights, k - 1)
             if got is not None:
                 k = got
                 classes = replay(inst.weights)

@@ -1,6 +1,6 @@
 """Clique-width expressions: AST, evaluator, width accounting, and the
-composition constructions that certify the width-12 bound for accepted
-simplicial-free graphs.
+constructions (complete graphs, thickenings under universal vertices) that
+certify the width-12 bound for accepted simplicial-free graphs.
 
 Expressions carry explicit vertex ids through their create leaves, so an
 evaluated expression can be compared to a target graph by equality rather
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import QUOTIENT_CAP
 from .core import Graph, _mask_of, simplicial_vertices
 from .recognize import NotInClassError, recognize
 
@@ -96,10 +95,6 @@ def labels_of(expr: Expr) -> frozenset[int]:
 def width(expr: Expr) -> int:
     """Number of distinct labels mentioned anywhere in the expression."""
     return len(labels_of(expr))
-
-
-def vertex_ids(expr: Expr) -> list[int]:
-    return [n.vertex for n in iter_nodes(expr) if isinstance(n, Create)]
 
 
 def eval_expr(expr: Expr) -> LabeledGraph:
@@ -200,83 +195,6 @@ def expr_complete(k: int) -> Expr:
     return _complete_expr(list(range(k)), 1, 2)
 
 
-def _rebuild(
-    expr: Expr,
-    mapping: dict[int, int],
-    leaf: Create | None = None,
-    replacement: Expr | None = None,
-) -> Expr:
-    """Copy expr with the injective label mapping applied to every node and
-    replacement put in place of the create node leaf."""
-
-    def m(x: int) -> int:
-        return mapping.get(x, x)
-
-    # iterative rebuild, post-order
-    results: list[Expr] = []
-    work: list[tuple[Expr, bool]] = [(expr, False)]
-    while work:
-        node, ready = work.pop()
-        if not ready:
-            work.append((node, True))
-            for kid in reversed(_children(node)):
-                work.append((kid, False))
-            continue
-        if isinstance(node, Create):
-            if node == leaf:
-                results.append(replacement)
-            else:
-                results.append(Create(m(node.label), node.vertex))
-        elif isinstance(node, Union):
-            right = results.pop()
-            left = results.pop()
-            results.append(Union(left, right))
-        elif isinstance(node, Join):
-            results.append(Join(m(node.i), m(node.j), results.pop()))
-        else:
-            results.append(Rename(m(node.old), m(node.new), results.pop()))
-    return results.pop()
-
-
-def expr_substitute(e_g: Expr, v: int, e_h: Expr) -> Expr:
-    """Substitute the graph of e_h for the create-leaf v of e_g.
-
-    Realizes the width law: the result mentions at most
-    max(width(e_g), width(e_h)) labels, by mapping e_h's labels into the
-    wider label space and then renaming them all down to v's creation label.
-    """
-    leaves = [n for n in iter_nodes(e_g) if isinstance(n, Create) and n.vertex == v]
-    if len(leaves) != 1:
-        raise ValueError(f"vertex {v} must be created exactly once in the host")
-    host_ids = set(vertex_ids(e_g)) - {v}
-    sub_ids = set(vertex_ids(e_h))
-    if host_ids & sub_ids:
-        raise ValueError("host and substituted expression share vertex ids")
-    leaf = leaves[0]
-    host_labels = sorted(labels_of(e_g))
-    sub_labels = sorted(labels_of(e_h))
-    pool = list(host_labels)
-    nxt = max(pool) + 1
-    while len(pool) < len(sub_labels):
-        pool.append(nxt)
-        nxt += 1
-    mapping = dict(zip(sub_labels, pool))
-    staged = _rebuild(e_h, mapping)
-    for lab in mapping.values():
-        if lab != leaf.label:
-            staged = Rename(lab, leaf.label, staged)
-    return _rebuild(e_g, {}, leaf, staged)
-
-
-def _fresh_labels(used: frozenset[int], count: int) -> list[int]:
-    out = []
-    nxt = max(used, default=0) + 1
-    while len(out) < count:
-        out.append(nxt)
-        nxt += 1
-    return out
-
-
 def thickening_expr(
     quotient: Graph,
     class_ids: list[list[int]],
@@ -323,39 +241,6 @@ def thickening_expr(
         )
         e = Join(labels[0], w_acc, Union(e, w_expr))
     return e
-
-
-def expr_thicken(base: Graph, sizes: dict[int, int] | list[int]) -> Expr:
-    """Expression for the canonical thickening of base (consecutive ids)."""
-    if base.n > QUOTIENT_CAP:
-        raise ValueError(f"thickening base capped at {QUOTIENT_CAP} vertices")
-    size_list = [sizes[v] for v in range(base.n)]
-    if any(s < 1 for s in size_list):
-        raise ValueError("class sizes must be >= 1")
-    ids: list[list[int]] = []
-    nxt = 0
-    for s in size_list:
-        ids.append(list(range(nxt, nxt + s)))
-        nxt += s
-    return thickening_expr(base, ids, [])
-
-
-def expr_add_universals(e: Expr, k: int) -> Expr:
-    """Join k fresh universal vertices onto the evaluated graph of e."""
-    if k < 0:
-        raise ValueError("universal count must be >= 0")
-    if k == 0:
-        return e
-    labs = sorted(labels_of(e))
-    base = labs[0]
-    for lab in labs[1:]:
-        e = Rename(lab, base, e)
-    # the added clique is a separate subtree, so base is safe scratch there
-    w_acc = labs[1] if len(labs) >= 2 else _fresh_labels(frozenset(labs), 1)[0]
-    start = max(vertex_ids(e)) + 1
-    ids = list(range(start, start + k))
-    w_expr = Create(w_acc, ids[0]) if k == 1 else _complete_expr(ids, w_acc, base)
-    return Join(base, w_acc, Union(e, w_expr))
 
 
 def expr_for_class_graph(g: Graph) -> Expr:

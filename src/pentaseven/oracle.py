@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .catalog import NamedGraph, pattern
+from .catalog import NamedGraph, connected_order, embed, pattern
 from .core import Graph, _iter_bits, bits_of, greedy_extend, is_connected, reach_mask
 
 PATTERN_CAP = 10
@@ -40,22 +40,6 @@ class Embedding:
         )
 
 
-def _pattern_order(p: Graph) -> list[int]:
-    # connected extension order, highest degree first, so adjacency
-    # constraints bite as early as possible
-    order: list[int] = []
-    placed = 0
-    remaining = set(range(p.n))
-    while remaining:
-        touching = [v for v in remaining if p.rows[v] & placed]
-        pool = touching or list(remaining)
-        v = max(pool, key=lambda u: (p.degree(u), -u))
-        order.append(v)
-        placed |= 1 << v
-        remaining.discard(v)
-    return order
-
-
 def find_induced(g: Graph, h: NamedGraph) -> Embedding | None:
     """Exhaustive search for an induced copy of h in g."""
     p = h.graph
@@ -63,49 +47,16 @@ def find_induced(g: Graph, h: NamedGraph) -> Embedding | None:
         raise ValueError(f"pattern {h.name} exceeds the {PATTERN_CAP}-vertex cap")
     if p.n > g.n:
         return None
-    order = _pattern_order(p)
-    g_rows = g.rows
-    g_closed = [g.closed_row(v) for v in range(g.n)]
-    full = g.full_mask
+    # highest degree first, so adjacency constraints bite as early as possible
+    order = connected_order(p, key=lambda u: (-p.degree(u), u))
     # degs_ok[d]: the vertices of degree >= d (degrees above p.n count as p.n)
     degs_ok = [0] * (p.n + 1)
-    for v, r in enumerate(g_rows):
+    for v, r in enumerate(g.rows):
         degs_ok[min(r.bit_count(), p.n)] |= 1 << v
     for d in range(p.n - 1, -1, -1):
         degs_ok[d] |= degs_ok[d + 1]
-
-    image = [-1] * p.n
-
-    def extend(k: int, cands: list[int], used: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        pool = cands[k] & ~used
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            x = low.bit_length() - 1
-            image[v] = x
-            new_cands = list(cands)
-            ok = True
-            for j in range(k + 1, len(order)):
-                w = order[j]
-                if p.has_edge(w, v):
-                    new_cands[j] &= g_rows[x]
-                else:
-                    new_cands[j] &= ~g_closed[x]
-                if not new_cands[j] & ~(used | low):
-                    ok = False
-                    break
-            if ok and extend(k + 1, new_cands, used | low):
-                return True
-        image[order[k]] = -1
-        return False
-
-    init = [degs_ok[p.degree(v)] & full for v in order]
-    if extend(0, init, 0):
-        return Embedding(h, {v: image[v] for v in range(p.n)})
-    return None
+    image = embed(p, g, order, [degs_ok[p.degree(v)] for v in order])
+    return None if image is None else Embedding(h, dict(enumerate(image)))
 
 
 def holes(g: Graph) -> Iterator[tuple[int, ...]]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pentaseven.core import Graph
+from pentaseven.core import Graph, build_graph
 
 
 @st.composite
@@ -18,3 +18,18 @@ def random_graphs(draw, max_n: int = 12, min_n: int = 1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+# weights on groetzsch() where ceil(LP) = ceil(79/10) = 8 is the optimum but
+# the rounded-down LP primal plus an exact residual solve gives 9
+GROETZSCH_WEIGHTS = (2, 2, 3, 3, 3, 2, 3, 4, 3, 4, 2)
+
+
+def groetzsch() -> Graph:
+    """The Groetzsch graph (Mycielskian of C5), chromatic number 4: 0..4 a
+    5-cycle, 5 + i adjacent to the cycle neighbours of i, 10 adjacent to
+    5..9."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, -1)]
+    edges += [(10, 5 + i) for i in range(5)]
+    return build_graph(11, edges)

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from pentaseven.catalog import (
     catalog_entry,
     dedup_family_index,
     family_M,
+    fixed_graphs,
     has_twins,
     is_isomorphic_small,
     match_catalog,
@@ -17,6 +19,71 @@ from pentaseven.core import (
 )
 from pentaseven.decompose import strip_universals
 from pentaseven.oracle import find_induced, is_free_of
+
+from conftest import random_graphs
+
+
+def iso_reference(g, h):
+    """The earlier standalone isomorphism walker: same degree checks and
+    vertex order, each candidate tested against every placed vertex."""
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return None
+    degs_g = [g.degree(v) for v in range(g.n)]
+    degs_h = [h.degree(v) for v in range(h.n)]
+    if sorted(degs_g) != sorted(degs_h):
+        return None
+    order: list[int] = []
+    placed_mask = 0
+    remaining = set(range(g.n))
+    while remaining:
+        candidates = [v for v in remaining if g.rows[v] & placed_mask]
+        pool = candidates or list(remaining)
+        v = min(pool, key=lambda u: (degs_g[u], u))
+        order.append(v)
+        placed_mask |= 1 << v
+        remaining.discard(v)
+    image = [-1] * g.n
+    used_h = 0
+
+    def extend(k):
+        nonlocal used_h
+        if k == len(order):
+            return True
+        v = order[k]
+        for w in range(h.n):
+            if used_h >> w & 1 or degs_h[w] != degs_g[v]:
+                continue
+            if any(g.has_edge(v, u) != h.has_edge(w, image[u]) for u in order[:k]):
+                continue
+            image[v] = w
+            used_h |= 1 << w
+            if extend(k + 1):
+                return True
+            used_h &= ~(1 << w)
+            image[v] = -1
+        return False
+
+    if not extend(0):
+        return None
+    return {v: image[v] for v in range(g.n)}
+
+
+def relabeled(g, rng):
+    perm = rng.permutation(g.n).tolist()
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def swapped(g, rng):
+    """g with edges ab, cd replaced by ad, cb: same degrees, and usually not
+    isomorphic to g.  g itself when no such pair of edges exists."""
+    edges = g.edges()
+    for i in rng.permutation(len(edges)).tolist():
+        for j in rng.permutation(len(edges)).tolist():
+            (a, b), (c, d) = edges[i], edges[j]
+            if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+                rest = [e for k, e in enumerate(edges) if k not in (i, j)]
+                return build_graph(g.n, rest + [(a, d), (c, b)])
+    return g
 
 
 class TestFamily:
@@ -131,6 +198,28 @@ class TestIsomorphism:
         for u in range(a.n):
             for v in range(u + 1, a.n):
                 assert a.has_edge(u, v) == b.has_edge(bij[u], bij[v])
+
+
+    def test_same_map_as_reference_on_catalog(self):
+        rng = np.random.default_rng(7)
+        entries = [e.graph for e in family_M()]
+        entries += [e.graph for e in fixed_graphs().values()]
+        for _ in range(2):
+            targets = [relabeled(h, rng) for h in entries]
+            targets += [relabeled(swapped(h, rng), rng) for h in entries]
+            for g in entries:
+                for h in targets:
+                    assert is_isomorphic_small(g, h) == iso_reference(g, h)
+
+    def test_same_map_as_reference_on_random_graphs(self):
+        rng = np.random.default_rng(12)
+        for seed in range(300):
+            n = int(rng.integers(1, 13))
+            p = float(rng.uniform(0.1, 0.9))
+            adj = np.triu(rng.random((n, n)) < p, 1)
+            g = build_graph(n, [(int(a), int(b)) for a, b in zip(*np.nonzero(adj))])
+            for h in (relabeled(g, rng), relabeled(swapped(g, rng), rng)):
+                assert is_isomorphic_small(g, h) == iso_reference(g, h), seed
 
 
 class TestMatchCatalog:

@@ -19,6 +19,8 @@ from pentaseven.generate import GenParams, gen_saucer, gen_tent
 from pentaseven.oracle import chromatic_number_bf, max_clique_mask
 from pentaseven.recognize import NotInClassError, recognize
 
+from conftest import GROETZSCH_WEIGHTS, groetzsch
+
 
 def complete(k):
     return build_graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
@@ -104,6 +106,14 @@ class TestLpCover:
         assert len(all_indep_sets(complete(12))) == 12
 
 
+def assert_valid_color_sets(g, weights, k, color_sets):
+    for v in range(g.n):
+        assert len(set(color_sets[v])) == weights[v] == len(color_sets[v])
+        assert all(1 <= c <= k for c in color_sets[v])
+    for u, v in g.edges():
+        assert not set(color_sets[u]) & set(color_sets[v])
+
+
 class TestSolveWeighted:
     def test_triangle(self):
         k, sets = solve_weighted(WeightedInstance(complete(3), (1, 1, 1)))
@@ -123,11 +133,7 @@ class TestSolveWeighted:
         g = pattern("T1").graph
         weights = tuple(1 + (v % 3) for v in range(10))
         k, sets = solve_weighted(WeightedInstance(g, weights))
-        for v in range(10):
-            assert len(sets[v]) == weights[v] == len(set(sets[v]))
-            assert all(1 <= c <= k for c in sets[v])
-        for u, v in g.edges():
-            assert not set(sets[u]) & set(sets[v])
+        assert_valid_color_sets(g, weights, k, sets)
 
     def test_bounds(self):
         g = pattern("T0").graph
@@ -169,6 +175,24 @@ class TestSolveWeighted:
             assert k == chromatic_number_bf(big)[0]
             done += 1
         assert done >= 30
+
+    def test_groetzsch_needs_root_search(self):
+        # chi = 4, but the largest clique is an edge and ceil(LP) is 3, so
+        # only the root branch and bound proves that 3 colors do not suffice
+        g = groetzsch()
+        assert _lp_cover(all_indep_sets(g), (1,) * 11)[0] == Fraction(29, 10)
+        k, color_sets = solve_weighted(WeightedInstance(g, (1,) * 11))
+        assert k == chromatic_number_bf(g)[0] == 4
+        assert_valid_color_sets(g, (1,) * 11, k, color_sets)
+
+    def test_groetzsch_weighted_root_search_beats_lp_base(self):
+        # ceil(LP) = ceil(79/10) = 8 is optimal; the LP base plus the exact
+        # residual gives 9, and only the root branch and bound reaches 8
+        g, weights = groetzsch(), GROETZSCH_WEIGHTS
+        assert _lp_cover(all_indep_sets(g), weights)[0] == Fraction(79, 10)
+        k, color_sets = solve_weighted(WeightedInstance(g, weights))
+        assert k == 8
+        assert_valid_color_sets(g, weights, k, color_sets)
 
 
 class TestColorInClass:

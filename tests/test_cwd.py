@@ -3,7 +3,7 @@ import pytest
 
 from pentaseven import cwd
 from pentaseven.catalog import pattern
-from pentaseven.core import build_graph
+from pentaseven.core import build_graph, induced_subgraph
 from pentaseven.cwd import (
     Create,
     ExprError,
@@ -13,12 +13,10 @@ from pentaseven.cwd import (
     Union,
     eval_expr,
     eval_to_graph,
-    expr_add_universals,
     expr_complete,
     expr_for_class_graph,
-    expr_substitute,
-    expr_thicken,
     from_sexpr,
+    thickening_expr,
     to_sexpr,
     width,
 )
@@ -31,14 +29,13 @@ def complete(k):
     return build_graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
-def shift_ids(expr, delta):
-    if isinstance(expr, Create):
-        return Create(expr.label, expr.vertex + delta)
-    if isinstance(expr, Union):
-        return Union(shift_ids(expr.left, delta), shift_ids(expr.right, delta))
-    if isinstance(expr, Join):
-        return Join(expr.i, expr.j, shift_ids(expr.child, delta))
-    return Rename(expr.old, expr.new, shift_ids(expr.child, delta))
+def consecutive_ids(sizes):
+    """One run of consecutive vertex ids per class, starting at 0."""
+    out, nxt = [], 0
+    for size in sizes:
+        out.append(list(range(nxt, nxt + size)))
+        nxt += size
+    return out
 
 
 class TestEval:
@@ -139,80 +136,70 @@ class TestComplete:
 
 
 class TestSubstitute:
-    def test_k2_into_k2_gives_k3(self):
-        host = expr_complete(2)
-        sub = expr_substitute(host, 0, shift_ids(expr_complete(2), 10))
-        lg = eval_expr(sub)
-        assert lg.graph == complete(3)
-        assert width(sub) == 2
+    """A thickening substitutes a clique for every quotient vertex; these pin
+    the clique-substitution facts through thickening_expr."""
 
-    def test_c7_into_isolated_vertex(self):
-        c7e = cwd.thickening_expr(pattern("C7").graph, [[i + 5] for i in range(7)], [])
-        got = expr_substitute(Create(1, 0), 0, c7e)
-        assert eval_expr(got).graph == pattern("C7").graph
+    def test_k2_into_k2_gives_k3(self):
+        e = thickening_expr(complete(2), [[0, 1], [2]], [])
+        assert eval_to_graph(e) == complete(3)
+        assert width(e) == 2
 
     def test_width_law_random_pairs(self, rng):
+        c7 = pattern("C7").graph
         for _ in range(15):
-            kg = int(rng.integers(2, 6))
-            kh = int(rng.integers(1, 6))
-            host = expr_thicken(
-                pattern("C7").graph, [1 + int(rng.integers(0, 2)) for _ in range(7)]
-            )
-            sub_expr = shift_ids(expr_complete(kh), 100)
-            target = int(rng.integers(0, 7))
-            got = expr_substitute(host, target, sub_expr)
-            assert width(got) <= max(width(host), width(sub_expr))
-            lg = eval_expr(got)
-            assert lg.graph.n == eval_expr(host).graph.n - 1 + kh
+            sizes = [1 + int(rng.integers(0, 5)) for _ in range(7)]
+            e = thickening_expr(c7, consecutive_ids(sizes), [])
+            assert width(e) <= max(c7.n, 2)
+            assert eval_to_graph(e) == expand_thickening(c7, sizes)[0]
 
     def test_missing_leaf_rejected(self):
         with pytest.raises(ValueError):
-            expr_substitute(expr_complete(2), 9, shift_ids(expr_complete(2), 10))
+            thickening_expr(complete(2), [[0, 1]], [])
+        with pytest.raises(ValueError):
+            thickening_expr(complete(2), [[0, 1], []], [])
 
 
 class TestThickenAndUniversals:
     def test_thicken_t0_units(self):
-        e = expr_thicken(pattern("T0").graph, [1] * 9)
-        assert eval_to_graph(e) == pattern("T0").graph
+        t0 = pattern("T0").graph
+        e = thickening_expr(t0, consecutive_ids([1] * 9), [])
+        assert eval_to_graph(e) == t0
         assert width(e) <= 9
 
     def test_thicken_matches_expand(self):
         base = pattern("3-pentagon").graph
         sizes = [2, 1, 3, 1, 2, 1, 1]
         want, _ = expand_thickening(base, sizes)
-        assert eval_to_graph(expr_thicken(base, sizes)) == want
+        assert eval_to_graph(thickening_expr(base, consecutive_ids(sizes), [])) == want
 
     def test_m0_doubled_width_at_most_12(self):
         from pentaseven.catalog import catalog_entry
 
         base = catalog_entry("M0").graph
-        e = expr_thicken(base, [2] * 12)
+        e = thickening_expr(base, consecutive_ids([2] * 12), [])
         assert width(e) <= 12
         want, _ = expand_thickening(base, [2] * 12)
         assert eval_to_graph(e) == want
 
     def test_add_universals(self):
-        c7e = expr_thicken(pattern("C7").graph, [1] * 7)
-        e = expr_add_universals(c7e, 3)
-        assert width(e) <= max(width(c7e), 2)
-        g = eval_to_graph(e)
-        assert g.n == 10
-        for u in (7, 8, 9):
-            assert g.degree(u) == 9
-
-    def test_add_zero_universals_is_identity(self):
-        e = expr_complete(3)
-        assert expr_add_universals(e, 0) is e
+        for base, sizes in ((pattern("C7").graph, [1] * 7),
+                            (pattern("3-pentagon").graph, [2, 1, 3, 1, 2, 1, 1])):
+            thick, _ = expand_thickening(base, sizes)
+            n = thick.n + 3
+            universals = [n - 3, n - 2, n - 1]
+            e = thickening_expr(base, consecutive_ids(sizes), universals)
+            assert width(e) <= max(base.n, 2)
+            g = eval_to_graph(e)
+            assert g.n == n
+            assert induced_subgraph(g, range(thick.n))[0] == thick
+            for u in universals:
+                assert g.degree(u) == n - 1
 
     def test_universals_on_width_one(self):
-        e = expr_add_universals(Create(1, 0), 2)
+        e = thickening_expr(build_graph(1, []), [[0]], [1, 2])
         g = eval_to_graph(e)
         assert g == complete(3)
         assert width(e) == 2
-
-    def test_oversized_base_rejected(self):
-        with pytest.raises(ValueError):
-            expr_thicken(build_graph(13, []), [1] * 13)
 
 
 class TestClassExpression:

@@ -19,7 +19,7 @@ from pentaseven.oracle import (
     max_weighted_clique,
 )
 
-from conftest import random_graphs
+from conftest import GROETZSCH_WEIGHTS, groetzsch, random_graphs
 
 
 def holes_by_subset_scan(g):
@@ -165,3 +165,45 @@ def test_lp_bound_vs_scipy_if_available():
         for smask in sets:
             assert sum(y[v] for v in bits_of(smask)) <= Fraction(1)
         assert all(yv >= 0 for yv in y)
+
+
+def weighted_chi_by_milp(g, weights, scipy_opt):
+    """Independent optimum: min sum x_S over every independent set S, found
+    by subset scan, with sum(x_S for S containing v) >= w_v, x integral."""
+    sets = [
+        mask for mask in range(1, 1 << g.n)
+        if not any(g.rows[v] & mask for v in bits_of(mask))
+    ]
+    cover = np.zeros((g.n, len(sets)))
+    for j, mask in enumerate(sets):
+        for v in bits_of(mask):
+            cover[v, j] = 1.0
+    res = scipy_opt.milp(
+        c=np.ones(len(sets)),
+        constraints=scipy_opt.LinearConstraint(cover, lb=np.asarray(weights, float)),
+        integrality=np.ones(len(sets)),
+        bounds=scipy_opt.Bounds(0, np.inf),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.status == 0
+    opt = round(res.fun)
+    assert abs(res.fun - opt) < 1e-6
+    return opt
+
+
+def test_solve_weighted_vs_milp_if_available():
+    # the expanded graphs are far beyond CHROMATIC_CAP, so this is the only
+    # check of the optimum itself at these weights
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    from pentaseven.catalog import dedup_family_index
+    from pentaseven.color import WeightedInstance, solve_weighted
+
+    rng = np.random.default_rng(11)
+    cases = [(groetzsch(), (1,) * 11), (groetzsch(), GROETZSCH_WEIGHTS)]
+    for entry in dedup_family_index():
+        for _ in range(5):
+            weights = tuple(int(w) for w in rng.integers(1, 201, entry.graph.n))
+            cases.append((entry.graph, weights))
+    for g, weights in cases:
+        k, _ = solve_weighted(WeightedInstance(g, weights))
+        assert k == weighted_chi_by_milp(g, weights, scipy_opt), weights
