@@ -14,9 +14,9 @@ import json
 import os
 import sys
 import time
-from multiprocessing import Pool
+from functools import cache
 
-from . import __version__, color, cwd, generate, oracle, recognize
+from . import __version__, color, cwd, oracle, recognize
 from .catalog import pattern
 from .core import Graph, build_graph, relation
 
@@ -345,6 +345,8 @@ def run_oracle(path: str, args) -> tuple[int, dict]:
 
 
 def run_generate(args) -> tuple[int, dict]:
+    from . import generate  # numpy loads only for the generators
+
     params = generate.GenParams(
         seed=args.seed,
         max_class_size=args.max_class_size,
@@ -413,7 +415,10 @@ def _one_file(job) -> tuple[int, dict]:
                                "error": str(exc)}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args returns a fresh Namespace
+    on every call and every default is immutable, so calls share it."""
     ap = argparse.ArgumentParser(
         prog="pentaseven",
         description="Structure toolkit for (2P3,C4,C6)-free graphs that "
@@ -486,7 +491,9 @@ def main(argv: list[str] | None = None) -> int:
         }
         jobs = [(args.command, p, opts) for p in args.paths]
         if args.jobs > 1 and len(jobs) > 1:
-            with Pool(min(args.jobs, len(jobs))) as pool:
+            from multiprocessing import Pool
+
+            with Pool(min(args.jobs, len(jobs), os.cpu_count() or 1)) as pool:
                 results = pool.map(_one_file, jobs)
         else:
             results = [_one_file(j) for j in jobs]

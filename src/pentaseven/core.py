@@ -2,15 +2,15 @@
 
 Vertices are 0..n-1.  A graph is its vertex count and one Python integer
 bitmask per vertex (its neighborhood row); every routine works on these rows.
-Graphs are nonnull (n >= 1) and loop-free.  numpy enters only at the edges:
-`Graph(adj)` packs a dense boolean matrix and `.adj` unpacks one on request.
+Graphs are nonnull (n >= 1) and loop-free.  numpy enters only at the edges,
+and is imported only there: `Graph(adj)` packs a dense boolean matrix and
+`.adj` unpacks one on request.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 COMPLETE = "complete"
 ANTICOMPLETE = "anticomplete"
@@ -40,7 +40,9 @@ class Graph:
 
     __slots__ = ("n", "rows", "_hash")
 
-    def __init__(self, adj: np.ndarray):
+    def __init__(self, adj):
+        import numpy as np
+
         adj = np.asarray(adj, dtype=np.bool_)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be a square matrix")
@@ -78,8 +80,10 @@ class Graph:
         return (1 << self.n) - 1
 
     @property
-    def adj(self) -> np.ndarray:
+    def adj(self):
         """Read-only dense boolean adjacency matrix, unpacked from the rows."""
+        import numpy as np
+
         width = (self.n + 7) // 8
         packed = np.frombuffer(
             b"".join(r.to_bytes(width, "little") for r in self.rows), dtype=np.uint8
@@ -126,7 +130,10 @@ class Graph:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    if isinstance(x, int):
+        return not isinstance(x, bool)
+    np = sys.modules.get("numpy")  # no numpy integer exists before numpy loads
+    return np is not None and isinstance(x, np.integer)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -265,7 +272,16 @@ def is_simplicial(g: Graph, v: int) -> bool:
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:
-    return frozenset(v for v in range(g.n) if is_simplicial(g, v))
+    """Closed twins share N[v], so they are all simplicial or all not: one
+    clique check per closed-twin class."""
+    classes: dict[int, list[int]] = {}
+    for v, r in enumerate(g.rows):
+        classes.setdefault(r | 1 << v, []).append(v)
+    out: list[int] = []
+    for members in classes.values():
+        if is_simplicial(g, members[0]):
+            out.extend(members)
+    return frozenset(out)
 
 
 def is_stable_set(g: Graph, s: Iterable[int]) -> bool:

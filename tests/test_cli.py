@@ -219,7 +219,7 @@ class TestRecognizeCmd:
             def map(self, fn, items):
                 return [fn(item) for item in items]
 
-        monkeypatch.setattr(cli, "Pool", InlinePool)
+        monkeypatch.setattr("multiprocessing.Pool", InlinePool)
         paths = [
             write_graph(tmp_path, f"g{i}.json", pattern(nm).graph)
             for i, nm in enumerate(("T0", "C7"))
@@ -227,6 +227,14 @@ class TestRecognizeCmd:
         code, reports = run(capsys, "recognize", *paths, "--jobs", "64")
         assert code == 0 and len(reports) == 2
         assert sizes == [2]
+
+        # many inputs: the pool is also capped at the CPU count
+        sizes.clear()
+        for cpus, want in ((3, 3), (None, 1)):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            code, reports = run(capsys, "recognize", *paths * 4, "--jobs", "5000")
+            assert code == 0 and len(reports) == 8
+            assert sizes[-1] == want
 
 
     def test_environment_does_not_change_caps(self, tmp_path):
@@ -250,18 +258,59 @@ class TestRecognizeCmd:
         assert len(lines) == 1
         assert "capped at 20" in json.loads(lines[0])["error"]
 
-    def test_import_leaves_fractions_unloaded(self):
-        # the colorer's LP imports fractions only when it runs
+    def test_import_path_stays_lean(self, tmp_path):
+        # the colorer's LP imports fractions, the graph matrix views numpy and
+        # --jobs > 1 multiprocessing, each only when it runs; recognize and
+        # cwd on an in-class file never reach numpy
+        path = write_graph(tmp_path, "t1.json", pattern("T1").graph)
+        script = (
+            "import sys\n"
+            "from pentaseven import cli\n"
+            "lazy = ('fractions', 'numpy', 'multiprocessing', 'pentaseven.generate')\n"
+            "print(sorted(m for m in lazy if m in sys.modules))\n"
+            f"codes = [cli.main([c, {path!r}]) for c in ('recognize', 'cwd')]\n"
+            "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n"
+        )
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, pentaseven.cli; print('fractions' in sys.modules)"],
+            [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines()[0] == "[]"
+        assert proc.stderr.strip() == "[0, 0] False"
+
+    def test_parser_reuse_leaks_no_state(self, tmp_path, capsys, monkeypatch):
+        # one parser serves every main call in the process: an option given
+        # to one call must not reach the next
+        path = write_graph(tmp_path, "t1.json", pattern("T1").graph)
+        dot = str(tmp_path / "out.dot")
+        _, first = run(capsys, "recognize", "--dot", dot, path)
+        _, second = run(capsys, "recognize", path)
+        assert first[0]["dot"] == dot and "dot" not in second[0]
+
+        small = write_graph(tmp_path, "c7.json", pattern("C7").graph)
+        _, first = run(capsys, "color", "--crosscheck", small)
+        _, second = run(capsys, "color", small)
+        assert "oracle_chi" in first[0] and "oracle_chi" not in second[0]
+
+        from pentaseven import generate
+
+        seen = []
+        real = generate.GenParams
+
+        def spy(**kw):
+            seen.append(kw["a_components"])
+            return real(**kw)
+
+        monkeypatch.setattr(generate, "GenParams", spy)
+        out = str(tmp_path / "gen")
+        assert run(capsys, "generate", "saucer", "--seed", "3", "--out", out,
+                   "--a-components", "1", "1")[0] == 0
+        assert run(capsys, "generate", "saucer", "--seed", "3", "--out", out)[0] == 0
+        assert seen == [(1, 1), (0, 2)]
 
 
 class TestColorCwdCmd:

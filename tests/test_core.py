@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, assume, settings
@@ -18,7 +20,7 @@ from pentaseven.core import (
     relation,
     simplicial_vertices,
 )
-from pentaseven.decompose import strip_universals
+from pentaseven.decompose import expand_thickening, strip_universals
 from pentaseven.oracle import find_induced
 
 from conftest import random_graphs
@@ -62,8 +64,9 @@ class TestBuildGraph:
         assert g == build_graph(3, [(0, 1), (1, 2)])
 
     def test_bool_endpoint_rejected(self):
-        with pytest.raises(ValueError, match="endpoint True"):
-            build_graph(3, [(0, True)])
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match=re.escape(f"endpoint {flag!r}")):
+                build_graph(3, [(0, flag)])
 
 
 class TestInducedSubgraph:
@@ -134,6 +137,20 @@ class TestPredicates:
         g = pattern("T0").graph
         assert not simplicial_vertices(g)
         assert not strip_universals(g, g.full_mask)[0]
+
+    @given(random_graphs(max_n=14))
+    @settings(max_examples=150, deadline=None)
+    def test_simplicial_vertices_match_per_vertex_definition(self, g):
+        assert simplicial_vertices(g) == {v for v in range(g.n) if is_simplicial(g, v)}
+
+    def test_simplicial_vertices_on_twin_heavy_thickenings(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 10))
+            adj = np.triu(rng.random((n, n)) < rng.random(), 1)
+            base = Graph(adj | adj.T)
+            g, _ = expand_thickening(base, [int(s) for s in rng.integers(1, 6, size=n)])
+            want = {v for v in range(g.n) if is_simplicial(g, v)}
+            assert simplicial_vertices(g) == want
 
     def test_p3_ends_simplicial(self):
         g = pattern("P3").graph
