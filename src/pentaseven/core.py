@@ -296,9 +296,18 @@ def is_stable_set(g: Graph, s: Iterable[int]) -> bool:
 def greedy_extend(g: Graph, order: Iterable[int], assignment: dict[int, int]) -> None:
     """Give each vertex of order, in turn, the smallest color (from 1) that
     none of its already colored neighbors has."""
+    classes: dict[int, int] = {}  # color -> mask of the vertices that have it
+    for u, c in assignment.items():
+        classes[c] = classes.get(c, 0) | 1 << u
+    rows = g.rows
     for v in order:
-        used = {assignment[u] for u in bits_of(g.rows[v]) if u in assignment}
+        bit = 1 << v
+        old = assignment.get(v)
+        if old is not None:  # v is recolored: its old color no longer counts
+            classes[old] &= ~bit
+        row = rows[v]
         c = 1
-        while c in used:
+        while classes.get(c, 0) & row:
             c += 1
+        classes[c] = classes.get(c, 0) | bit
         assignment[v] = c

@@ -9,11 +9,12 @@ verifier run is the certificate that the input graph lies in the class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import oracle
 from .catalog import QUOTIENT_CAP, catalog_entry, match_catalog, pattern
-from .core import Graph, _mask_of, bits_of, component_masks
+from .core import Graph, _iter_bits, _mask_of, bits_of, component_masks
 # unused here, but perfbench/spans.py patches recognize.induced_subgraph
 from .core import induced_subgraph  # noqa: F401
 from .decompose import (
@@ -138,17 +139,32 @@ class RecognitionReport:
     saucer: SaucerPartition | None = None
     tent: TentPartition | None = None
     failure: BuildFailure | None = None
-    witness: oracle.Embedding | None = None
     stages: tuple[tuple[str, str], ...] = ()
     prefix: SimplicialPrefix | None = None
     universal_w: frozenset[int] = frozenset()
     quotient: Graph | None = None
     class_ids: tuple[tuple[int, ...], ...] = ()
     catalog_name: str | None = None
+    refused: Graph | None = field(default=None, repr=False, compare=False)
 
     @property
     def in_class(self) -> bool:
         return self.kind != NOT_IN_CLASS
+
+    @cached_property
+    def witness(self) -> oracle.Embedding | None:
+        """An induced 2P3, C4 or C6 of the refused graph, the first found in
+        that order, when it has at most oracle.VERDICT_CAP vertices.  Searched
+        on first access, so a caller that only needs the verdict (the colorer
+        on a chordal input) never pays for it."""
+        g = self.refused
+        if g is None or g.n > oracle.VERDICT_CAP:
+            return None
+        for nm in ("2P3", "C4", "C6"):
+            found = oracle.find_induced(g, pattern(nm))
+            if found is not None:
+                return found
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +304,33 @@ def _classify_vs_t0_unchecked(g: Graph, t: dict[str, int], x: int) -> Attachment
 # verifiers
 
 
-def _check_clique(g: Graph, name: str, mask: int, out: list[Violation]) -> None:
+def _set_rows(
+    g: Graph, mask: int, memo: dict[int, tuple[int, int, int]]
+) -> tuple[int, int, int]:
+    """(union, common, closed common) of the rows of the vertices of mask: the
+    OR of their rows, the AND of their rows and the AND of their closed rows.
+    memo holds them per distinct mask for one top-level verify_* call."""
+    got = memo.get(mask)
+    if got is None:
+        rows = g.rows
+        union, common, closed = 0, -1, -1  # -1 has every bit set
+        for v in _iter_bits(mask):
+            r = rows[v]
+            union |= r
+            common &= r
+            closed &= r | 1 << v
+        got = memo[mask] = (union, common, closed)
+    return got
+
+
+# Each clause below is decided by one AND on the rows of its left-hand set;
+# only a failed clause walks that set, to name the same witness as a
+# per-vertex check would.
+
+
+def _check_clique(g: Graph, name: str, mask: int, out: list[Violation], memo) -> None:
+    if not mask & ~_set_rows(g, mask, memo)[2]:
+        return
     rows = g.rows
     for v in bits_of(mask):
         missing = mask & ~(1 << v) & ~rows[v]
@@ -300,8 +342,8 @@ def _check_clique(g: Graph, name: str, mask: int, out: list[Violation]) -> None:
             return
 
 
-def _check_complete(g, na, ma, nb, mb, out) -> None:
-    if not ma or not mb:
+def _check_complete(g, na, ma, nb, mb, out, memo) -> None:
+    if not ma or not mb or not mb & ~_set_rows(g, ma, memo)[1]:
         return
     rows = g.rows
     for v in bits_of(ma):
@@ -314,8 +356,8 @@ def _check_complete(g, na, ma, nb, mb, out) -> None:
             return
 
 
-def _check_anticomplete(g, na, ma, nb, mb, out) -> None:
-    if not ma or not mb:
+def _check_anticomplete(g, na, ma, nb, mb, out, memo) -> None:
+    if not ma or not mb or not mb & _set_rows(g, ma, memo)[0]:
         return
     rows = g.rows
     for v in bits_of(ma):
@@ -335,15 +377,19 @@ def _masks(p: SpecialPartition):
     return xs, ys, zs, _mask_of(p.w)
 
 
-def _require_partition(named, universe_mask: int, what: str) -> None:
+def _require_partition(named, universe_mask: int, what: str) -> list[int]:
+    """The masks of the named sets, in order, once they partition the universe."""
+    masks = []
     seen = 0
     for name, s in named:
         m = _mask_of(s)
         if m & seen:
             raise ValueError(f"{what}: set {name} overlaps another set")
         seen |= m
+        masks.append(m)
     if seen != universe_mask:
         raise ValueError(f"{what}: sets do not partition the required vertex set")
+    return masks
 
 
 def verify_special_partition(
@@ -352,30 +398,42 @@ def verify_special_partition(
     """Check every clause of the 22-set definition; empty list means valid."""
     if universe is None:
         universe = frozenset(range(g.n))
-    _require_partition(p.named_sets(), _mask_of(universe), "special partition")
-    xs, ys, zs, w = _masks(p)
+    return _verify_special(g, p, _mask_of(universe), {})
+
+
+def _verify_special(
+    g: Graph, p: SpecialPartition, universe_mask: int, memo
+) -> list[Violation]:
+    named = p.named_sets()
+    masks = _require_partition(named, universe_mask, "special partition")
+    xs, ys, zs, w = masks[0:7], masks[7:14], masks[14:21], masks[21]
     out: list[Violation] = []
-    for name, s in p.named_sets():
-        _check_clique(g, name, _mask_of(s), out)
+    for (name, _), m in zip(named, masks):
+        _check_clique(g, name, m, out, memo)
+
+    def comp(na, ma, nb, mb):
+        _check_complete(g, na, ma, nb, mb, out, memo)
+
+    def anti(na, ma, nb, mb):
+        _check_anticomplete(g, na, ma, nb, mb, out, memo)
+
     for i in MOD7:
         if not xs[i]:
             out.append(Violation("(a)", f"X{i} is empty"))
     for i in MOD7:
-        _check_complete(g, f"X{i}", xs[i], f"X{(i+1)%7}", xs[(i + 1) % 7], out)
+        comp(f"X{i}", xs[i], f"X{(i+1)%7}", xs[(i + 1) % 7])
         for d in (2, 3):
-            _check_anticomplete(
-                g, f"X{i}", xs[i], f"X{(i+d)%7}", xs[(i + d) % 7], out
-            )
+            anti(f"X{i}", xs[i], f"X{(i+d)%7}", xs[(i + d) % 7])
     for i in MOD7:
         for d in (0, 3, 6):
-            _check_complete(g, f"X{i}", xs[i], f"Y{(i+d)%7}", ys[(i + d) % 7], out)
+            comp(f"X{i}", xs[i], f"Y{(i+d)%7}", ys[(i + d) % 7])
         for d in (0, 3, 4, 5, 6):
-            _check_complete(g, f"X{i}", xs[i], f"Z{(i+d)%7}", zs[(i + d) % 7], out)
-        _check_complete(g, f"X{i}", xs[i], "W", w, out)
+            comp(f"X{i}", xs[i], f"Z{(i+d)%7}", zs[(i + d) % 7])
+        comp(f"X{i}", xs[i], "W", w)
         for d in (1, 2, 4, 5):
-            _check_anticomplete(g, f"X{i}", xs[i], f"Y{(i+d)%7}", ys[(i + d) % 7], out)
+            anti(f"X{i}", xs[i], f"Y{(i+d)%7}", ys[(i + d) % 7])
         for d in (1, 2):
-            _check_anticomplete(g, f"X{i}", xs[i], f"Z{(i+d)%7}", zs[(i + d) % 7], out)
+            anti(f"X{i}", xs[i], f"Z{(i+d)%7}", zs[(i + d) % 7])
     for i in MOD7:
         if not ys[i]:
             continue
@@ -397,15 +455,15 @@ def verify_special_partition(
                 out.append(Violation("(e)", f"Z{i} nonempty but Z{(i+d)%7} nonempty"))
     for i in MOD7:
         for d in (3, 4):
-            _check_complete(g, f"Y{i}", ys[i], f"Y{(i+d)%7}", ys[(i + d) % 7], out)
+            comp(f"Y{i}", ys[i], f"Y{(i+d)%7}", ys[(i + d) % 7])
         for d in (0, 1, 3, 4):
-            _check_complete(g, f"Y{i}", ys[i], f"Z{(i+d)%7}", zs[(i + d) % 7], out)
-        _check_complete(g, f"Y{i}", ys[i], "W", w, out)
-        _check_anticomplete(g, f"Y{i}", ys[i], f"Z{(i+2)%7}", zs[(i + 2) % 7], out)
+            comp(f"Y{i}", ys[i], f"Z{(i+d)%7}", zs[(i + d) % 7])
+        comp(f"Y{i}", ys[i], "W", w)
+        anti(f"Y{i}", ys[i], f"Z{(i+2)%7}", zs[(i + 2) % 7])
     for i in MOD7:
         for d in (1, 3, 4, 6):
-            _check_complete(g, f"Z{i}", zs[i], f"Z{(i+d)%7}", zs[(i + d) % 7], out)
-        _check_complete(g, f"Z{i}", zs[i], "W", w, out)
+            comp(f"Z{i}", zs[i], f"Z{(i+d)%7}", zs[(i + d) % 7])
+        comp(f"Z{i}", zs[i], "W", w)
     return out
 
 
@@ -430,6 +488,7 @@ def _check_pendant_components(
     comps: tuple[tuple[int, ...], ...],
     union: int,
     out: list[Violation],
+    memo,
 ) -> None:
     """The components of the pendant set label (A or Z, with vertex mask
     union): nonempty cliques, each ordered by nested closed neighborhoods,
@@ -445,38 +504,34 @@ def _check_pendant_components(
         if cmask & comp_union:
             out.append(Violation(clause, "components overlap"))
         comp_union |= cmask
-        _check_clique(g, name, cmask, out)
+        _check_clique(g, name, cmask, out, memo)
         _check_nested_chain(g, name, comp, out)
     if comp_union != union:
         out.append(Violation(clause, f"components do not cover {label} exactly"))
     later = [0] * (len(masks) + 1)  # later[i]: union of components i, i+1, ...
     for i in range(len(masks) - 1, -1, -1):
         later[i] = later[i + 1] | masks[i]
-    rows = g.rows
     for i, ma in enumerate(masks):
-        reach = 0
-        for v in comps[i]:
-            reach |= rows[v]
-        if reach & later[i + 1]:  # else no later component meets this one
+        # the pairs are checked only when some later component meets this one
+        if _set_rows(g, ma, memo)[0] & later[i + 1]:
             for mb in masks[i + 1 :]:
-                _check_anticomplete(g, name, ma, name, mb, out)
+                _check_anticomplete(g, name, ma, name, mb, out, memo)
 
 
 def verify_saucer_partition(g: Graph, p: SaucerPartition) -> list[Violation]:
     """Full 7-saucer check: special partition off A, the A attachment rules,
     and the pendant clique components with nested closed neighborhoods."""
-    full = frozenset(range(g.n))
-    _require_partition(p.named_sets(), _mask_of(full), "7-saucer partition")
-    amask = _mask_of(p.a)
-    out = verify_special_partition(g, p.special, universe=full - p.a)
-    xs, ys, zs, _ = _masks(p.special)
+    masks = _require_partition(p.named_sets(), g.full_mask, "7-saucer partition")
+    xs, ys, zs, amask = masks[0:7], masks[7:14], masks[14:21], masks[22]
+    memo: dict[int, tuple[int, int, int]] = {}
+    out = _verify_special(g, p.special, g.full_mask & ~amask, memo)
     for i in MOD7:
-        _check_anticomplete(g, "A", amask, f"X{i}", xs[i], out)
+        _check_anticomplete(g, "A", amask, f"X{i}", xs[i], out, memo)
     for i in MOD7:
         if not zs[(i + 2) % 7]:
             continue
         hits: list[Violation] = []
-        _check_anticomplete(g, "A", amask, f"Y{i}", ys[i], hits)
+        _check_anticomplete(g, "A", amask, f"Y{i}", ys[i], hits, memo)
         if hits:
             out.append(
                 Violation(
@@ -485,19 +540,20 @@ def verify_saucer_partition(g: Graph, p: SaucerPartition) -> list[Violation]:
                     hits[0].witness,
                 )
             )
-    _check_pendant_components(g, "A", p.a_components, amask, out)
+    _check_pendant_components(g, "A", p.a_components, amask, out, memo)
     return out
 
 
 def verify_tent_partition(g: Graph, p: TentPartition) -> list[Violation]:
     """Full tent check, clause by clause."""
-    full = frozenset(range(g.n))
-    _require_partition(p.named_sets(), _mask_of(full), "tent partition")
-    m = {name: _mask_of(s) for name, s in p.named_sets()}
+    named = p.named_sets()
+    masks = _require_partition(named, g.full_mask, "tent partition")
+    m = {name: mask for (name, _), mask in zip(named, masks)}
+    memo: dict[int, tuple[int, int, int]] = {}
     out: list[Violation] = []
-    for name, s in p.named_sets():
+    for name, mask in m.items():
         if name != "Z":  # Z is a union of clique components, checked below
-            _check_clique(g, name, _mask_of(s), out)
+            _check_clique(g, name, mask, out, memo)
     for name in ("A0", "A1", "B0", "B1", "B2", "B3", "C1", "C2", "C3"):
         if not m[name]:
             out.append(Violation("core-nonempty", f"{name} is empty"))
@@ -505,10 +561,10 @@ def verify_tent_partition(g: Graph, p: TentPartition) -> list[Violation]:
         out.append(Violation("F2F3Y", "more than one of F2, F3, Y is nonempty"))
 
     def comp(na, nb):
-        _check_complete(g, na, m[na], nb, m[nb], out)
+        _check_complete(g, na, m[na], nb, m[nb], out, memo)
 
     def anti(na, nb):
-        _check_anticomplete(g, na, m[na], nb, m[nb], out)
+        _check_anticomplete(g, na, m[na], nb, m[nb], out, memo)
 
     comp("A0", "A1")
     for nb in ("B0", "B2", "B3"):
@@ -552,7 +608,7 @@ def verify_tent_partition(g: Graph, p: TentPartition) -> list[Violation]:
         out.append(Violation("y-order", "ordering does not enumerate Y exactly"))
     else:
         _check_nested_chain(g, "Y", p.y_order, out)
-    _check_pendant_components(g, "Z", p.z_components, m["Z"], out)
+    _check_pendant_components(g, "Z", p.z_components, m["Z"], out, memo)
     return out
 
 
@@ -560,15 +616,41 @@ def verify_tent_partition(g: Graph, p: TentPartition) -> list[Violation]:
 # reconstruction
 
 
-def _clique_components_ordered(
-    g: Graph, members: frozenset[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Split members into connected components, each ordered by decreasing
-    closed degree.  Chain validity is left to the verifier."""
+def _clique_components_ordered(g: Graph, members: int) -> tuple[tuple[int, ...], ...]:
+    """Split the vertex mask members into connected components, each ordered
+    by decreasing closed degree.  Chain validity is left to the verifier."""
+    rows = g.rows
     return tuple(
-        tuple(sorted(bits_of(m), key=lambda u: (-(g.closed_row(u).bit_count()), u)))
-        for m in component_masks(g.rows, _mask_of(members))
+        tuple(sorted(bits_of(m), key=lambda u: (-rows[u].bit_count(), u)))
+        for m in component_masks(rows, members)
     )
+
+
+def _attachment_classes(g: Graph, anchors: list[int]) -> dict[int, int]:
+    """The vertices off the anchors, split by their pattern on them: pattern
+    (bit k set for a neighbor of anchors[k]) -> mask of its vertices."""
+    rest = g.full_mask & ~_mask_of(anchors)
+    classes = {0: rest} if rest else {}
+    for k, anchor in enumerate(anchors):
+        row = g.rows[anchor]
+        refined: dict[int, int] = {}
+        for pat, m in classes.items():
+            inside = m & row
+            if inside:
+                refined[pat | 1 << k] = inside
+            if inside != m:
+                refined[pat] = m ^ inside
+        classes = refined
+    return classes
+
+
+def _first_inadmissible(classes: dict[int, int], table: dict) -> int | None:
+    """Lowest vertex whose pattern has no entry in table, or None."""
+    bad = 0
+    for pat, m in classes.items():
+        if pat not in table:
+            bad |= m
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def build_saucer_from_hole(
@@ -580,40 +662,35 @@ def build_saucer_from_hole(
     failure; a returned partition has passed the full verifier.
     """
     hole = validate_hole(g, hole)
-    xs = [set() for _ in MOD7]
-    ys = [set() for _ in MOD7]
-    zs = [set() for _ in MOD7]
-    w: set[int] = set()
-    a: set[int] = set()
-    for i in MOD7:
-        xs[i].add(hole[i])
-    holeset = set(hole)
-    for v in range(g.n):
-        if v in holeset:
-            continue
-        got = _classify_vs_c7_unchecked(g, hole, v)
-        if isinstance(got, Violation):
-            return BuildFailure("hole-attachment", (got,))
+    classes = _attachment_classes(g, hole)
+    v = _first_inadmissible(classes, _C7_TABLE)
+    if v is not None:
+        return BuildFailure("hole-attachment", (_classify_vs_c7_unchecked(g, hole, v),))
+    xs = [1 << h for h in hole]
+    ys = [0] * 7
+    zs = [0] * 7
+    w = a = 0
+    for pat, m in classes.items():
+        got = _C7_TABLE[pat]
         if got.kind == "anticomplete":
-            a.add(v)
+            a |= m
         elif got.kind == "complete":
-            w.add(v)
+            w |= m
         elif got.kind == "x":
-            xs[got.index].add(v)
+            xs[got.index] |= m
         elif got.kind == "y":
-            ys[got.index].add(v)
+            ys[got.index] |= m
         else:
-            zs[got.index].add(v)
-    comps = _clique_components_ordered(g, frozenset(a))
+            zs[got.index] |= m
     part = SaucerPartition(
         special=SpecialPartition(
-            x=tuple(frozenset(s) for s in xs),
-            y=tuple(frozenset(s) for s in ys),
-            z=tuple(frozenset(s) for s in zs),
-            w=frozenset(w),
+            x=tuple(bits_of(m) for m in xs),
+            y=tuple(bits_of(m) for m in ys),
+            z=tuple(bits_of(m) for m in zs),
+            w=bits_of(w),
         ),
-        a=frozenset(a),
-        a_components=comps,
+        a=bits_of(a),
+        a_components=_clique_components_ordered(g, a),
     )
     violations = verify_saucer_partition(g, part)
     if violations:
@@ -626,42 +703,33 @@ def build_tent_from_T0(
 ) -> TentPartition | BuildFailure:
     """Bucket every vertex against a labeled T0 and assemble a tent partition."""
     t = validate_t0_embedding(g, t)
-    buckets: dict[str, set[int]] = {lab: {t[lab]} for lab in T0_LABELS}
-    f2: set[int] = set()
-    f3: set[int] = set()
-    w: set[int] = set()
-    y: set[int] = set()
-    z: set[int] = set()
-    image = set(t.values())
-    for x in range(g.n):
-        if x in image:
-            continue
-        got = _classify_vs_t0_unchecked(g, t, x)
-        if isinstance(got, Violation):
-            return BuildFailure("t0-attachment", (got,))
+    classes = _attachment_classes(g, [t[lab] for lab in T0_LABELS])
+    x = _first_inadmissible(classes, _T0_TABLE)
+    if x is not None:
+        return BuildFailure("t0-attachment", (_classify_vs_t0_unchecked(g, t, x),))
+    buckets = {lab: 1 << t[lab] for lab in T0_LABELS}
+    f2 = f3 = w = y = z = 0
+    for pat, m in classes.items():
+        got = _T0_TABLE[pat]
         if got.kind == "clone":
-            buckets[got.index].add(x)
+            buckets[got.index] |= m
         elif got.kind == "f":
-            (f2 if got.index == 2 else f3).add(x)
+            if got.index == 2:
+                f2 |= m
+            else:
+                f3 |= m
         elif got.kind == "y":
-            y.add(x)
+            y |= m
         elif got.kind == "anticomplete":
-            z.add(x)
+            z |= m
         else:
-            w.add(x)
-    y_order = tuple(
-        sorted(y, key=lambda u: (-(g.closed_row(u).bit_count()), u))
-    )
-    z_comps = _clique_components_ordered(g, frozenset(z))
+            w |= m
+    y_order = tuple(sorted(bits_of(y), key=lambda u: (-g.rows[u].bit_count(), u)))
     part = TentPartition(
-        a0=frozenset(buckets["a0"]), a1=frozenset(buckets["a1"]),
-        b0=frozenset(buckets["b0"]), b1=frozenset(buckets["b1"]),
-        b2=frozenset(buckets["b2"]), b3=frozenset(buckets["b3"]),
-        c1=frozenset(buckets["c1"]), c2=frozenset(buckets["c2"]),
-        c3=frozenset(buckets["c3"]),
-        f2=frozenset(f2), f3=frozenset(f3), w=frozenset(w),
-        y=frozenset(y), z=frozenset(z),
-        y_order=y_order, z_components=z_comps,
+        **{lab: bits_of(buckets[lab]) for lab in T0_LABELS},
+        f2=bits_of(f2), f3=bits_of(f3), w=bits_of(w),
+        y=bits_of(y), z=bits_of(z),
+        y_order=y_order, z_components=_clique_components_ordered(g, z),
     )
     violations = verify_tent_partition(g, part)
     if violations:
@@ -680,19 +748,13 @@ def _reject(
     prefix: SimplicialPrefix | None = None,
     failure: BuildFailure | None = None,
 ) -> RecognitionReport:
-    witness = None
-    if g.n <= oracle.VERDICT_CAP:
-        for nm in ("2P3", "C4", "C6"):
-            witness = oracle.find_induced(g, pattern(nm))
-            if witness is not None:
-                break
     return RecognitionReport(
         kind=NOT_IN_CLASS,
         reason=reason,
         failure=failure,
-        witness=witness,
         stages=tuple(stages),
         prefix=prefix,
+        refused=g,
     )
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pentaseven import oracle
 from pentaseven.catalog import dedup_family_index, pattern
 from pentaseven.color import (
     Coloring,
@@ -224,6 +225,30 @@ class TestColorInClass:
     def test_out_of_class_refused(self):
         with pytest.raises(NotInClassError):
             color_in_class(pattern("C6").graph)
+
+    def test_chordal_coloring_skips_witness_search(self, monkeypatch):
+        # a chordal input is refused by recognize but colored by the
+        # elimination order, so its refusal witness is never searched for
+        calls = []
+        find = oracle.find_induced
+
+        def counting(g, pat):
+            calls.append(pat.name)
+            return find(g, pat)
+
+        monkeypatch.setattr(oracle, "find_induced", counting)
+        p20 = build_graph(20, [(i, i + 1) for i in range(19)])
+        coloring = color_in_class(p20)
+        assert coloring.num_colors == 2 and verify_coloring(p20, coloring)
+        assert calls == []
+        rep = recognize(p20)
+        assert calls == []
+        assert rep.witness.pattern.name == "2P3" and calls == ["2P3"]
+        assert rep.witness is rep.witness and calls == ["2P3"]
+        with pytest.raises(NotInClassError) as exc:
+            color_in_class(pattern("C6").graph)
+        assert exc.value.report.witness.pattern.name == "C6"
+        assert calls == ["2P3", "2P3", "C4", "C6"]
 
     def test_count_equals_max_stage_lower_bound(self):
         # the color count is forced: it equals the max over the quotient+W

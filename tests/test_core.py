@@ -1,10 +1,12 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, assume, settings
 from hypothesis import strategies as st
 
+from pentaseven import oracle
 from pentaseven.catalog import is_isomorphic_small, pattern
 from pentaseven.core import (
     ANTICOMPLETE,
@@ -12,8 +14,10 @@ from pentaseven.core import (
     MIXED,
     Graph,
     anticomponents,
+    bits_of,
     build_graph,
     components,
+    greedy_extend,
     induced_subgraph,
     is_clique,
     is_simplicial,
@@ -161,6 +165,47 @@ class TestPredicates:
         g = c7()
         assert is_clique(g, set()) and is_clique(g, {3})
         assert is_clique(g, {0, 1}) and not is_clique(g, {0, 2})
+
+
+def greedy_extend_by_neighbors(g, order, assignment):
+    """Reference: the colors of v's colored neighbors, collected one by one."""
+    for v in order:
+        used = {assignment[u] for u in bits_of(g.rows[v]) if u in assignment}
+        c = 1
+        while c in used:
+            c += 1
+        assignment[v] = c
+
+
+class TestGreedyExtend:
+    @given(random_graphs(max_n=40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_neighbor_colors(self, g, data):
+        # a partial assignment with gaps in its colors, then an order that
+        # may repeat vertices and recolor assigned ones
+        vs = st.integers(0, g.n - 1)
+        colors = st.sampled_from([1, 2, 4, 5, 9])
+        start = data.draw(st.dictionaries(vs, colors, max_size=g.n))
+        order = data.draw(st.lists(vs, max_size=2 * g.n))
+        got, want = dict(start), dict(start)
+        greedy_extend(g, order, got)
+        greedy_extend_by_neighbors(g, order, want)
+        assert list(got.items()) == list(want.items())
+
+    def test_unused_colors_stay_free(self):
+        # no vertex has color 2, so it is free for 0; 3 has no neighbors
+        g = build_graph(4, [(0, 1), (0, 2)])
+        assignment = {1: 1, 2: 3}
+        greedy_extend(g, [0, 3], assignment)
+        assert assignment == {1: 1, 2: 3, 0: 2, 3: 1}
+
+    @given(random_graphs(max_n=10))
+    @settings(max_examples=80, deadline=None)
+    def test_chromatic_witness_unchanged(self, g):
+        got = oracle.chromatic_number_bf(g)
+        with mock.patch.object(oracle, "greedy_extend", greedy_extend_by_neighbors):
+            want = oracle.chromatic_number_bf(g)
+        assert got == want
 
 
 @given(random_graphs(max_n=64))

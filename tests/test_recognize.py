@@ -1,11 +1,16 @@
+import re
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentaseven import oracle
+from pentaseven import recognize as rec
 from pentaseven.catalog import catalog_entry, pattern
-from pentaseven.core import Graph, _mask_of, build_graph, is_clique
+from pentaseven.core import Graph, _mask_of, bits_of, build_graph, is_clique
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.oracle import class_verdict, clique_cutset_bf
 from pentaseven.recognize import (
@@ -14,16 +19,23 @@ from pentaseven.recognize import (
     NOT_IN_CLASS,
     Attachment,
     BuildFailure,
+    SaucerPartition,
     SpecialPartition,
     T0_LABELS,
+    TentPartition,
     Violation,
-    _check_anticomplete,
+    _check_nested_chain,
     _check_pendant_components,
+    _classify_vs_c7_unchecked,
+    _classify_vs_t0_unchecked,
+    _clique_components_ordered,
     build_saucer_from_hole,
     build_tent_from_T0,
     classify_vs_C7,
     classify_vs_T0,
     recognize,
+    validate_hole,
+    validate_t0_embedding,
     verify_saucer_partition,
     verify_special_partition,
     verify_tent_partition,
@@ -132,6 +144,20 @@ class TestVerifyStructures:
         g, part = gen_tent(GenParams(seed=11, max_class_size=3, z_components=(1, 2)))
         assert verify_tent_partition(g, part) == []
 
+    def test_clean_verification_scans_no_set(self, monkeypatch):
+        # each clause is decided on set rows; a per-vertex scan (bits_of)
+        # runs only to name the witness of a failed clause
+        scans = []
+        monkeypatch.setattr(rec, "bits_of", lambda m: scans.append(m) or bits_of(m))
+        for seed in range(6):
+            params = GenParams(seed=seed, max_class_size=3, p_nonempty=1.0,
+                               a_components=(2, 3), z_components=(2, 3))
+            for gen, verify in ((gen_saucer, verify_saucer_partition),
+                                (gen_tent, verify_tent_partition)):
+                g, part = gen(params)
+                assert verify(g, part) == []
+        assert scans == []
+
     def test_tent_with_both_f2_f3_rejected(self):
         g, part = gen_tent(GenParams(seed=0, max_class_size=1))
         # graft a fake F2 label onto a W vertex (or vice versa) to break the
@@ -213,18 +239,274 @@ def test_pendant_component_clauses(label, brk):
 @settings(max_examples=60, deadline=None)
 def test_pendant_components_match_all_pairs_scan(g, data):
     # components may overlap or be empty; the report must equal a scan that
-    # checks every pair
+    # checks every pair, and the per-vertex reference report as a whole
     vertices = st.lists(st.integers(0, g.n - 1), max_size=4, unique=True)
     comps = tuple(tuple(c) for c in data.draw(st.lists(vertices, max_size=6)))
     union = _mask_of(v for c in comps for v in c)
     got: list[Violation] = []
-    _check_pendant_components(g, "A", comps, union, got)
+    _check_pendant_components(g, "A", comps, union, got, {})
     pairs: list[Violation] = []
     for i, ca in enumerate(comps):
         for cb in comps[i + 1 :]:
-            _check_anticomplete(g, "A-component", _mask_of(ca),
-                                "A-component", _mask_of(cb), pairs)
+            ref_check_anticomplete(g, "A-component", _mask_of(ca),
+                                   "A-component", _mask_of(cb), pairs)
     assert [v for v in got if v.clause == "anticomplete"] == pairs
+    ref: list[Violation] = []
+    ref_check_pendant_components(g, "A", comps, union, ref)
+    assert got == ref
+
+
+# ---------------------------------------------------------------------------
+# per-vertex references: the clause helpers and builders as they were before
+# clauses were decided on set masks
+
+
+def ref_check_clique(g, name, mask, out, memo=None):
+    rows = g.rows
+    for v in bits_of(mask):
+        missing = mask & ~(1 << v) & ~rows[v]
+        if missing:
+            out.append(Violation("clique", f"{name} is not a clique",
+                                 (v, next(iter(bits_of(missing))))))
+            return
+
+
+def ref_check_complete(g, na, ma, nb, mb, out, memo=None):
+    if not ma or not mb:
+        return
+    rows = g.rows
+    for v in bits_of(ma):
+        missing = mb & ~rows[v]
+        if missing:
+            out.append(Violation("complete", f"{na} not complete to {nb}",
+                                 (v, next(iter(bits_of(missing))))))
+            return
+
+
+def ref_check_anticomplete(g, na, ma, nb, mb, out, memo=None):
+    if not ma or not mb:
+        return
+    rows = g.rows
+    for v in bits_of(ma):
+        hit = mb & rows[v]
+        if hit:
+            out.append(Violation("anticomplete", f"{na} not anticomplete to {nb}",
+                                 (v, next(iter(bits_of(hit))))))
+            return
+
+
+def ref_check_pendant_components(g, label, comps, union, out, memo=None):
+    clause = f"{label.lower()}-components"
+    name = f"{label}-component"
+    masks = [_mask_of(comp) for comp in comps]
+    comp_union = 0
+    for comp, cmask in zip(comps, masks):
+        if not comp:
+            out.append(Violation(clause, "empty component listed"))
+            continue
+        if cmask & comp_union:
+            out.append(Violation(clause, "components overlap"))
+        comp_union |= cmask
+        ref_check_clique(g, name, cmask, out)
+        _check_nested_chain(g, name, comp, out)
+    if comp_union != union:
+        out.append(Violation(clause, f"components do not cover {label} exactly"))
+    for i, ma in enumerate(masks):
+        for mb in masks[i + 1 :]:
+            ref_check_anticomplete(g, name, ma, name, mb, out)
+
+
+@contextmanager
+def per_vertex_clauses():
+    """Run the verifiers' clause lists with the per-vertex clause helpers."""
+    with mock.patch.multiple(
+        rec,
+        _check_clique=ref_check_clique,
+        _check_complete=ref_check_complete,
+        _check_anticomplete=ref_check_anticomplete,
+        _check_pendant_components=ref_check_pendant_components,
+    ):
+        yield
+
+
+def ref_build_saucer(g, hole):
+    hole = validate_hole(g, hole)
+    xs = [{h} for h in hole]
+    ys = [set() for _ in range(7)]
+    zs = [set() for _ in range(7)]
+    w, a = set(), set()
+    for v in range(g.n):
+        if v in hole:
+            continue
+        got = _classify_vs_c7_unchecked(g, hole, v)
+        if isinstance(got, Violation):
+            return BuildFailure("hole-attachment", (got,))
+        if got.kind == "anticomplete":
+            a.add(v)
+        elif got.kind == "complete":
+            w.add(v)
+        else:
+            {"x": xs, "y": ys, "z": zs}[got.kind][got.index].add(v)
+    part = SaucerPartition(
+        special=SpecialPartition(
+            x=tuple(map(frozenset, xs)), y=tuple(map(frozenset, ys)),
+            z=tuple(map(frozenset, zs)), w=frozenset(w),
+        ),
+        a=frozenset(a),
+        a_components=_clique_components_ordered(g, _mask_of(a)),
+    )
+    violations = verify_saucer_partition(g, part)
+    return BuildFailure("saucer-verification", tuple(violations)) if violations else part
+
+
+def ref_build_tent(g, t):
+    t = validate_t0_embedding(g, t)
+    sets = {lab: {t[lab]} for lab in T0_LABELS}
+    sets.update(f2=set(), f3=set(), w=set(), y=set(), z=set())
+    image = set(t.values())
+    for x in range(g.n):
+        if x in image:
+            continue
+        got = _classify_vs_t0_unchecked(g, t, x)
+        if isinstance(got, Violation):
+            return BuildFailure("t0-attachment", (got,))
+        key = {"clone": got.index, "f": f"f{got.index}", "y": "y",
+               "anticomplete": "z", "complete": "w"}[got.kind]
+        sets[key].add(x)
+    part = TentPartition(
+        **{k: frozenset(v) for k, v in sets.items()},
+        y_order=tuple(sorted(sets["y"], key=lambda u: (-g.degree(u), u))),
+        z_components=_clique_components_ordered(g, _mask_of(sets["z"])),
+    )
+    violations = verify_tent_partition(g, part)
+    return BuildFailure("tent-verification", tuple(violations)) if violations else part
+
+
+def _flip(g, pairs):
+    rows = list(g.rows)
+    for u, v in pairs:
+        if u != v:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+    return Graph.from_rows(rows)
+
+
+def _random_flips(rng, g, anchors):
+    """One to three flipped pairs; some touch an anchor, so that attachment
+    patterns break as well as clauses."""
+    pairs = []
+    for _ in range(int(rng.integers(1, 4))):
+        u = int(rng.choice(anchors)) if rng.random() < 0.4 else int(rng.integers(g.n))
+        pairs.append((u, int(rng.integers(g.n))))
+    return _flip(g, pairs)
+
+
+def _generated(count):
+    """Generated saucers and tents with pendant components; every third has
+    classes of up to 6 vertices, so that its rows span several machine words."""
+    out = []
+    for seed in range(count):
+        params = GenParams(seed=seed, max_class_size=6 if seed % 3 == 0 else 2,
+                           p_nonempty=0.7,
+                           universal_count=(0, 2), a_components=(1, 3),
+                           z_components=(1, 3), max_component_size=3)
+        out.append(gen_saucer(params))
+        out.append(gen_tent(params))
+    return out
+
+
+def _anchors(part):
+    if isinstance(part, SaucerPartition):
+        return [min(s) for s in part.special.x]
+    return [min(getattr(part, lab)) for lab in T0_LABELS]
+
+
+def _move(rng, part, v):
+    """part with vertex v moved to a random other set; pendant components
+    and the Y order follow the move."""
+    named = dict(part.named_sets())
+    names = list(named)
+    src = next(name for name, s in named.items() if v in s)
+    dst = str(rng.choice([name for name in names if name != src]))
+    sets = {name: set(s) for name, s in named.items()}
+    sets[src].discard(v)
+    sets[dst].add(v)
+    pend = "A" if isinstance(part, SaucerPartition) else "Z"
+    comps = [tuple(u for u in c if u != v)
+             for c in (part.a_components if pend == "A" else part.z_components)]
+    comps = [c for c in comps if c]
+    if dst == pend:
+        k = int(rng.integers(len(comps) + 1))
+        if k == len(comps):
+            comps.append((v,))
+        else:
+            comps[k] += (v,)
+    fs = {name: frozenset(s) for name, s in sets.items()}
+    if pend == "A":
+        special = SpecialPartition(
+            x=tuple(fs[f"X{i}"] for i in range(7)),
+            y=tuple(fs[f"Y{i}"] for i in range(7)),
+            z=tuple(fs[f"Z{i}"] for i in range(7)),
+            w=fs["W"],
+        )
+        return SaucerPartition(special, fs["A"], tuple(comps))
+    y_order = [u for u in part.y_order if u != v]
+    if dst == "Y":
+        y_order.insert(int(rng.integers(len(y_order) + 1)), v)
+    return TentPartition(**{name.lower(): s for name, s in fs.items()},
+                         y_order=tuple(y_order), z_components=tuple(comps))
+
+
+def test_verifiers_match_per_vertex_clauses():
+    rng = np.random.default_rng(7)
+    checked = failing = 0
+    witnesses = set()
+    for g, part in _generated(25):
+        verify = (verify_saucer_partition if isinstance(part, SaucerPartition)
+                  else verify_tent_partition)
+        for _ in range(12):
+            g2, p2 = g, part
+            for _ in range(int(rng.integers(0, 3))):
+                p2 = _move(rng, p2, int(rng.integers(g.n)))
+            if rng.random() < 0.6:
+                g2 = _random_flips(rng, g, _anchors(part))
+            got = verify(g2, p2)
+            with per_vertex_clauses():
+                want = verify(g2, p2)
+            assert got == want
+            checked += 1
+            failing += bool(got)
+            witnesses.update(v.witness for v in got if v.witness)
+    assert checked == 600
+    assert failing >= 400 and len(witnesses) >= 300
+
+
+def test_builders_match_per_vertex_classification():
+    rng = np.random.default_rng(11)
+    outcomes: dict[str, int] = {}
+    for g, part in _generated(25):
+        anchors = _anchors(part)
+        build, ref = build_saucer_from_hole, ref_build_saucer
+        arg = anchors
+        if isinstance(part, TentPartition):
+            build, ref = build_tent_from_T0, ref_build_tent
+            arg = dict(zip(T0_LABELS, anchors))
+        for trial in range(12):
+            g2 = g if trial == 0 else _random_flips(rng, g, anchors)
+            try:
+                want = ref(g2, arg)
+            except ValueError as exc:  # the flips broke the anchors
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    build(g2, arg)
+                outcomes["anchors"] = outcomes.get("anchors", 0) + 1
+                continue
+            got = build(g2, arg)
+            assert got == want
+            kind = got.stage if isinstance(got, BuildFailure) else "built"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    for kind in ("built", "hole-attachment", "t0-attachment",
+                 "saucer-verification", "tent-verification", "anchors"):
+        assert outcomes.get(kind, 0) >= 10, outcomes
 
 
 class TestBuildSaucer:
