@@ -23,6 +23,9 @@ QUOTIENT_CAP = 12
 
 M0_OPTIONAL = ("y0", "y3", "z0", "z3", "z4")
 
+# T0's labels; vertex k of pattern("T0") is T0_LABELS[k]
+T0_LABELS = ("a0", "a1", "b0", "b1", "b2", "b3", "c1", "c2", "c3")
+
 
 @dataclass(frozen=True)
 class NamedGraph:
@@ -67,8 +70,7 @@ def _t0_edges() -> list[tuple[str, str]]:
 @cache
 def fixed_graphs() -> dict[str, NamedGraph]:
     """The named pattern graphs: C4, C6, C7, P7, 2P3, 4K1, P3, 3-pentagon, T0, T1."""
-    t0_labels = ["a0", "a1", "b0", "b1", "b2", "b3", "c1", "c2", "c3"]
-    t1_labels = t0_labels + ["f3"]
+    t1_labels = [*T0_LABELS, "f3"]
     t1_edges = _t0_edges() + [
         ("f3", x) for x in ("a0", "a1", "b0", "b1", "b2", "c1", "c2")
     ]
@@ -95,7 +97,7 @@ def fixed_graphs() -> dict[str, NamedGraph]:
         two_p3,
         four_k1,
         _named("3-pentagon", pent_labels, pent_edges),
-        _named("T0", t0_labels, _t0_edges()),
+        _named("T0", list(T0_LABELS), _t0_edges()),
         _named("T1", t1_labels, t1_edges),
     ]
     return {e.name: e for e in entries}
@@ -279,8 +281,3 @@ def catalog_entry(name: str) -> NamedGraph:
         if entry.name == name:
             return entry
     return pattern(name)
-
-
-def has_twins(g: Graph) -> bool:
-    closed = {g.closed_row(v) for v in range(g.n)}
-    return len(closed) < g.n

@@ -240,19 +240,8 @@ def components(g: Graph) -> list[frozenset[int]]:
     return [bits_of(m) for m in component_masks(g.rows, g.full_mask)]
 
 
-def anticomponents(g: Graph) -> list[frozenset[int]]:
-    """Components of the complement; pairwise complete to each other in g."""
-    full = g.full_mask
-    co_rows = [full & ~g.closed_row(v) for v in range(g.n)]
-    return [bits_of(m) for m in component_masks(co_rows, full)]
-
-
 def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
-
-
-def is_anticonnected(g: Graph) -> bool:
-    return len(anticomponents(g)) == 1
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:

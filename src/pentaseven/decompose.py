@@ -97,25 +97,3 @@ def strip_universals(g: Graph, within: int) -> tuple[frozenset[int], int]:
     """
     w = frozenset(v for v in _iter_bits(within) if g.closed_row(v) & within == within)
     return w, within & ~_mask_of(w)
-
-
-def is_thickening_of(g: Graph, classes: list[list[int]], h: Graph) -> bool:
-    """Check the thickening relation for an explicit class assignment."""
-    seen = [v for ids in classes for v in ids]
-    if len(classes) != h.n or sorted(seen) != list(range(g.n)):
-        return False
-    for ids in classes:
-        if not ids:
-            return False
-        for a in ids:
-            for b in ids:
-                if a != b and not g.has_edge(a, b):
-                    return False
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            want = h.has_edge(u, v)
-            for a in classes[u]:
-                for b in classes[v]:
-                    if g.has_edge(a, b) != want:
-                        return False
-    return True

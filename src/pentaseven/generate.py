@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import NamedGraph, family_M, pattern
+from .catalog import T0_LABELS, NamedGraph, family_M, pattern
 from .core import Graph, build_graph
 from .recognize import (
     MOD7,
@@ -174,17 +174,15 @@ def gen_tent(params: GenParams) -> tuple[Graph, TentPartition]:
     Z-components chained into F2+F3+W."""
     rng = _rng(params)
     b = _Builder()
-    core_names = ("a0", "a1", "b0", "b1", "b2", "b3", "c1", "c2", "c3")
     size_of = {
-        nm: _rand_range(rng, 1, params.max_class_size) for nm in core_names
+        nm: _rand_range(rng, 1, params.max_class_size) for nm in T0_LABELS
     }
-    ids = {nm: b.clique(size_of[nm]) for nm in core_names}
-    t0 = pattern("T0")
-    by_label = t0.by_label
-    for i, la in enumerate(core_names):
-        for lb in core_names[i + 1 :]:
-            if t0.graph.has_edge(by_label[la], by_label[lb]):
-                b.join(ids[la], ids[lb])
+    ids = {nm: b.clique(size_of[nm]) for nm in T0_LABELS}
+    t0 = pattern("T0").graph
+    for i, la in enumerate(T0_LABELS):
+        for j in range(i + 1, 9):
+            if t0.has_edge(i, j):
+                b.join(ids[la], ids[T0_LABELS[j]])
 
     f2: list[int] = []
     f3: list[int] = []
@@ -206,7 +204,7 @@ def gen_tent(params: GenParams) -> tuple[Graph, TentPartition]:
             b.join(y, ids["c3"])
 
     w = b.clique(_rand_range(rng, *params.universal_count))
-    for nm in core_names:
+    for nm in T0_LABELS:
         b.join(w, ids[nm])
     b.join(w, f2)
     b.join(w, f3)

@@ -258,8 +258,3 @@ def class_verdict(g: Graph) -> ClassVerdict:
         has_t0=not flags["T0"],
         witnesses=witnesses,
     )
-
-
-def is_free_of(g: Graph, *names: str) -> bool:
-    """True iff g contains no induced copy of any named pattern."""
-    return all(find_induced(g, pattern(nm)) is None for nm in names)

@@ -9,12 +9,13 @@ verifier run is the certificate that the input graph lies in the class.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import oracle
-from .catalog import QUOTIENT_CAP, catalog_entry, match_catalog, pattern
-from .core import Graph, _iter_bits, _mask_of, bits_of, component_masks
+from .catalog import T0_LABELS, QUOTIENT_CAP, catalog_entry, match_catalog, pattern
+from .core import Graph, _is_int, _iter_bits, _mask_of, bits_of, component_masks
 # unused here, but perfbench/spans.py patches recognize.induced_subgraph
 from .core import induced_subgraph  # noqa: F401
 from .decompose import (
@@ -29,8 +30,6 @@ MOD7 = tuple(range(7))
 IN_CLASS_C7 = "in-class-with-C7"
 IN_CLASS_T0 = "in-class-with-T0"
 NOT_IN_CLASS = "not-in-class"
-
-T0_LABELS = ("a0", "a1", "b0", "b1", "b2", "b3", "c1", "c2", "c3")
 
 
 class NotInClassError(Exception):
@@ -171,59 +170,108 @@ class RecognitionReport:
 # attachment classifiers
 
 
+@dataclass(frozen=True)
+class _Anchor:
+    """An induced pattern that every other vertex is bucketed against.
+
+    Host vertex k of an anchor plays vertex k of graph, named names[k].  A
+    vertex's pattern has bit k set when it is adjacent to host k; table maps
+    each admissible pattern to its bucket, and any other pattern fails the
+    clause, worded as meeting what.
+    """
+
+    graph: Graph
+    names: tuple
+    table: dict[int, Attachment]
+    clause: str
+    what: str
+
+
 def _c7_mask_table() -> dict[int, Attachment]:
-    table = {0: Attachment("anticomplete"), 127: Attachment("complete")}
+    c7 = pattern("C7").graph
+    table = {0: Attachment("anticomplete"), c7.full_mask: Attachment("complete")}
     for i in MOD7:
-        table[_mask_of(((i - 1) % 7, i, (i + 1) % 7))] = Attachment("x", i)
+        table[c7.closed_row(i)] = Attachment("x", i)
         table[_mask_of((i, (i + 1) % 7, (i + 4) % 7))] = Attachment("y", i)
-        table[_mask_of(tuple((i + d) % 7 for d in range(5)))] = Attachment("z", i)
+        table[_mask_of((i + d) % 7 for d in range(5))] = Attachment("z", i)
     return table
-
-
-_C7_TABLE = _c7_mask_table()
 
 
 def _t0_mask_table() -> dict[int, Attachment]:
-    t0 = pattern("T0")
+    t0 = pattern("T0").graph
     pos = {lab: k for k, lab in enumerate(T0_LABELS)}
-    g = t0.graph
-    by_label = t0.by_label
-    table: dict[int, Attachment] = {}
-    for lab in T0_LABELS:
-        v = by_label[lab]
-        mask = 0
-        for other in T0_LABELS:
-            u = by_label[other]
-            if u == v or g.has_edge(u, v):
-                mask |= 1 << pos[other]
-        table[mask] = Attachment("clone", lab)
-    full = (1 << 9) - 1
+    table = {t0.closed_row(k): Attachment("clone", lab) for lab, k in pos.items()}
     for i in (2, 3):
-        table[full & ~_mask_of((pos[f"b{i}"], pos[f"c{i}"]))] = Attachment("f", i)
+        table[t0.full_mask ^ 1 << pos[f"b{i}"] ^ 1 << pos[f"c{i}"]] = Attachment("f", i)
     table[_mask_of((pos["c2"], pos["c3"]))] = Attachment("y")
     table[0] = Attachment("anticomplete")
-    table[full] = Attachment("complete")
+    table[t0.full_mask] = Attachment("complete")
     return table
 
 
-_T0_TABLE = _t0_mask_table()
+_C7 = _Anchor(
+    pattern("C7").graph, MOD7, _c7_mask_table(), "hole-attachment", "the 7-hole"
+)
+_T0 = _Anchor(
+    pattern("T0").graph, T0_LABELS, _t0_mask_table(), "t0-attachment", "T0"
+)
+
+
+def _validate_anchor(g: Graph, anchor: _Anchor, hosts) -> list[int]:
+    """hosts as ints once they are distinct vertices of g that induce
+    anchor.graph in name order."""
+    hosts = list(hosts)
+    if not all(map(_is_int, hosts)):
+        raise ValueError(f"{anchor.what} vertices must be integers")
+    hosts = [int(v) for v in hosts]
+    k = anchor.graph.n
+    if len(hosts) != k or len(set(hosts)) != k:
+        raise ValueError(f"{anchor.what} needs {k} distinct vertices")
+    if any(not 0 <= v < g.n for v in hosts):
+        raise ValueError(f"{anchor.what} has a vertex out of range")
+    for i in range(k):
+        for j in range(i + 1, k):
+            if g.has_edge(hosts[i], hosts[j]) != anchor.graph.has_edge(i, j):
+                raise ValueError(
+                    f"vertices do not induce {anchor.what} in the given order "
+                    f"({anchor.names[i]},{anchor.names[j]})"
+                )
+    return hosts
 
 
 def validate_hole(g: Graph, hole) -> list[int]:
-    hole = [int(v) for v in hole]
-    if len(hole) != 7 or len(set(hole)) != 7:
-        raise ValueError("hole must list 7 distinct vertices")
-    if any(not 0 <= v < g.n for v in hole):
-        raise ValueError("hole vertex out of range")
-    for i in range(7):
-        for j in range(i + 1, 7):
-            want = (j - i) % 7 in (1, 6)
-            if g.has_edge(hole[i], hole[j]) != want:
-                raise ValueError(
-                    f"vertices do not induce a 7-hole in the given order "
-                    f"(positions {i},{j})"
-                )
-    return hole
+    return _validate_anchor(g, _C7, hole)
+
+
+def validate_t0_embedding(g: Graph, t: dict[str, int]) -> dict[str, int]:
+    if set(t) != set(T0_LABELS):
+        raise ValueError("embedding must assign exactly the nine T0 labels")
+    hosts = _validate_anchor(g, _T0, [t[lab] for lab in T0_LABELS])
+    return dict(zip(T0_LABELS, hosts))
+
+
+def _attachment(anchor: _Anchor, pat: int, v: int) -> Attachment | Violation:
+    hit = anchor.table.get(pat)
+    if hit is None:
+        return Violation(
+            anchor.clause,
+            f"vertex {v} meets {anchor.what} in inadmissible pattern "
+            f"{sorted(anchor.names[k] for k in _iter_bits(pat))}",
+            witness=(v,),
+        )
+    return hit
+
+
+def _classify(
+    g: Graph, anchor: _Anchor, hosts: list[int], v: int
+) -> Attachment | Violation:
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    if v in hosts:
+        raise ValueError(f"vertex lies on {anchor.what}")
+    row = g.rows[v]
+    pat = _mask_of(k for k, h in enumerate(hosts) if row >> h & 1)
+    return _attachment(anchor, pat, v)
 
 
 def classify_vs_C7(g: Graph, hole, v: int) -> Attachment | Violation:
@@ -232,43 +280,7 @@ def classify_vs_C7(g: Graph, hole, v: int) -> Attachment | Violation:
     A pattern outside the five admissible families certifies that g is not
     (P7,C4,C6)-free.
     """
-    hole = validate_hole(g, hole)
-    if v in hole:
-        raise ValueError("vertex lies on the hole")
-    return _classify_vs_c7_unchecked(g, hole, v)
-
-
-def _classify_vs_c7_unchecked(g: Graph, hole, v: int) -> Attachment | Violation:
-    row = g.rows[v]
-    mask = 0
-    for i in MOD7:
-        if row >> hole[i] & 1:
-            mask |= 1 << i
-    hit = _C7_TABLE.get(mask)
-    if hit is None:
-        return Violation(
-            "hole-attachment",
-            f"vertex {v} meets the 7-hole in inadmissible pattern "
-            f"{sorted(bits_of(mask))}",
-            witness=(v,),
-        )
-    return hit
-
-
-def validate_t0_embedding(g: Graph, t: dict[str, int]) -> dict[str, int]:
-    if set(t) != set(T0_LABELS):
-        raise ValueError("embedding must assign exactly the nine T0 labels")
-    hosts = list(t.values())
-    if len(set(hosts)) != 9 or any(not 0 <= v < g.n for v in hosts):
-        raise ValueError("embedding vertices must be nine distinct vertices of g")
-    t0 = pattern("T0")
-    by_label = t0.by_label
-    for i, la in enumerate(T0_LABELS):
-        for lb in T0_LABELS[i + 1 :]:
-            want = t0.graph.has_edge(by_label[la], by_label[lb])
-            if g.has_edge(t[la], t[lb]) != want:
-                raise ValueError(f"embedding is not an induced T0 ({la},{lb})")
-    return t
+    return _classify(g, _C7, validate_hole(g, hole), v)
 
 
 def classify_vs_T0(g: Graph, t: dict[str, int], x: int) -> Attachment | Violation:
@@ -277,27 +289,7 @@ def classify_vs_T0(g: Graph, t: dict[str, int], x: int) -> Attachment | Violatio
     A pattern outside the admissible list certifies that g is not
     (2P3,C4,C6)-free.
     """
-    validate_t0_embedding(g, t)
-    if x in set(t.values()):
-        raise ValueError("vertex lies inside the embedding")
-    return _classify_vs_t0_unchecked(g, t, x)
-
-
-def _classify_vs_t0_unchecked(g: Graph, t: dict[str, int], x: int) -> Attachment | Violation:
-    row = g.rows[x]
-    mask = 0
-    for k, lab in enumerate(T0_LABELS):
-        if row >> t[lab] & 1:
-            mask |= 1 << k
-    hit = _T0_TABLE.get(mask)
-    if hit is None:
-        return Violation(
-            "t0-attachment",
-            f"vertex {x} meets T0 in inadmissible pattern "
-            f"{sorted(lab for k, lab in enumerate(T0_LABELS) if mask >> k & 1)}",
-            witness=(x,),
-        )
-    return hit
+    return _classify(g, _T0, list(validate_t0_embedding(g, t).values()), x)
 
 
 # ---------------------------------------------------------------------------
@@ -626,13 +618,17 @@ def _clique_components_ordered(g: Graph, members: int) -> tuple[tuple[int, ...],
     )
 
 
-def _attachment_classes(g: Graph, anchors: list[int]) -> dict[int, int]:
-    """The vertices off the anchors, split by their pattern on them: pattern
-    (bit k set for a neighbor of anchors[k]) -> mask of its vertices."""
-    rest = g.full_mask & ~_mask_of(anchors)
-    classes = {0: rest} if rest else {}
-    for k, anchor in enumerate(anchors):
-        row = g.rows[anchor]
+def _attachment_classes(
+    g: Graph, anchor: _Anchor, hosts: list[int]
+) -> defaultdict[Attachment, int] | BuildFailure:
+    """Every vertex of g bucketed by its pattern on the anchor hosts: bucket
+    -> mask of its vertices.  Patterns are taken on closed neighborhoods, so
+    host k lands in the bucket of its own pattern vertex (X_k, or the clone
+    of its label).  An inadmissible pattern fails the build, named by the
+    lowest vertex that has one."""
+    classes = {0: g.full_mask}  # pattern -> mask of its vertices
+    for k, host in enumerate(hosts):
+        row = g.closed_row(host)
         refined: dict[int, int] = {}
         for pat, m in classes.items():
             inside = m & row
@@ -641,16 +637,13 @@ def _attachment_classes(g: Graph, anchors: list[int]) -> dict[int, int]:
             if inside != m:
                 refined[pat] = m ^ inside
         classes = refined
-    return classes
-
-
-def _first_inadmissible(classes: dict[int, int], table: dict) -> int | None:
-    """Lowest vertex whose pattern has no entry in table, or None."""
-    bad = 0
-    for pat, m in classes.items():
-        if pat not in table:
-            bad |= m
-    return (bad & -bad).bit_length() - 1 if bad else None
+    bad = [(m & -m, pat) for pat, m in classes.items() if pat not in anchor.table]
+    if bad:
+        low, pat = min(bad)
+        return BuildFailure(
+            anchor.clause, (_attachment(anchor, pat, low.bit_length() - 1),)
+        )
+    return defaultdict(int, {anchor.table[pat]: m for pat, m in classes.items()})
 
 
 def build_saucer_from_hole(
@@ -661,33 +654,16 @@ def build_saucer_from_hole(
     Any classifier violation or failed saucer clause is returned as the
     failure; a returned partition has passed the full verifier.
     """
-    hole = validate_hole(g, hole)
-    classes = _attachment_classes(g, hole)
-    v = _first_inadmissible(classes, _C7_TABLE)
-    if v is not None:
-        return BuildFailure("hole-attachment", (_classify_vs_c7_unchecked(g, hole, v),))
-    xs = [1 << h for h in hole]
-    ys = [0] * 7
-    zs = [0] * 7
-    w = a = 0
-    for pat, m in classes.items():
-        got = _C7_TABLE[pat]
-        if got.kind == "anticomplete":
-            a |= m
-        elif got.kind == "complete":
-            w |= m
-        elif got.kind == "x":
-            xs[got.index] |= m
-        elif got.kind == "y":
-            ys[got.index] |= m
-        else:
-            zs[got.index] |= m
+    buckets = _attachment_classes(g, _C7, validate_hole(g, hole))
+    if isinstance(buckets, BuildFailure):
+        return buckets
+    a = buckets[Attachment("anticomplete")]
     part = SaucerPartition(
         special=SpecialPartition(
-            x=tuple(bits_of(m) for m in xs),
-            y=tuple(bits_of(m) for m in ys),
-            z=tuple(bits_of(m) for m in zs),
-            w=bits_of(w),
+            x=tuple(bits_of(buckets[Attachment("x", i)]) for i in MOD7),
+            y=tuple(bits_of(buckets[Attachment("y", i)]) for i in MOD7),
+            z=tuple(bits_of(buckets[Attachment("z", i)]) for i in MOD7),
+            w=bits_of(buckets[Attachment("complete")]),
         ),
         a=bits_of(a),
         a_components=_clique_components_ordered(g, a),
@@ -702,32 +678,18 @@ def build_tent_from_T0(
     g: Graph, t: dict[str, int]
 ) -> TentPartition | BuildFailure:
     """Bucket every vertex against a labeled T0 and assemble a tent partition."""
-    t = validate_t0_embedding(g, t)
-    classes = _attachment_classes(g, [t[lab] for lab in T0_LABELS])
-    x = _first_inadmissible(classes, _T0_TABLE)
-    if x is not None:
-        return BuildFailure("t0-attachment", (_classify_vs_t0_unchecked(g, t, x),))
-    buckets = {lab: 1 << t[lab] for lab in T0_LABELS}
-    f2 = f3 = w = y = z = 0
-    for pat, m in classes.items():
-        got = _T0_TABLE[pat]
-        if got.kind == "clone":
-            buckets[got.index] |= m
-        elif got.kind == "f":
-            if got.index == 2:
-                f2 |= m
-            else:
-                f3 |= m
-        elif got.kind == "y":
-            y |= m
-        elif got.kind == "anticomplete":
-            z |= m
-        else:
-            w |= m
+    hosts = list(validate_t0_embedding(g, t).values())
+    buckets = _attachment_classes(g, _T0, hosts)
+    if isinstance(buckets, BuildFailure):
+        return buckets
+    y = buckets[Attachment("y")]
+    z = buckets[Attachment("anticomplete")]
     y_order = tuple(sorted(bits_of(y), key=lambda u: (-g.rows[u].bit_count(), u)))
     part = TentPartition(
-        **{lab: bits_of(buckets[lab]) for lab in T0_LABELS},
-        f2=bits_of(f2), f3=bits_of(f3), w=bits_of(w),
+        **{lab: bits_of(buckets[Attachment("clone", lab)]) for lab in T0_LABELS},
+        f2=bits_of(buckets[Attachment("f", 2)]),
+        f3=bits_of(buckets[Attachment("f", 3)]),
+        w=bits_of(buckets[Attachment("complete")]),
         y=bits_of(y), z=bits_of(z),
         y_order=y_order, z_components=_clique_components_ordered(g, z),
     )

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from pentaseven.catalog import pattern
 from pentaseven.core import Graph, build_graph
+from pentaseven.oracle import find_induced
 
 
 @st.composite
@@ -13,6 +15,11 @@ def random_graphs(draw, max_n: int = 12, min_n: int = 1):
     rng = np.random.default_rng(seed)
     adj = np.triu(rng.random((n, n)) < p, 1)
     return Graph(adj | adj.T)
+
+
+def is_free_of(g: Graph, *names: str) -> bool:
+    """True iff g contains no induced copy of any named pattern."""
+    return all(find_induced(g, pattern(nm)) is None for nm in names)
 
 
 @pytest.fixture

@@ -16,12 +16,16 @@ from pentaseven.oracle import (
     class_verdict,
     clique_cutset_bf,
     find_induced,
-    is_free_of,
 )
 from pentaseven.recognize import (
     IN_CLASS_C7,
     T0_LABELS,
+    BuildFailure,
+    SaucerPartition,
+    TentPartition,
     Violation,
+    build_saucer_from_hole,
+    build_tent_from_T0,
     classify_vs_C7,
     classify_vs_T0,
     recognize,
@@ -30,6 +34,8 @@ from pentaseven.recognize import (
     verify_tent_partition,
     yz_outcome,
 )
+
+from conftest import is_free_of
 
 
 @contextmanager
@@ -51,15 +57,23 @@ def test_criterion_01_c7_attachment_exhaustive():
         hole = list(range(7))
         oracle_ok = []
         classifier_ok = []
+        failures = 0
         for mask in range(128):
             edges = list(c7.edges()) + [(7, i) for i in range(7) if mask >> i & 1]
             g = build_graph(8, edges)
             if is_free_of(g, "P7", "C4", "C6"):
                 oracle_ok.append(mask)
-            if not isinstance(classify_vs_C7(g, hole, 7), Violation):
+            got = classify_vs_C7(g, hole, 7)
+            built = build_saucer_from_hole(g, hole)
+            if isinstance(got, Violation):
+                assert built == BuildFailure("hole-attachment", (got,))
+                failures += 1
+            else:
+                assert isinstance(built, SaucerPartition)
                 classifier_ok.append(mask)
         assert len(oracle_ok) == 23  # 1 + 7 + 7 + 7 + 1
         assert classifier_ok == oracle_ok
+        assert failures == 105
 
 
 def test_criterion_02_t0_attachment_exhaustive():
@@ -69,6 +83,7 @@ def test_criterion_02_t0_attachment_exhaustive():
         host = {name: lab[name] for name in T0_LABELS}
         oracle_ok = []
         classifier_ok = []
+        failures = 0
         for mask in range(512):
             edges = list(t0.graph.edges()) + [
                 (9, lab[T0_LABELS[k]]) for k in range(9) if mask >> k & 1
@@ -76,10 +91,17 @@ def test_criterion_02_t0_attachment_exhaustive():
             g = build_graph(10, edges)
             if is_free_of(g, "2P3", "C4", "C6"):
                 oracle_ok.append(mask)
-            if not isinstance(classify_vs_T0(g, host, 9), Violation):
+            got = classify_vs_T0(g, host, 9)
+            built = build_tent_from_T0(g, host)
+            if isinstance(got, Violation):
+                assert built == BuildFailure("t0-attachment", (got,))
+                failures += 1
+            else:
+                assert isinstance(built, TentPartition)
                 classifier_ok.append(mask)
         assert len(oracle_ok) == 14  # 9 clones + 2 + 1 + 1 + 1
         assert classifier_ok == oracle_ok
+        assert failures == 498
 
 
 def _desk_params(seed: int) -> GenParams:

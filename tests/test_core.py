@@ -13,7 +13,6 @@ from pentaseven.core import (
     COMPLETE,
     MIXED,
     Graph,
-    anticomponents,
     bits_of,
     build_graph,
     components,
@@ -114,7 +113,7 @@ class TestComponents:
 
     def test_k5_anticomponents(self):
         k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-        anti = anticomponents(k5)
+        anti = components(k5.complement())
         assert len(anti) == 5 and all(len(a) == 1 for a in anti)
 
     def test_anticomponents_pairwise_complete(self):
@@ -126,7 +125,7 @@ class TestComponents:
         adj[: g.n, g.n :] = True
         adj[g.n :, : g.n] = True
         joined = Graph(adj)
-        anti = anticomponents(joined)
+        anti = components(joined.complement())
         assert len(anti) == 2
         assert relation(joined, anti[0], anti[1]) == COMPLETE
 

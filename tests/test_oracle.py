@@ -15,11 +15,10 @@ from pentaseven.oracle import (
     class_verdict,
     clique_cutset_bf,
     find_induced,
-    is_free_of,
     max_clique_mask,
 )
 
-from conftest import random_graphs
+from conftest import is_free_of, random_graphs
 
 
 def path(k):

@@ -26,8 +26,6 @@ from pentaseven.recognize import (
     Violation,
     _check_nested_chain,
     _check_pendant_components,
-    _classify_vs_c7_unchecked,
-    _classify_vs_t0_unchecked,
     _clique_components_ordered,
     build_saucer_from_hole,
     build_tent_from_T0,
@@ -73,6 +71,14 @@ class TestClassifyC7:
         with pytest.raises(ValueError):
             classify_vs_C7(g, list(range(7)), 8)
 
+    @pytest.mark.parametrize("v", [-1, 8])
+    def test_vertex_out_of_range_rejected(self, v):
+        # vertex 7 meets x0, x1, x2, so -1 must not read as 7 (an X1 clone)
+        g = build_graph(8, [(i, (i + 1) % 7) for i in range(7)]
+                        + [(7, 0), (7, 1), (7, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            classify_vs_C7(g, list(range(7)), v)
+
 
 class TestClassifyT0:
     def test_f3_of_t1(self):
@@ -95,6 +101,48 @@ class TestClassifyT0:
         bad["a0"], bad["c1"] = bad["c1"], bad["a0"]  # breaks the a0-a1 edge
         with pytest.raises(ValueError):
             classify_vs_T0(g, bad, 9)
+
+    @pytest.mark.parametrize("x", [-1, 10])
+    def test_vertex_out_of_range_rejected(self, x):
+        # -1 must not read as vertex 9, T1's f3
+        with pytest.raises(ValueError, match="out of range"):
+            classify_vs_T0(pattern("T1").graph, t0_host_map(), x)
+
+
+_C7_PLUS = build_graph(8, [(i, (i + 1) % 7) for i in range(7)])  # 7 isolated
+
+
+def _t0_with(**changes):
+    """The identity map of T0 into T1 (whose f3 is vertex 9), changed; a None
+    value drops its label."""
+    t = {**t0_host_map(), **changes}
+    return {lab: v for lab, v in t.items() if v is not None}
+
+
+@pytest.mark.parametrize("validate, g, anchor, message", [
+    (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 5], "distinct"),
+    (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 5, 6, 7], "distinct"),
+    (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 5, 5], "distinct"),
+    (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 5, 8], "out of range"),
+    (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 5, -1], "out of range"),
+    (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 6, 5], "do not induce"),
+    (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 5, 6.5], "integers"),
+    (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=None), "labels"),
+    (validate_t0_embedding, pattern("T1").graph, _t0_with(f3=9), "labels"),
+    (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=None, c4=8), "labels"),
+    (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=7), "distinct"),
+    (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=10), "out of range"),
+    (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=-1), "out of range"),
+    (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=9), "do not induce"),
+    (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=8.0), "integers"),
+], ids=[
+    "c7-six", "c7-eight", "c7-repeat", "c7-high", "c7-negative", "c7-not-induced",
+    "c7-float", "t0-eight-labels", "t0-ten-labels", "t0-wrong-label", "t0-repeat",
+    "t0-high", "t0-negative", "t0-not-induced", "t0-float",
+])
+def test_anchor_validators_reject(validate, g, anchor, message):
+    with pytest.raises(ValueError, match=message):
+        validate(g, anchor)
 
 
 class TestVerifySpecial:
@@ -338,7 +386,7 @@ def ref_build_saucer(g, hole):
     for v in range(g.n):
         if v in hole:
             continue
-        got = _classify_vs_c7_unchecked(g, hole, v)
+        got = classify_vs_C7(g, hole, v)
         if isinstance(got, Violation):
             return BuildFailure("hole-attachment", (got,))
         if got.kind == "anticomplete":
@@ -367,7 +415,7 @@ def ref_build_tent(g, t):
     for x in range(g.n):
         if x in image:
             continue
-        got = _classify_vs_t0_unchecked(g, t, x)
+        got = classify_vs_T0(g, t, x)
         if isinstance(got, Violation):
             return BuildFailure("t0-attachment", (got,))
         key = {"clone": got.index, "f": f"f{got.index}", "y": "y",
@@ -750,14 +798,14 @@ class TestStructureFacts:
         # a graph with a special partition has exactly one nontrivial
         # anticomponent: the complement of W, a thickening of a catalog base
         from pentaseven.catalog import match_catalog
-        from pentaseven.core import anticomponents, induced_subgraph
+        from pentaseven.core import components, induced_subgraph
         from pentaseven.decompose import twin_classes
 
         for seed in range(12):
             g, part = gen_special(
                 GenParams(seed=seed, max_class_size=2, universal_count=(0, 3))
             )
-            nontrivial = [a for a in anticomponents(g) if len(a) > 1]
+            nontrivial = [a for a in components(g.complement()) if len(a) > 1]
             assert len(nontrivial) == 1
             assert nontrivial[0] == frozenset(range(g.n)) - part.w
             core, _ = induced_subgraph(g, nontrivial[0])
