@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from functools import cache
+from functools import cache, partial
 
 from . import __version__, color, cwd, oracle, recognize
 from .catalog import pattern
@@ -28,12 +28,19 @@ EXIT_SIZE_CAP = 4
 SCHEMA = 1
 
 
-class InputError(Exception):
+class CliError(Exception):
+    """An error that ends the run of one input, or of the whole call, with
+    the exit code of its class."""
+
+    code = EXIT_INPUT
+
+
+class InputError(CliError):
     pass
 
 
-class SizeCapError(Exception):
-    pass
+class SizeCapError(CliError):
+    code = EXIT_SIZE_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +140,25 @@ def _sorted(s) -> list[int]:
     return sorted(int(v) for v in s)
 
 
-def saucer_to_json(p: recognize.SaucerPartition) -> dict:
-    out = {name: _sorted(s) for name, s in p.special.named_sets()}
-    out["A"] = _sorted(p.a)
-    out["A_components"] = [list(c) for c in p.a_components]
-    return out
+def _pendant(p) -> tuple[str, tuple[tuple[int, ...], ...]] | None:
+    """(name, components) of the pendant cliques of a saucer or tent
+    partition; None for a special partition, which has none."""
+    if isinstance(p, recognize.SaucerPartition):
+        return "A", p.a_components
+    if isinstance(p, recognize.TentPartition):
+        return "Z", p.z_components
+    return None
 
 
-def tent_to_json(p: recognize.TentPartition) -> dict:
+def partition_to_json(p) -> dict:
+    """The named sets of a special, saucer or tent partition, plus a tent's
+    Y order and the pendant components, each in its stored order."""
     out = {name: _sorted(s) for name, s in p.named_sets()}
-    out["Y_order"] = list(p.y_order)
-    out["Z_components"] = [list(c) for c in p.z_components]
+    if isinstance(p, recognize.TentPartition):
+        out["Y_order"] = list(p.y_order)
+    if pendant := _pendant(p):
+        name, comps = pendant
+        out[f"{name}_components"] = [list(c) for c in comps]
     return out
 
 
@@ -151,10 +166,8 @@ def report_to_json(rep: recognize.RecognitionReport) -> dict:
     out: dict = {"kind": rep.kind, "stages": [list(s) for s in rep.stages]}
     if rep.reason:
         out["reason"] = rep.reason
-    if rep.saucer:
-        out["partition"] = saucer_to_json(rep.saucer)
-    if rep.tent:
-        out["partition"] = tent_to_json(rep.tent)
+    if rep.saucer or rep.tent:
+        out["partition"] = partition_to_json(rep.saucer or rep.tent)
     if rep.catalog_name:
         out["catalog"] = rep.catalog_name
     if rep.witness:
@@ -178,34 +191,18 @@ def verdict_to_json(verdict: oracle.ClassVerdict) -> dict:
     }
 
 
-def _wrap(command: str, path: str, digest: str, body: dict, t0: float) -> dict:
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": command,
-        "input": path,
-        "input_hash": digest,
-        **body,
-        "timing_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-    }
-
-
 # ---------------------------------------------------------------------------
 # DOT export
 
 
 def _dot_parts(rep: recognize.RecognitionReport) -> list[tuple[str, list[int]]]:
-    if rep.saucer:
-        parts = [(n, _sorted(s)) for n, s in rep.saucer.named_sets() if s and n != "A"]
-        for k, comp in enumerate(rep.saucer.a_components):
-            parts.append((f"A{k + 1}", list(comp)))
-        return parts
-    if rep.tent:
-        parts = [(n, _sorted(s)) for n, s in rep.tent.named_sets() if s and n != "Z"]
-        for k, comp in enumerate(rep.tent.z_components):
-            parts.append((f"Z{k + 1}", list(comp)))
-        return parts
-    return []
+    p = rep.saucer or rep.tent
+    if not p:
+        return []
+    name, comps = _pendant(p)
+    parts = [(n, _sorted(s)) for n, s in p.named_sets() if s and n != name]
+    parts += [(f"{name}{k + 1}", list(c)) for k, c in enumerate(comps)]
+    return parts
 
 
 def to_dot(g: Graph, rep: recognize.RecognitionReport | None) -> str:
@@ -243,15 +240,13 @@ def to_dot(g: Graph, rep: recognize.RecognitionReport | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands (each returns (exit_code, report dict))
+# per-file commands: each maps (graph, args) to (exit code, report body)
 
 
-def run_recognize(path: str, crosscheck: bool, dot: str | None) -> tuple[int, dict]:
-    t0 = time.perf_counter()
-    g, digest = load_graph(path)
+def _recognize(g: Graph, args) -> tuple[int, dict]:
     rep = recognize.recognize(g)
     body = {"verdict": report_to_json(rep)}
-    if crosscheck:
+    if args.crosscheck:
         if g.n > oracle.VERDICT_CAP:
             raise SizeCapError(
                 f"oracle crosscheck capped at {oracle.VERDICT_CAP} vertices"
@@ -259,29 +254,26 @@ def run_recognize(path: str, crosscheck: bool, dot: str | None) -> tuple[int, di
         verdict = oracle.class_verdict(g)
         body["oracle"] = verdict_to_json(verdict)
         body["agreement"] = verdict.in_class == rep.in_class
-    if dot:
+    if args.dot:
         try:
-            with open(dot, "w") as fh:
+            with open(args.dot, "w") as fh:
                 fh.write(to_dot(g, rep if rep.in_class else None))
         except OSError as exc:
-            raise InputError(f"cannot write {dot}: {exc}") from None
-        body["dot"] = dot
-    return EXIT_OK, _wrap("recognize", path, digest, body, t0)
+            raise InputError(f"cannot write {args.dot}: {exc}") from None
+        body["dot"] = args.dot
+    return EXIT_OK, body
 
 
-def run_color(path: str, crosscheck: bool) -> tuple[int, dict]:
-    t0 = time.perf_counter()
-    g, digest = load_graph(path)
+def _color(g: Graph, args) -> tuple[int, dict]:
     try:
         result = color.color_in_class(g)
     except recognize.NotInClassError as exc:
-        body = {"refusal": report_to_json(exc.report)}
-        return EXIT_REFUSED, _wrap("color", path, digest, body, t0)
+        return EXIT_REFUSED, {"refusal": report_to_json(exc.report)}
     body = {
         "num_colors": result.num_colors,
         "coloring": {str(v): result.assignment[v] for v in range(g.n)},
     }
-    if crosscheck:
+    if args.crosscheck:
         if g.n > oracle.CHROMATIC_CAP:
             raise SizeCapError(
                 f"chromatic crosscheck capped at {oracle.CHROMATIC_CAP} vertices"
@@ -289,30 +281,25 @@ def run_color(path: str, crosscheck: bool) -> tuple[int, dict]:
         chi, _ = oracle.chromatic_number_bf(g)
         body["oracle_chi"] = chi
         body["agreement"] = chi == result.num_colors
-    return EXIT_OK, _wrap("color", path, digest, body, t0)
+    return EXIT_OK, body
 
 
-def run_cwd(path: str) -> tuple[int, dict]:
-    t0 = time.perf_counter()
-    g, digest = load_graph(path)
+def _cwd(g: Graph, args) -> tuple[int, dict]:
     try:
         expr = cwd.expr_for_class_graph(g)
     except (recognize.NotInClassError, cwd.ExpressionRefusal) as exc:
         body = {"refusal": {"reason": str(exc)}}
         if isinstance(exc, recognize.NotInClassError):
             body["refusal"]["verdict"] = report_to_json(exc.report)
-        return EXIT_REFUSED, _wrap("cwd", path, digest, body, t0)
-    body = {
+        return EXIT_REFUSED, body
+    return EXIT_OK, {
         "width": cwd.width(expr),
         "expression": cwd.to_sexpr(expr),
         "evaluates_to_input": cwd.eval_to_graph(expr) == g,
     }
-    return EXIT_OK, _wrap("cwd", path, digest, body, t0)
 
 
-def run_oracle(path: str, args) -> tuple[int, dict]:
-    t0 = time.perf_counter()
-    g, digest = load_graph(path)
+def _oracle(g: Graph, args) -> tuple[int, dict]:
     body: dict = {}
     try:
         if args.pattern:
@@ -335,61 +322,58 @@ def run_oracle(path: str, args) -> tuple[int, dict]:
             cut = oracle.clique_cutset_bf(g)
             body["clique_cutset"] = None if cut is None else _sorted(cut)
         else:
-            verdict = oracle.class_verdict(g)
-            body.update(verdict_to_json(verdict))
+            body.update(verdict_to_json(oracle.class_verdict(g)))
     except ValueError as exc:
         if "capped" in str(exc):
             raise SizeCapError(str(exc)) from None
         raise
-    return EXIT_OK, _wrap("oracle", path, digest, body, t0)
+    return EXIT_OK, body
+
+
+COMMANDS = {"recognize": _recognize, "color": _color, "cwd": _cwd,
+            "oracle": _oracle}
+
+
+# ---------------------------------------------------------------------------
+# generate
 
 
 def run_generate(args) -> tuple[int, dict]:
     from . import generate  # numpy loads only for the generators
 
-    params = generate.GenParams(
-        seed=args.seed,
-        max_class_size=args.max_class_size,
-        p_nonempty=args.p_nonempty,
-        p_attach=args.p_attach,
-        a_components=tuple(args.a_components),
-        z_components=tuple(args.z_components),
-        max_component_size=args.max_component_size,
-        universal_count=tuple(args.universals),
-    )
-    if args.kind == "special":
-        g, part = generate.gen_special(params)
-        cert = {name: _sorted(s) for name, s in part.named_sets()}
-    elif args.kind == "saucer":
-        g, part = generate.gen_saucer(params)
-        cert = saucer_to_json(part)
-    else:
-        g, part = generate.gen_tent(params)
-        cert = tent_to_json(part)
-    stem = os.path.join(args.out, f"{args.kind}-{args.seed}")
-    graph_path = stem + ".json"
-    cert_path = stem + ".cert.json"
     try:
-        os.makedirs(args.out, exist_ok=True)
-        with open(graph_path, "w") as fh:
-            json.dump(graph_to_edge_json(g), fh, sort_keys=True, indent=None)
-            fh.write("\n")
-        with open(cert_path, "w") as fh:
-            json.dump(
-                {"schema": SCHEMA, "kind": args.kind, "seed": args.seed,
-                 "certificate": cert},
-                fh, sort_keys=True, indent=None,
-            )
-            fh.write("\n")
-    except OSError as exc:
-        raise InputError(f"cannot write to {args.out}: {exc}") from None
+        params = generate.GenParams(
+            seed=args.seed,
+            max_class_size=args.max_class_size,
+            p_nonempty=args.p_nonempty,
+            p_attach=args.p_attach,
+            a_components=tuple(args.a_components),
+            z_components=tuple(args.z_components),
+            max_component_size=args.max_component_size,
+            universal_count=tuple(args.universals),
+        )
+        g, part = getattr(generate, f"gen_{args.kind}")(params)
+        stem = os.path.join(args.out, f"{args.kind}-{args.seed}")
+        files = [stem + ".json", stem + ".cert.json"]
+        cert = {"schema": SCHEMA, "kind": args.kind, "seed": args.seed,
+                "certificate": partition_to_json(part)}
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            for path, data in zip(files, (graph_to_edge_json(g), cert)):
+                with open(path, "w") as fh:
+                    json.dump(data, fh, sort_keys=True, indent=None)
+                    fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write to {args.out}: {exc}") from None
+    except ValueError as exc:  # parameters the generators refuse
+        raise InputError(str(exc)) from None
     return EXIT_OK, {
         "schema": SCHEMA,
         "command": "generate",
         "kind": args.kind,
         "seed": args.seed,
         "n": g.n,
-        "files": [graph_path, cert_path],
+        "files": files,
     }
 
 
@@ -397,22 +381,31 @@ def run_generate(args) -> tuple[int, dict]:
 # driver
 
 
-def _one_file(job) -> tuple[int, dict]:
-    kind, path, opts = job
+def run_file(args, path: str) -> tuple[int, dict]:
+    """Load the graph at path, run args.command on it and wrap its body in
+    the report envelope; timing_ms covers loading and the command.  A
+    CliError propagates to the caller."""
+    t0 = time.perf_counter()
+    g, digest = load_graph(path)
+    code, body = COMMANDS[args.command](g, args)
+    return code, {
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": args.command,
+        "input": path,
+        "input_hash": digest,
+        **body,
+        "timing_ms": round(1000.0 * (time.perf_counter() - t0), 3),
+    }
+
+
+def _one_file(args, path: str) -> tuple[int, dict]:
+    """run_file for one input of a batch: an error becomes its report."""
     try:
-        if kind == "recognize":
-            return run_recognize(path, opts["crosscheck"], opts["dot"])
-        if kind == "color":
-            return run_color(path, opts["crosscheck"])
-        if kind == "cwd":
-            return run_cwd(path)
-        raise ValueError(kind)
-    except InputError as exc:
-        return EXIT_INPUT, {"schema": SCHEMA, "command": kind, "input": path,
-                            "error": str(exc)}
-    except SizeCapError as exc:
-        return EXIT_SIZE_CAP, {"schema": SCHEMA, "command": kind, "input": path,
-                               "error": str(exc)}
+        return run_file(args, path)
+    except CliError as exc:
+        return exc.code, {"schema": SCHEMA, "command": args.command,
+                          "input": path, "error": str(exc)}
 
 
 @cache
@@ -424,12 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structure toolkit for (2P3,C4,C6)-free graphs that "
         "contain a 7-hole or the block T0",
     )
+    ap.set_defaults(crosscheck=False, dot=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     rec = sub.add_parser("recognize", help="run the recognition pipeline")
     rec.add_argument("paths", nargs="+")
-    rec.add_argument("--oracle-crosscheck", action="store_true")
-    rec.add_argument("--dot", metavar="OUT", default=None,
+    rec.add_argument("--oracle-crosscheck", dest="crosscheck", action="store_true")
+    rec.add_argument("--dot", metavar="OUT",
                      help="write the decomposition as DOT clusters")
     rec.add_argument("--jobs", type=int, default=1)
 
@@ -470,44 +464,29 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "generate":
-            try:
-                code, report = run_generate(args)
-            except ValueError as exc:
-                raise InputError(str(exc)) from None
-            print(json.dumps(report, sort_keys=True))
-            return code
-        if args.command == "oracle":
-            code, report = run_oracle(args.path, args)
-            print(json.dumps(report, sort_keys=True))
-            return code
-        if getattr(args, "dot", None) and len(args.paths) > 1:
-            raise InputError(
-                f"--dot writes one file; got {len(args.paths)} inputs"
-            )
-        opts = {
-            "crosscheck": getattr(args, "oracle_crosscheck", False)
-            or getattr(args, "crosscheck", False),
-            "dot": getattr(args, "dot", None),
-        }
-        jobs = [(args.command, p, opts) for p in args.paths]
-        if args.jobs > 1 and len(jobs) > 1:
-            from multiprocessing import Pool
-
-            with Pool(min(args.jobs, len(jobs), os.cpu_count() or 1)) as pool:
-                results = pool.map(_one_file, jobs)
+            results = [run_generate(args)]
+        elif args.command == "oracle":
+            results = [run_file(args, args.path)]
         else:
-            results = [_one_file(j) for j in jobs]
-        worst = EXIT_OK
-        for code, report in results:
-            print(json.dumps(report, sort_keys=True))
-            worst = max(worst, code)
-        return worst
-    except InputError as exc:
+            if args.dot and len(args.paths) > 1:
+                raise InputError(
+                    f"--dot writes one file; got {len(args.paths)} inputs"
+                )
+            one = partial(_one_file, args)
+            if args.jobs > 1 and len(args.paths) > 1:
+                from multiprocessing import Pool
+
+                size = min(args.jobs, len(args.paths), os.cpu_count() or 1)
+                with Pool(size) as pool:
+                    results = pool.map(one, args.paths)
+            else:
+                results = [one(p) for p in args.paths]
+    except CliError as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
-    except SizeCapError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return EXIT_SIZE_CAP
+        return exc.code
+    for _, report in results:
+        print(json.dumps(report, sort_keys=True))
+    return max(code for code, _ in results)
 
 
 if __name__ == "__main__":

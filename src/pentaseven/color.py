@@ -326,7 +326,7 @@ def color_in_class(g: Graph) -> Coloring:
     """
     report = recognize(g)
     prefix = report.prefix
-    if prefix is not None and not prefix.remainder:
+    if not prefix.remainder:
         assignment: dict[int, int] = {}
         greedy_extend(g, list(reversed(prefix.order)), assignment)
         return Coloring(assignment, max(assignment.values()))

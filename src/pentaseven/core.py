@@ -277,11 +277,6 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
     return g._simplicial
 
 
-def is_stable_set(g: Graph, s: Iterable[int]) -> bool:
-    mask = _mask_of(s)
-    return all(not (g.rows[v] & mask) for v in _iter_bits(mask))
-
-
 def greedy_extend(g: Graph, order: Iterable[int], assignment: dict[int, int]) -> None:
     """Give each vertex of order, in turn, the smallest color (from 1) that
     none of its already colored neighbors has."""

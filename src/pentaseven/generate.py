@@ -102,6 +102,21 @@ def _thicken_named(rng, base: NamedGraph, params: GenParams, b: _Builder):
     return ids
 
 
+def _pendant_cliques(
+    rng, b: _Builder, pool: list[int], count: int, params: GenParams
+) -> list[tuple[int, ...]]:
+    """count new cliques, each vertex joined to one set of a nested chain
+    drawn from pool: closed neighborhoods nest, the first id's largest."""
+    comps = []
+    for _ in range(count):
+        size = _rand_range(rng, 1, params.max_component_size)
+        ids = b.clique(size)
+        for v, tset in zip(ids, _chain(rng, pool, size, params.p_attach)):
+            b.join([v], sorted(tset))
+        comps.append(tuple(ids))
+    return comps
+
+
 def gen_special(params: GenParams) -> tuple[Graph, SpecialPartition]:
     """A thickening of a uniformly chosen family member plus universal
     vertices; the emptiness clauses hold because the base enforces them."""
@@ -151,15 +166,7 @@ def gen_saucer(params: GenParams) -> tuple[Graph, SaucerPartition]:
     b = _Builder()
     b.n = g0.n
     b.edges = [tuple(e) for e in g0.edges()]
-    comps: list[tuple[int, ...]] = []
-    for _ in range(n_comp):
-        size = _rand_range(rng, 1, params.max_component_size)
-        ids = b.clique(size)
-        targets = _chain(rng, pool, size, params.p_attach)
-        for v, tset in zip(ids, targets):
-            b.join([v], sorted(tset))
-        # nested closed neighborhoods: first id gets the largest target
-        comps.append(tuple(ids))
+    comps = _pendant_cliques(rng, b, pool, n_comp, params)
     g = b.graph()
     part = SaucerPartition(
         special=special,
@@ -174,15 +181,8 @@ def gen_tent(params: GenParams) -> tuple[Graph, TentPartition]:
     Z-components chained into F2+F3+W."""
     rng = _rng(params)
     b = _Builder()
-    size_of = {
-        nm: _rand_range(rng, 1, params.max_class_size) for nm in T0_LABELS
-    }
-    ids = {nm: b.clique(size_of[nm]) for nm in T0_LABELS}
-    t0 = pattern("T0").graph
-    for i, la in enumerate(T0_LABELS):
-        for j in range(i + 1, 9):
-            if t0.has_edge(i, j):
-                b.join(ids[la], ids[T0_LABELS[j]])
+    by_vertex = _thicken_named(rng, pattern("T0"), params, b)
+    ids = {nm: by_vertex[v] for v, nm in enumerate(T0_LABELS)}
 
     f2: list[int] = []
     f3: list[int] = []
@@ -216,16 +216,8 @@ def gen_tent(params: GenParams) -> tuple[Graph, TentPartition]:
             b.join([v], sorted(tset))
         y_order = tuple(y)
 
-    z_pool = sorted(f2 + f3 + w)
-    z_comps: list[tuple[int, ...]] = []
-    for _ in range(_rand_range(rng, *params.z_components)):
-        size = _rand_range(rng, 1, params.max_component_size)
-        zc = b.clique(size)
-        chain = _chain(rng, z_pool, size, params.p_attach)
-        for v, tset in zip(zc, chain):
-            b.join([v], sorted(tset))
-        z_comps.append(tuple(zc))
-
+    n_comp = _rand_range(rng, *params.z_components)
+    z_comps = _pendant_cliques(rng, b, sorted(f2 + f3 + w), n_comp, params)
     g = b.graph()
     part = TentPartition(
         a0=frozenset(ids["a0"]), a1=frozenset(ids["a1"]),

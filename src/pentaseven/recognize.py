@@ -84,10 +84,6 @@ class SpecialPartition:
         out.append(("W", self.w))
         return out
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset().union(*self.x, *self.y, *self.z, self.w)
-
 
 @dataclass(frozen=True)
 class SaucerPartition:
@@ -737,11 +733,10 @@ def recognize(g: Graph) -> RecognitionReport:
             g, "chordal: the simplicial elimination consumed the whole graph",
             stages, pre,
         )
+    # core is nonempty: a complete remainder is all simplicial, so the
+    # maximal elimination would have removed it
     w, core = strip_universals(g, _mask_of(pre.remainder))
     stages.append(("universal-strip", f"|W| = {len(w)}"))
-    if not core:
-        return _reject(g, "remainder after the prefix is a complete graph",
-                       stages, pre)
     twins = twin_classes(g, core)
     k = len(twins.classes)
     stages.append(("twin-quotient", f"{k} classes"))

@@ -195,6 +195,15 @@ class TestSolveWeighted:
         assert k == 8
         assert_valid_color_sets(g, weights, k, color_sets)
 
+    def test_memo_flush_keeps_the_result(self, monkeypatch):
+        # a tiny memo budget flushes the memos inside the search, so replay
+        # finds decisions missing and solves their instances again
+        inst = WeightedInstance(groetzsch(), GROETZSCH_WEIGHTS)
+        want = solve_weighted(inst)
+        monkeypatch.setattr("pentaseven.color._MEMO_BUDGET", 2)
+        assert solve_weighted(inst) == want
+        assert want[0] == 8
+
 
 class TestColorInClass:
     def test_complete_graph(self):
