@@ -190,37 +190,43 @@ def embed(
     stops as soon as one of them runs out.  The map found first therefore
     depends on order, which the caller chooses.
     """
-    host_rows = host.rows
-    host_closed = [host.closed_row(x) for x in range(host.n)]
+    size = len(order)
+    # later[k]: (j, order[j] adjacent to order[k]) for every later position j
+    later = [
+        [(j, p.rows[order[k]] >> order[j] & 1) for j in range(k + 1, size)]
+        for k in range(size)
+    ]
+    rows = host.rows
+    # miss[x]: the host vertices other than x that x is not adjacent to.
+    # Neither rows[x] nor miss[x] holds x, so a placed vertex leaves every
+    # later mask and no separate used set is needed.
+    miss = [~(r | 1 << x) for x, r in enumerate(rows)]
+    # masks[k][j], j >= k: cands[j] narrowed by the placements before level k
+    masks = [list(cands)] + [[0] * size for _ in range(size)]
     image = [-1] * p.n
 
-    def extend(k: int, cands: list[int], used: int) -> bool:
-        if k == len(order):
+    def extend(k: int) -> bool:
+        if k == size:
             return True
-        v = order[k]
-        pool = cands[k] & ~used
+        cur, nxt, pairs = masks[k], masks[k + 1], later[k]
+        pool = cur[k]
         while pool:
             low = pool & -pool
             pool ^= low
             x = low.bit_length() - 1
-            image[v] = x
-            new_cands = list(cands)
-            ok = True
-            for j in range(k + 1, len(order)):
-                w = order[j]
-                if p.has_edge(w, v):
-                    new_cands[j] &= host_rows[x]
-                else:
-                    new_cands[j] &= ~host_closed[x]
-                if not new_cands[j] & ~(used | low):
-                    ok = False
+            row, non = rows[x], miss[x]
+            for j, adjacent in pairs:
+                m = cur[j] & (row if adjacent else non)
+                if not m:
                     break
-            if ok and extend(k + 1, new_cands, used | low):
-                return True
-        image[v] = -1
+                nxt[j] = m
+            else:
+                if extend(k + 1):
+                    image[order[k]] = x
+                    return True
         return False
 
-    return image if extend(0, cands, 0) else None
+    return image if extend(0) else None
 
 
 def is_isomorphic_small(g: Graph, h: Graph) -> dict[int, int] | None:
@@ -260,6 +266,22 @@ def dedup_family_index() -> list[NamedGraph]:
     return list(_dedup_targets())
 
 
+def _invariant_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
+    """(n, m, sorted degree sequence): equal for isomorphic graphs."""
+    degrees = sorted(r.bit_count() for r in g.rows)
+    return g.n, sum(degrees) // 2, tuple(degrees)
+
+
+@cache
+def _targets_by_key() -> dict[tuple[int, int, tuple[int, ...]], NamedGraph]:
+    """The deduplicated targets by invariant key.  No two share a key, so a
+    graph has one candidate at most, and the isomorphic one when any is."""
+    targets = _dedup_targets()
+    by_key = {_invariant_key(e.graph): e for e in targets}
+    assert len(by_key) == len(targets), "two catalog targets share a key"
+    return by_key
+
+
 def match_catalog(g: Graph) -> tuple[str, dict[int, int]] | None:
     """Match g against the deduplicated family plus {T0, T1}.
 
@@ -267,13 +289,11 @@ def match_catalog(g: Graph) -> tuple[str, dict[int, int]] | None:
     """
     if g.n > QUOTIENT_CAP:
         return None
-    for entry in _dedup_targets():
-        if entry.graph.n != g.n:
-            continue
-        bij = is_isomorphic_small(entry.graph, g)
-        if bij is not None:
-            return entry.name, bij
-    return None
+    entry = _targets_by_key().get(_invariant_key(g))
+    if entry is None:
+        return None
+    bij = is_isomorphic_small(entry.graph, g)
+    return None if bij is None else (entry.name, bij)
 
 
 def catalog_entry(name: str) -> NamedGraph:

@@ -9,6 +9,7 @@ byte-identical except for the timing field.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -122,10 +123,16 @@ def load_graph(path: str) -> tuple[Graph, str]:
     digest = hashlib.sha256(raw).hexdigest()
     text = raw.decode("utf-8", errors="replace")
     del raw  # the parsers need only the text
-    head = text.lstrip()
-    if head.startswith("{"):
-        return parse_edge_json(text), digest
-    return parse_dimacs(text), digest
+    parse = parse_edge_json if text.lstrip().startswith("{") else parse_dimacs
+    # The parse builds up to millions of edge lists or tuples and no
+    # reference cycle, so a cyclic collection during it would free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(text), digest
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def graph_to_edge_json(g: Graph) -> dict:
@@ -339,6 +346,8 @@ COMMANDS = {"recognize": _recognize, "color": _color, "cwd": _cwd,
 
 
 def run_generate(args) -> tuple[int, dict]:
+    if not 0 <= args.seed < 2**128:  # the range of the generators' Philox key
+        raise InputError(f"--seed must be in [0, 2**128), got {args.seed}")
     from . import generate  # numpy loads only for the generators
 
     try:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from pentaseven import catalog, generate, oracle
 from pentaseven.catalog import (
+    _dedup_targets,
+    _invariant_key,
+    _targets_by_key,
     catalog_entry,
     dedup_family_index,
     family_M,
@@ -64,6 +68,61 @@ def iso_reference(g, h):
     if not extend(0):
         return None
     return {v: image[v] for v in range(g.n)}
+
+
+def embed_reference(p, host, order, cands):
+    """The earlier walker: a method call per pattern adjacency, closed host
+    rows built per call, and a used set tracked next to the masks."""
+    host_rows = host.rows
+    host_closed = [host.closed_row(x) for x in range(host.n)]
+    image = [-1] * p.n
+
+    def extend(k, cands, used):
+        if k == len(order):
+            return True
+        v = order[k]
+        pool = cands[k] & ~used
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            x = low.bit_length() - 1
+            image[v] = x
+            new_cands = list(cands)
+            ok = True
+            for j in range(k + 1, len(order)):
+                w = order[j]
+                if p.has_edge(w, v):
+                    new_cands[j] &= host_rows[x]
+                else:
+                    new_cands[j] &= ~host_closed[x]
+                if not new_cands[j] & ~(used | low):
+                    ok = False
+                    break
+            if ok and extend(k + 1, new_cands, used | low):
+                return True
+        image[v] = -1
+        return False
+
+    return image if extend(0, cands, 0) else None
+
+
+def match_reference(g):
+    """The earlier catalog match: every deduplicated target in turn."""
+    if g.n > catalog.QUOTIENT_CAP:
+        return None
+    for entry in _dedup_targets():
+        if entry.graph.n == g.n:
+            bij = is_isomorphic_small(entry.graph, g)
+            if bij is not None:
+                return entry.name, bij
+    return None
+
+
+def random_graph(rng, max_n):
+    n = int(rng.integers(1, max_n + 1))
+    p = float(rng.uniform(0.1, 0.9))
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    return build_graph(n, [(int(a), int(b)) for a, b in zip(*np.nonzero(adj))])
 
 
 def relabeled(g, rng):
@@ -210,16 +269,77 @@ class TestIsomorphism:
             for g in entries:
                 for h in targets:
                     assert is_isomorphic_small(g, h) == iso_reference(g, h)
+            for h in targets:
+                assert match_catalog(h) == match_reference(h)
 
     def test_same_map_as_reference_on_random_graphs(self):
         rng = np.random.default_rng(12)
         for seed in range(300):
-            n = int(rng.integers(1, 13))
-            p = float(rng.uniform(0.1, 0.9))
-            adj = np.triu(rng.random((n, n)) < p, 1)
-            g = build_graph(n, [(int(a), int(b)) for a, b in zip(*np.nonzero(adj))])
+            g = random_graph(rng, 12)
+            assert match_catalog(g) == match_reference(g), seed
             for h in (relabeled(g, rng), relabeled(swapped(g, rng), rng)):
                 assert is_isomorphic_small(g, h) == iso_reference(g, h), seed
+
+
+WALKER_PATTERNS = ("2P3", "C4", "C6", "P3", "4K1", "T0")
+
+
+@pytest.fixture
+def walker_results(monkeypatch):
+    """Every embed call that find_induced and is_isomorphic_small make, with
+    their own orders and masks, must return embed_reference's image list
+    (or None) exactly: a refusal prints the image, not only its existence.
+    Returns the list of the results."""
+    results = []
+    walker = catalog.embed
+
+    def checked(p, host, order, cands):
+        got = walker(p, host, order, cands)
+        assert got == embed_reference(p, host, order, cands)
+        results.append(got)
+        return got
+
+    monkeypatch.setattr(catalog, "embed", checked)
+    monkeypatch.setattr(oracle, "embed", checked)
+    return results
+
+
+def _search_patterns(host):
+    for name in WALKER_PATTERNS:
+        find_induced(host, pattern(name))
+
+
+class TestWalker:
+    def test_random_hosts(self, walker_results):
+        rng = np.random.default_rng(13)
+        for _ in range(150):
+            _search_patterns(random_graph(rng, 14))
+        assert None in walker_results
+        assert sum(r is not None for r in walker_results) > 100
+
+    def test_single_flip_mutants(self, walker_results):
+        # in-class graphs with one pair flipped, as desk_mix's mutants
+        gens = (generate.gen_special, generate.gen_saucer, generate.gen_tent)
+        hosts = 0
+        for seed in range(60):
+            g, _ = gens[seed % 3](generate.GenParams(seed=seed, max_class_size=2))
+            if g.n <= 20:
+                _search_patterns(generate.mutate(g, seed))
+                hosts += 1
+        assert hosts >= 20
+        assert None in walker_results
+        assert sum(r is not None for r in walker_results) > 20
+
+    def test_relabeled_catalog_bases(self, walker_results):
+        rng = np.random.default_rng(5)
+        bases = [e.graph for e in family_M()]
+        bases += [pattern(name).graph for name in ("T0", "T1", "3-pentagon")]
+        for g in bases:
+            h = relabeled(g, rng)
+            _search_patterns(h)
+            assert is_isomorphic_small(g, g) is not None
+            assert is_isomorphic_small(g, h) is not None
+        assert None in walker_results
 
 
 class TestMatchCatalog:
@@ -234,6 +354,11 @@ class TestMatchCatalog:
         g = build_graph(10, edges)
         got = match_catalog(g)
         assert got is not None and got[0] == "M2"
+
+    def test_keys_distinct(self):
+        keys = {_invariant_key(e.graph) for e in dedup_family_index()}
+        assert len(keys) == len(dedup_family_index()) == 22
+        assert set(_targets_by_key()) == keys
 
     def test_c6_absent(self):
         assert match_catalog(pattern("C6").graph) is None

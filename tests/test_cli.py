@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -101,6 +102,45 @@ class TestFormats:
         assert code == cli.EXIT_SIZE_CAP
         assert len(reports) == 1
         assert f"capped at {cli.VERTEX_CAP}" in reports[0]["error"]
+
+
+class TestParsePausesCollector:
+    """load_graph pauses the cyclic collector around the parse and leaves
+    it as the caller had it, on success and on either error."""
+
+    CASES = {
+        "good.json": ('{"n": 3, "edges": [[0, 1]]}', None),
+        "bad.json": ('{"n": 3, "edges": [[0, 9]]}', cli.InputError),
+        "big.col": ("p edge 100000000 1\ne 1 2\n", cli.SizeCapError),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_collector_state_restored(self, tmp_path, name, enabled):
+        text, error = self.CASES[name]
+        path = tmp_path / name
+        path.write_text(text)
+        seen = []
+        parse = cli.parse_dimacs if name.endswith(".col") else cli.parse_edge_json
+
+        def spy(text):
+            seen.append(gc.isenabled())
+            return parse(text)
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, parse.__name__, spy)
+                if error is None:
+                    cli.load_graph(str(path))
+                else:
+                    with pytest.raises(error):
+                        cli.load_graph(str(path))
+            assert seen == [False]
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 # exit-code contract inputs: any bytes, JSON of small ints, nested lists and
@@ -362,6 +402,28 @@ class TestGenerateCmd:
         assert code == cli.EXIT_INPUT and captured.out == ""
         error = json.loads(captured.err)["error"]
         assert error.startswith(f"cannot write to {out}")
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, seed):
+        import pentaseven
+
+        # the seed is checked before the generators (and numpy) are imported
+        monkeypatch.delattr(pentaseven, "generate", raising=False)
+        monkeypatch.delitem(sys.modules, "pentaseven.generate", raising=False)
+        code = cli.main(["generate", "tent", "--seed", str(seed),
+                         "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT and captured.out == ""
+        assert "--seed" in json.loads(captured.err)["error"]
+        assert "pentaseven.generate" not in sys.modules
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_range_ends_generate(self, tmp_path, capsys, seed):
+        code, reports = run(capsys, "generate", "tent", "--seed", str(seed),
+                            "--out", str(tmp_path))
+        assert code == 0 and reports[0]["seed"] == seed
+        assert all(os.path.exists(f) for f in reports[0]["files"])
 
     def test_generated_file_recognizable(self, tmp_path, capsys):
         code, reports = run(capsys, "generate", "tent", "--seed", "3",
