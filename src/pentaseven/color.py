@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .catalog import QUOTIENT_CAP
 from .core import Graph, bits_of, greedy_extend
 from .oracle import max_weighted_clique
-from .recognize import NotInClassError, RecognitionReport, recognize
+from .recognize import NotInClassError, recognize
 
 _MEMO_BUDGET = 500_000
 
@@ -321,32 +321,23 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
 def color_in_class(g: Graph) -> Coloring:
     """Optimal coloring, or NotInClassError carrying the recognition report.
 
-    Chordal inputs are colored greedily along the reversed elimination
-    ordering; in-class inputs go through the exact quotient solver.
+    In-class inputs color their twin quotient with the exact solver and the
+    universal vertices with fresh colors.  Then every input, chordal ones
+    included, colors its simplicial prefix greedily along the reversed
+    elimination ordering.
     """
     report = recognize(g)
-    prefix = report.prefix
-    if not prefix.remainder:
-        assignment: dict[int, int] = {}
-        greedy_extend(g, list(reversed(prefix.order)), assignment)
-        return Coloring(assignment, max(assignment.values()))
-    if not report.in_class:
+    if report.prefix.remainder and not report.in_class:
         raise NotInClassError(report)
-    return _color_from_report(g, report)
-
-
-def _color_from_report(g: Graph, report: RecognitionReport) -> Coloring:
-    quotient = report.quotient
-    weights = tuple(len(ids) for ids in report.class_ids)
-    k0, color_sets = solve_weighted(WeightedInstance(quotient, weights))
     assignment: dict[int, int] = {}
-    for q, ids in enumerate(report.class_ids):
-        for v, c in zip(ids, color_sets[q]):
-            assignment[v] = c
-    nxt = k0
-    for v in sorted(report.universal_w):
-        nxt += 1
-        assignment[v] = nxt
+    if report.quotient is not None:  # None: chordal, the prefix is all of g
+        weights = tuple(len(ids) for ids in report.class_ids)
+        k0, color_sets = solve_weighted(WeightedInstance(report.quotient, weights))
+        for q, ids in enumerate(report.class_ids):
+            for v, c in zip(ids, color_sets[q]):
+                assignment[v] = c
+        for nxt, v in enumerate(sorted(report.universal_w), k0 + 1):
+            assignment[v] = nxt
     greedy_extend(g, list(reversed(report.prefix.order)), assignment)
     return Coloring(assignment, max(assignment.values()))
 

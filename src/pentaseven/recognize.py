@@ -31,6 +31,8 @@ IN_CLASS_C7 = "in-class-with-C7"
 IN_CLASS_T0 = "in-class-with-T0"
 NOT_IN_CLASS = "not-in-class"
 
+_SPECIAL_NAMES = tuple(f"{s}{i}" for s in "XYZ" for i in MOD7) + ("W",)
+
 
 class NotInClassError(Exception):
     """Raised by the exact consumers (coloring, clique-width) on refusal."""
@@ -78,11 +80,7 @@ class SpecialPartition:
     w: frozenset[int]
 
     def named_sets(self) -> list[tuple[str, frozenset[int]]]:
-        out = [(f"X{i}", self.x[i]) for i in MOD7]
-        out += [(f"Y{i}", self.y[i]) for i in MOD7]
-        out += [(f"Z{i}", self.z[i]) for i in MOD7]
-        out.append(("W", self.w))
-        return out
+        return list(zip(_SPECIAL_NAMES, self.x + self.y + self.z + (self.w,)))
 
 
 @dataclass(frozen=True)
@@ -292,81 +290,121 @@ def classify_vs_T0(g: Graph, t: dict[str, int], x: int) -> Attachment | Violatio
 # verifiers
 
 
-def _set_rows(
-    g: Graph, mask: int, memo: dict[int, tuple[int, int, int]]
-) -> tuple[int, int, int]:
-    """(union, common, closed common) of the rows of the vertices of mask: the
-    OR of their rows, the AND of their rows and the AND of their closed rows.
-    memo holds them per distinct mask for one top-level verify_* call."""
-    got = memo.get(mask)
-    if got is None:
-        rows = g.rows
-        union, common, closed = 0, -1, -1  # -1 has every bit set
-        for v in _iter_bits(mask):
-            r = rows[v]
-            union |= r
-            common &= r
-            closed &= r | 1 << v
-        got = memo[mask] = (union, common, closed)
-    return got
+class _Clauses:
+    """The clause walker of one top-level verify_* call.
 
+    It holds the graph, the violations found so far and, per distinct set
+    mask, two rows: the OR of the members' rows and the AND of their closed
+    rows.  Each clause is decided by one AND on the rows of its left-hand
+    set.  A clique is a set complete to itself on closed rows, and for
+    disjoint sets A and B the closed AND meets B exactly where the open AND
+    does, so complete and clique are one test.  Only a failed clause walks
+    its left-hand set, to name the same witness as a per-vertex check would.
+    """
 
-# Each clause below is decided by one AND on the rows of its left-hand set;
-# only a failed clause walks that set, to name the same witness as a
-# per-vertex check would.
+    def __init__(self, g: Graph):
+        self.g = g
+        self.out: list[Violation] = []
+        self._sets: dict[int, tuple[int, int]] = {}
 
+    def set_rows(self, mask: int) -> tuple[int, int]:
+        """(union, closed common) of the vertices of mask."""
+        got = self._sets.get(mask)
+        if got is None:
+            rows = self.g.rows
+            union, closed = 0, -1  # -1 has every bit set
+            for v in _iter_bits(mask):
+                r = rows[v]
+                union |= r
+                closed &= r | 1 << v
+            got = self._sets[mask] = (union, closed)
+        return got
 
-def _check_clique(g: Graph, name: str, mask: int, out: list[Violation], memo) -> None:
-    if not mask & ~_set_rows(g, mask, memo)[2]:
-        return
-    rows = g.rows
-    for v in bits_of(mask):
-        missing = mask & ~(1 << v) & ~rows[v]
-        if missing:
-            out.append(
-                Violation("clique", f"{name} is not a clique",
-                          (v, next(iter(bits_of(missing)))))
+    def _walk(self, ma: int, mb: int, meet: bool) -> tuple[int, int] | None:
+        rows = self.g.rows
+        for v in bits_of(ma):
+            bad = mb & rows[v] if meet else mb & ~(rows[v] | 1 << v)
+            if bad:
+                return v, next(iter(bits_of(bad)))
+        return None
+
+    def misses(self, ma: int, mb: int) -> tuple[int, int] | None:
+        """(v, u) with v in ma and u in mb outside N[v], or None."""
+        if mb & ~self.set_rows(ma)[1]:
+            return self._walk(ma, mb, False)
+        return None
+
+    def meets(self, ma: int, mb: int) -> tuple[int, int] | None:
+        """(v, u) with v in ma and u in mb adjacent to v, or None."""
+        if mb & self.set_rows(ma)[0]:
+            return self._walk(ma, mb, True)
+        return None
+
+    def clique(self, name: str, mask: int) -> None:
+        if w := self.misses(mask, mask):
+            self.out.append(Violation("clique", f"{name} is not a clique", w))
+
+    def complete(self, na: str, ma: int, nb: str, mb: int) -> None:
+        if w := self.misses(ma, mb):
+            self.out.append(Violation("complete", f"{na} not complete to {nb}", w))
+
+    def anticomplete(self, na: str, ma: int, nb: str, mb: int) -> None:
+        if w := self.meets(ma, mb):
+            self.out.append(
+                Violation("anticomplete", f"{na} not anticomplete to {nb}", w)
             )
-            return
+
+    def nested_chain(self, label: str, ordered: tuple[int, ...]) -> None:
+        g = self.g
+        for a, b in zip(ordered, ordered[1:]):
+            if g.closed_row(b) & ~g.closed_row(a):
+                self.out.append(
+                    Violation(
+                        "nested-order",
+                        f"{label}: N[{b}] is not contained in N[{a}]",
+                        (a, b),
+                    )
+                )
+                return
+
+    def pendant_components(
+        self, label: str, comps: tuple[tuple[int, ...], ...], union: int
+    ) -> None:
+        """The components of the pendant set label (A or Z, with vertex mask
+        union): nonempty cliques, each listing its vertices once in nested
+        closed-neighborhood order, pairwise anticomplete, covering union
+        exactly."""
+        out = self.out
+        clause = f"{label.lower()}-components"
+        name = f"{label}-component"
+        masks = [_mask_of(comp) for comp in comps]
+        comp_union = 0
+        for comp, cmask in zip(comps, masks):
+            if not comp:
+                out.append(Violation(clause, "empty component listed"))
+                continue
+            if cmask & comp_union:
+                out.append(Violation(clause, "components overlap"))
+            if cmask.bit_count() != len(comp):
+                out.append(Violation(clause, "component lists a vertex twice"))
+            comp_union |= cmask
+            self.clique(name, cmask)
+            self.nested_chain(name, comp)
+        if comp_union != union:
+            out.append(Violation(clause, f"components do not cover {label} exactly"))
+        later = [0] * (len(masks) + 1)  # later[i]: union of components i, i+1, ...
+        for i in range(len(masks) - 1, -1, -1):
+            later[i] = later[i + 1] | masks[i]
+        for i, ma in enumerate(masks):
+            # the pairs are checked only when some later component meets this one
+            if self.set_rows(ma)[0] & later[i + 1]:
+                for mb in masks[i + 1 :]:
+                    self.anticomplete(name, ma, name, mb)
 
 
-def _check_complete(g, na, ma, nb, mb, out, memo) -> None:
-    if not ma or not mb or not mb & ~_set_rows(g, ma, memo)[1]:
-        return
-    rows = g.rows
-    for v in bits_of(ma):
-        missing = mb & ~rows[v]
-        if missing:
-            out.append(
-                Violation("complete", f"{na} not complete to {nb}",
-                          (v, next(iter(bits_of(missing)))))
-            )
-            return
-
-
-def _check_anticomplete(g, na, ma, nb, mb, out, memo) -> None:
-    if not ma or not mb or not mb & _set_rows(g, ma, memo)[0]:
-        return
-    rows = g.rows
-    for v in bits_of(ma):
-        hit = mb & rows[v]
-        if hit:
-            out.append(
-                Violation("anticomplete", f"{na} not anticomplete to {nb}",
-                          (v, next(iter(bits_of(hit)))))
-            )
-            return
-
-
-def _masks(p: SpecialPartition):
-    xs = [_mask_of(s) for s in p.x]
-    ys = [_mask_of(s) for s in p.y]
-    zs = [_mask_of(s) for s in p.z]
-    return xs, ys, zs, _mask_of(p.w)
-
-
-def _require_partition(named, universe_mask: int, what: str) -> list[int]:
-    """The masks of the named sets, in order, once they partition the universe."""
+def _require_partition(g: Graph, named, what: str) -> list[int]:
+    """The masks of the named sets, in order, once they partition the vertices
+    of g."""
     masks = []
     seen = 0
     for name, s in named:
@@ -375,35 +413,26 @@ def _require_partition(named, universe_mask: int, what: str) -> list[int]:
             raise ValueError(f"{what}: set {name} overlaps another set")
         seen |= m
         masks.append(m)
-    if seen != universe_mask:
+    if seen != g.full_mask:
         raise ValueError(f"{what}: sets do not partition the required vertex set")
     return masks
 
 
-def verify_special_partition(
-    g: Graph, p: SpecialPartition, universe: frozenset[int] | None = None
-) -> list[Violation]:
+def verify_special_partition(g: Graph, p: SpecialPartition) -> list[Violation]:
     """Check every clause of the 22-set definition; empty list means valid."""
-    if universe is None:
-        universe = frozenset(range(g.n))
-    return _verify_special(g, p, _mask_of(universe), {})
+    c = _Clauses(g)
+    _verify_special(c, _require_partition(g, p.named_sets(), "special partition"))
+    return c.out
 
 
-def _verify_special(
-    g: Graph, p: SpecialPartition, universe_mask: int, memo
-) -> list[Violation]:
-    named = p.named_sets()
-    masks = _require_partition(named, universe_mask, "special partition")
+def _verify_special(c: _Clauses, masks: list[int]) -> None:
+    """The clauses of the special partition whose 22 set masks, in
+    named_sets order, start masks."""
     xs, ys, zs, w = masks[0:7], masks[7:14], masks[14:21], masks[21]
-    out: list[Violation] = []
-    for (name, _), m in zip(named, masks):
-        _check_clique(g, name, m, out, memo)
-
-    def comp(na, ma, nb, mb):
-        _check_complete(g, na, ma, nb, mb, out, memo)
-
-    def anti(na, ma, nb, mb):
-        _check_anticomplete(g, na, ma, nb, mb, out, memo)
+    out = c.out
+    for name, m in zip(_SPECIAL_NAMES, masks):
+        c.clique(name, m)
+    comp, anti = c.complete, c.anticomplete
 
     for i in MOD7:
         if not xs[i]:
@@ -452,96 +481,40 @@ def _verify_special(
         for d in (1, 3, 4, 6):
             comp(f"Z{i}", zs[i], f"Z{(i+d)%7}", zs[(i + d) % 7])
         comp(f"Z{i}", zs[i], "W", w)
-    return out
-
-
-def _check_nested_chain(
-    g: Graph, label: str, ordered: tuple[int, ...], out: list[Violation]
-) -> None:
-    for a, b in zip(ordered, ordered[1:]):
-        if g.closed_row(b) & ~g.closed_row(a):
-            out.append(
-                Violation(
-                    "nested-order",
-                    f"{label}: N[{b}] is not contained in N[{a}]",
-                    (a, b),
-                )
-            )
-            return
-
-
-def _check_pendant_components(
-    g: Graph,
-    label: str,
-    comps: tuple[tuple[int, ...], ...],
-    union: int,
-    out: list[Violation],
-    memo,
-) -> None:
-    """The components of the pendant set label (A or Z, with vertex mask
-    union): nonempty cliques, each ordered by nested closed neighborhoods,
-    pairwise anticomplete, covering union exactly."""
-    clause = f"{label.lower()}-components"
-    name = f"{label}-component"
-    masks = [_mask_of(comp) for comp in comps]
-    comp_union = 0
-    for comp, cmask in zip(comps, masks):
-        if not comp:
-            out.append(Violation(clause, "empty component listed"))
-            continue
-        if cmask & comp_union:
-            out.append(Violation(clause, "components overlap"))
-        comp_union |= cmask
-        _check_clique(g, name, cmask, out, memo)
-        _check_nested_chain(g, name, comp, out)
-    if comp_union != union:
-        out.append(Violation(clause, f"components do not cover {label} exactly"))
-    later = [0] * (len(masks) + 1)  # later[i]: union of components i, i+1, ...
-    for i in range(len(masks) - 1, -1, -1):
-        later[i] = later[i + 1] | masks[i]
-    for i, ma in enumerate(masks):
-        # the pairs are checked only when some later component meets this one
-        if _set_rows(g, ma, memo)[0] & later[i + 1]:
-            for mb in masks[i + 1 :]:
-                _check_anticomplete(g, name, ma, name, mb, out, memo)
 
 
 def verify_saucer_partition(g: Graph, p: SaucerPartition) -> list[Violation]:
     """Full 7-saucer check: special partition off A, the A attachment rules,
     and the pendant clique components with nested closed neighborhoods."""
-    masks = _require_partition(p.named_sets(), g.full_mask, "7-saucer partition")
+    masks = _require_partition(g, p.named_sets(), "7-saucer partition")
     xs, ys, zs, amask = masks[0:7], masks[7:14], masks[14:21], masks[22]
-    memo: dict[int, tuple[int, int, int]] = {}
-    out = _verify_special(g, p.special, g.full_mask & ~amask, memo)
+    c = _Clauses(g)
+    _verify_special(c, masks)
     for i in MOD7:
-        _check_anticomplete(g, "A", amask, f"X{i}", xs[i], out, memo)
+        c.anticomplete("A", amask, f"X{i}", xs[i])
     for i in MOD7:
-        if not zs[(i + 2) % 7]:
-            continue
-        hits: list[Violation] = []
-        _check_anticomplete(g, "A", amask, f"Y{i}", ys[i], hits, memo)
-        if hits:
-            out.append(
+        if zs[(i + 2) % 7] and (w := c.meets(amask, ys[i])):
+            c.out.append(
                 Violation(
                     "saucer-YZ",
                     f"A has a neighbor in Y{i} while Z{(i+2)%7} is nonempty",
-                    hits[0].witness,
+                    w,
                 )
             )
-    _check_pendant_components(g, "A", p.a_components, amask, out, memo)
-    return out
+    c.pendant_components("A", p.a_components, amask)
+    return c.out
 
 
 def verify_tent_partition(g: Graph, p: TentPartition) -> list[Violation]:
     """Full tent check, clause by clause."""
     named = p.named_sets()
-    masks = _require_partition(named, g.full_mask, "tent partition")
+    masks = _require_partition(g, named, "tent partition")
     m = {name: mask for (name, _), mask in zip(named, masks)}
-    memo: dict[int, tuple[int, int, int]] = {}
-    out: list[Violation] = []
+    c = _Clauses(g)
+    out = c.out
     for name, mask in m.items():
         if name != "Z":  # Z is a union of clique components, checked below
-            _check_clique(g, name, mask, out, memo)
+            c.clique(name, mask)
     for name in ("A0", "A1", "B0", "B1", "B2", "B3", "C1", "C2", "C3"):
         if not m[name]:
             out.append(Violation("core-nonempty", f"{name} is empty"))
@@ -549,10 +522,10 @@ def verify_tent_partition(g: Graph, p: TentPartition) -> list[Violation]:
         out.append(Violation("F2F3Y", "more than one of F2, F3, Y is nonempty"))
 
     def comp(na, nb):
-        _check_complete(g, na, m[na], nb, m[nb], out, memo)
+        c.complete(na, m[na], nb, m[nb])
 
     def anti(na, nb):
-        _check_anticomplete(g, na, m[na], nb, m[nb], out, memo)
+        c.anticomplete(na, m[na], nb, m[nb])
 
     comp("A0", "A1")
     for nb in ("B0", "B2", "B3"):
@@ -595,8 +568,8 @@ def verify_tent_partition(g: Graph, p: TentPartition) -> list[Violation]:
     if frozenset(p.y_order) != p.y or len(p.y_order) != len(p.y):
         out.append(Violation("y-order", "ordering does not enumerate Y exactly"))
     else:
-        _check_nested_chain(g, "Y", p.y_order, out)
-    _check_pendant_components(g, "Z", p.z_components, m["Z"], out, memo)
+        c.nested_chain("Y", p.y_order)
+    c.pendant_components("Z", p.z_components, m["Z"])
     return out
 
 
@@ -790,7 +763,8 @@ def yz_outcome(p: SpecialPartition) -> tuple[str, int]:
     Z_{i+2} nonempty and at most one of Z_{i+1}, Z_{i+3} nonempty.
     Exactly one outcome must hold for a verified partition.
     """
-    _, ys, zs, _ = _masks(p)
+    ys = [_mask_of(s) for s in p.y]
+    zs = [_mask_of(s) for s in p.z]
     ymask = 0
     zmask = 0
     for i in MOD7:

@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from pentaseven.cli import partition_to_json
 from pentaseven.core import simplicial_vertices
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.oracle import class_verdict
@@ -8,6 +12,40 @@ from pentaseven.recognize import (
     verify_special_partition,
     verify_tent_partition,
 )
+
+
+# sha256 of the generators' output on generator_cases(): the benchmark
+# corpora are built from these generators, so a change to any generated
+# graph, partition or mutant shows here.  Pin a new digest only with a
+# change that means to alter the generated graphs, and say so where the
+# change is described.
+GENERATOR_DIGEST = "1418a3dca9a25201d6e94327c21c68bf7325918bb94925b47f92356c8756f539"
+
+
+def generator_cases():
+    """(generator, params): the default parameters, the pendant_prefix
+    corpus's (long pendant components, 1-3 universal vertices) and the
+    desk_mix corpus's (0-3 pendant components of at most 1-4 vertices)."""
+    for seed in (0, 1, 2, 2**63 - 2):
+        for gen in (gen_special, gen_saucer, gen_tent):
+            yield gen, GenParams(seed=seed)
+            for k in (2, 40):
+                yield gen, GenParams(seed=seed, max_class_size=3,
+                                     a_components=(k, k), z_components=(k, k),
+                                     max_component_size=20, universal_count=(1, 3))
+            for size in range(1, 5):
+                yield gen, GenParams(seed=seed, a_components=(0, 3),
+                                     z_components=(0, 3), max_component_size=size)
+
+
+def test_generator_digest():
+    h = hashlib.sha256()
+    for gen, params in generator_cases():
+        g, part = gen(params)
+        for graph in (g, mutate(g, params.seed)):
+            h.update(json.dumps([graph.n, [f"{r:x}" for r in graph.rows]]).encode())
+        h.update(json.dumps(partition_to_json(part)).encode())
+    assert h.hexdigest() == GENERATOR_DIGEST
 
 
 class TestDeterminism:

@@ -24,8 +24,6 @@ from pentaseven.recognize import (
     T0_LABELS,
     TentPartition,
     Violation,
-    _check_nested_chain,
-    _check_pendant_components,
     _clique_components_ordered,
     build_saucer_from_hole,
     build_tent_from_T0,
@@ -255,6 +253,8 @@ PENDANT_BREAKS = {
               "{l}-components", "empty component listed"),
     "overlap": (lambda g, c: (g, c + (c[0][:1],)),
                 "{l}-components", "components overlap"),
+    "twice": (lambda g, c: (g, (c[0] + c[0][:1],) + c[1:]),
+              "{l}-components", "component lists a vertex twice"),
     "cover": (lambda g, c: (g, c[:-1]),
               "{l}-components", "components do not cover {L} exactly"),
     "clique": (lambda g, c: (g, (c[0] + c[1],) + c[2:]),
@@ -286,64 +286,69 @@ def test_pendant_component_clauses(label, brk):
 @given(random_graphs(max_n=12), st.data())
 @settings(max_examples=60, deadline=None)
 def test_pendant_components_match_all_pairs_scan(g, data):
-    # components may overlap or be empty; the report must equal a scan that
-    # checks every pair, and the per-vertex reference report as a whole
-    vertices = st.lists(st.integers(0, g.n - 1), max_size=4, unique=True)
+    # components may overlap, be empty or repeat a vertex; the report must
+    # equal a scan that checks every pair, and the per-vertex reference
+    # report as a whole
+    vertices = st.lists(st.integers(0, g.n - 1), max_size=4)
     comps = tuple(tuple(c) for c in data.draw(st.lists(vertices, max_size=6)))
     union = _mask_of(v for c in comps for v in c)
-    got: list[Violation] = []
-    _check_pendant_components(g, "A", comps, union, got, {})
-    pairs: list[Violation] = []
+    got = rec._Clauses(g)
+    got.pendant_components("A", comps, union)
+    pairs = rec._Clauses(g)
     for i, ca in enumerate(comps):
         for cb in comps[i + 1 :]:
-            ref_check_anticomplete(g, "A-component", _mask_of(ca),
-                                   "A-component", _mask_of(cb), pairs)
-    assert [v for v in got if v.clause == "anticomplete"] == pairs
-    ref: list[Violation] = []
-    ref_check_pendant_components(g, "A", comps, union, ref)
-    assert got == ref
+            ref_anticomplete(pairs, "A-component", _mask_of(ca),
+                             "A-component", _mask_of(cb))
+    assert [v for v in got.out if v.clause == "anticomplete"] == pairs.out
+    ref = rec._Clauses(g)
+    ref_pendant_components(ref, "A", comps, union)
+    assert got.out == ref.out
 
 
 # ---------------------------------------------------------------------------
-# per-vertex references: the clause helpers and builders as they were before
-# clauses were decided on set masks
+# per-vertex references: the clause walker's methods as they were before
+# clauses were decided on set masks, each scanning the vertices of its
+# left-hand set on open rows
 
 
-def ref_check_clique(g, name, mask, out, memo=None):
-    rows = g.rows
+def ref_clique(self, name, mask):
+    rows = self.g.rows
     for v in bits_of(mask):
         missing = mask & ~(1 << v) & ~rows[v]
         if missing:
-            out.append(Violation("clique", f"{name} is not a clique",
-                                 (v, next(iter(bits_of(missing))))))
+            self.out.append(Violation("clique", f"{name} is not a clique",
+                                      (v, next(iter(bits_of(missing))))))
             return
 
 
-def ref_check_complete(g, na, ma, nb, mb, out, memo=None):
+def ref_complete(self, na, ma, nb, mb):
     if not ma or not mb:
         return
-    rows = g.rows
+    rows = self.g.rows
     for v in bits_of(ma):
         missing = mb & ~rows[v]
         if missing:
-            out.append(Violation("complete", f"{na} not complete to {nb}",
-                                 (v, next(iter(bits_of(missing))))))
+            self.out.append(Violation("complete", f"{na} not complete to {nb}",
+                                      (v, next(iter(bits_of(missing))))))
             return
 
 
-def ref_check_anticomplete(g, na, ma, nb, mb, out, memo=None):
-    if not ma or not mb:
-        return
-    rows = g.rows
+def ref_meets(self, ma, mb):
+    rows = self.g.rows
     for v in bits_of(ma):
         hit = mb & rows[v]
         if hit:
-            out.append(Violation("anticomplete", f"{na} not anticomplete to {nb}",
-                                 (v, next(iter(bits_of(hit))))))
-            return
+            return v, next(iter(bits_of(hit)))
+    return None
 
 
-def ref_check_pendant_components(g, label, comps, union, out, memo=None):
+def ref_anticomplete(self, na, ma, nb, mb):
+    if w := ref_meets(self, ma, mb):
+        self.out.append(Violation("anticomplete", f"{na} not anticomplete to {nb}", w))
+
+
+def ref_pendant_components(self, label, comps, union):
+    out = self.out
     clause = f"{label.lower()}-components"
     name = f"{label}-component"
     masks = [_mask_of(comp) for comp in comps]
@@ -354,25 +359,28 @@ def ref_check_pendant_components(g, label, comps, union, out, memo=None):
             continue
         if cmask & comp_union:
             out.append(Violation(clause, "components overlap"))
+        if len(set(comp)) != len(comp):
+            out.append(Violation(clause, "component lists a vertex twice"))
         comp_union |= cmask
-        ref_check_clique(g, name, cmask, out)
-        _check_nested_chain(g, name, comp, out)
+        ref_clique(self, name, cmask)
+        self.nested_chain(name, comp)
     if comp_union != union:
         out.append(Violation(clause, f"components do not cover {label} exactly"))
     for i, ma in enumerate(masks):
         for mb in masks[i + 1 :]:
-            ref_check_anticomplete(g, name, ma, name, mb, out)
+            ref_anticomplete(self, name, ma, name, mb)
 
 
 @contextmanager
 def per_vertex_clauses():
-    """Run the verifiers' clause lists with the per-vertex clause helpers."""
+    """Run the verifiers' clause lists with the per-vertex clause methods."""
     with mock.patch.multiple(
-        rec,
-        _check_clique=ref_check_clique,
-        _check_complete=ref_check_complete,
-        _check_anticomplete=ref_check_anticomplete,
-        _check_pendant_components=ref_check_pendant_components,
+        rec._Clauses,
+        clique=ref_clique,
+        complete=ref_complete,
+        meets=ref_meets,
+        anticomplete=ref_anticomplete,
+        pendant_components=ref_pendant_components,
     ):
         yield
 
