@@ -417,6 +417,14 @@ def _one_file(args, path: str) -> tuple[int, dict]:
                           "input": path, "error": str(exc)}
 
 
+def positive_int(text: str) -> int:
+    """argparse type of --jobs: a pool has at least one worker."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parse_args returns a fresh Namespace
@@ -434,17 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--oracle-crosscheck", dest="crosscheck", action="store_true")
     rec.add_argument("--dot", metavar="OUT",
                      help="write the decomposition as DOT clusters")
-    rec.add_argument("--jobs", type=int, default=1)
+    rec.add_argument("--jobs", type=positive_int, default=1)
 
     col = sub.add_parser("color", help="optimal coloring of accepted graphs")
     col.add_argument("paths", nargs="+")
     col.add_argument("--crosscheck", action="store_true",
                      help="compare against the brute-force chromatic number")
-    col.add_argument("--jobs", type=int, default=1)
+    col.add_argument("--jobs", type=positive_int, default=1)
 
     cw = sub.add_parser("cwd", help="width-bounded expression for accepted graphs")
     cw.add_argument("paths", nargs="+")
-    cw.add_argument("--jobs", type=int, default=1)
+    cw.add_argument("--jobs", type=positive_int, default=1)
 
     gen = sub.add_parser("generate", help="seeded structure generators")
     gen.add_argument("kind", choices=["special", "saucer", "tent"])

@@ -250,31 +250,58 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 
 
 def is_clique_mask(g: Graph, mask: int) -> bool:
-    rows = g.rows
-    for v in _iter_bits(mask):
-        if mask & ~(1 << v) & ~rows[v]:
-            return False
-    return True
+    return nonadjacent_pair(g.rows, mask) is None
+
+
+def nonadjacent_pair(
+    rows: Sequence[int], mask: int, top: int | None = None
+) -> tuple[int, int] | None:
+    """Walk the members of mask at or below top, highest first, and return
+    (w, x) for the first member w that misses another member, with x the
+    highest member w misses; None when every walked member is complete to
+    mask.  One row read per member walked, so a caller that knows the
+    members above some w are complete to mask resumes at top=w."""
+    todo = mask if top is None else mask & (2 << top) - 1
+    while todo:
+        w = todo.bit_length() - 1
+        bit = 1 << w
+        miss = mask & ~rows[w] ^ bit
+        if miss:
+            return w, miss.bit_length() - 1
+        todo ^= bit
+    return None
 
 
 def is_simplicial(g: Graph, v: int) -> bool:
     return is_clique_mask(g, g.rows[v])
 
 
-def simplicial_vertices(g: Graph) -> frozenset[int]:
-    """Closed twins share N[v], so they are all simplicial or all not: one
-    clique check per closed-twin class.  Memoized on g, which is immutable:
-    cwd's refusal check and the elimination seed in recognize share it."""
+def simplicial_seed(g: Graph) -> tuple[frozenset[int], tuple]:
+    """(simplicial, blocked): the simplicial vertices of g, and one
+    (pair, members) per other closed-twin class, pair nonadjacent inside
+    the neighborhood of every member.  Closed twins share N[v], so one walk
+    decides a class, and the pair it finds in N(v) avoids v's twins, which
+    are complete to it.  Memoized on g, which is immutable: cwd's refusal
+    check and the elimination in recognize share it."""
     if g._simplicial is None:
         classes: dict[int, list[int]] = {}
         for v, r in enumerate(g.rows):
             classes.setdefault(r | 1 << v, []).append(v)
-        out: list[int] = []
-        for members in classes.values():
-            if is_simplicial(g, members[0]):
-                out.extend(members)
-        g._simplicial = frozenset(out)
+        simplicial: list[int] = []
+        blocked = []
+        for closed, members in classes.items():
+            pair = nonadjacent_pair(g.rows, closed ^ 1 << members[0])
+            if pair is None:
+                simplicial.extend(members)
+            else:
+                blocked.append((pair, members))
+        g._simplicial = frozenset(simplicial), tuple(blocked)
     return g._simplicial
+
+
+def simplicial_vertices(g: Graph) -> frozenset[int]:
+    """Vertices whose neighborhood is a clique (memoized with the pairs)."""
+    return simplicial_seed(g)[0]
 
 
 def greedy_extend(g: Graph, order: Iterable[int], assignment: dict[int, int]) -> None:

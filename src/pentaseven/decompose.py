@@ -42,9 +42,10 @@ class TwinDecomposition:
 def simplicial_prefix(g: Graph) -> SimplicialPrefix:
     """Greedy maximal simplicial elimination, smallest eligible vertex first.
 
-    Starts from the simplicial vertices of g; after a neighbor of v is
-    deleted, keeps the count of nonadjacent pairs left inside v's
-    neighborhood on the bitset rows, and v becomes eligible when it is zero.
+    Starts from the simplicial vertices of g; every other vertex v watches
+    one nonadjacent pair inside its alive neighborhood, is looked at again
+    only when a vertex of that pair is deleted, and becomes eligible when
+    its neighborhood has no such pair left.
     """
     order, rest = _kernels.simplicial_elimination(g)
     return SimplicialPrefix(order=tuple(order), remainder=bits_of(rest))

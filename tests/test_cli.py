@@ -242,6 +242,21 @@ class TestRecognizeCmd:
         kinds = [r["verdict"]["kind"] for r in reports]
         assert kinds == ["in-class-with-T0", "in-class-with-T0", "in-class-with-C7"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        path = write_graph(tmp_path, "t0.json", pattern("T0").graph)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["recognize", "--jobs", jobs, path, path])
+        assert exc.value.code == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "argument --jobs: must be at least 1" in captured.err
+        assert captured.out == ""
+
+    def test_jobs_one_runs_serially(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "t0.json", pattern("T0").graph)
+        code, reports = run(capsys, "recognize", "--jobs", "1", path, path)
+        assert code == 0 and len(reports) == 2
+
     def test_jobs_capped_at_file_count(self, tmp_path, capsys, monkeypatch):
         # a fake pool that records its size and maps inline: no process starts
         sizes = []

@@ -13,6 +13,7 @@ from pentaseven.core import (
     COMPLETE,
     MIXED,
     Graph,
+    _mask_of,
     bits_of,
     build_graph,
     components,
@@ -20,6 +21,7 @@ from pentaseven.core import (
     induced_subgraph,
     is_clique,
     is_simplicial,
+    nonadjacent_pair,
     relation,
     simplicial_vertices,
 )
@@ -154,6 +156,22 @@ class TestPredicates:
             g, _ = expand_thickening(base, [int(s) for s in rng.integers(1, 6, size=n)])
             want = {v for v in range(g.n) if is_simplicial(g, v)}
             assert simplicial_vertices(g) == want
+
+    @given(random_graphs(max_n=14), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_nonadjacent_pair_contract(self, g, data):
+        members = data.draw(st.sets(st.integers(0, g.n - 1)))
+        top = data.draw(st.none() | st.integers(0, g.n - 1))
+        walked = [v for v in members if top is None or v <= top]
+        # pairwise scan: the walked members complete to the others
+        complete = {v for v in walked if all(g.has_edge(v, y) for y in members - {v})}
+        pair = nonadjacent_pair(g.rows, _mask_of(members), top)
+        assert (pair is None) == (complete == set(walked))
+        if pair is not None:
+            w, x = pair
+            assert w in walked and x in members and w != x and not g.has_edge(w, x)
+            assert x == max(y for y in members - {w} if not g.has_edge(w, y))
+            assert all(v in complete for v in walked if v > w)
 
     def test_p3_ends_simplicial(self):
         g = pattern("P3").graph

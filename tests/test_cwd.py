@@ -418,13 +418,15 @@ class TestClassExpression:
         from pentaseven.catalog import catalog_entry
 
         g, _ = expand_thickening(catalog_entry("M0").graph, [3] * 12)
-        checks = []
-        is_simplicial = core.is_simplicial
+        walks = []
+        nonadjacent_pair = core.nonadjacent_pair
         monkeypatch.setattr(
-            core, "is_simplicial", lambda g, v: checks.append(v) or is_simplicial(g, v)
+            core, "nonadjacent_pair",
+            lambda rows, mask, top=None: walks.append(mask)
+            or nonadjacent_pair(rows, mask, top),
         )
         assert eval_to_graph(expr_for_class_graph(g)) == g
-        assert len(checks) == 12  # one clique check per closed-twin class
+        assert len(walks) == 12  # one clique walk per closed-twin class
 
     def test_out_of_class_refused(self):
         with pytest.raises(NotInClassError):

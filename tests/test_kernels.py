@@ -1,9 +1,10 @@
 """The bitset elimination kernel against two references: the definition, and
-the numpy nonedge-count elimination it replaced."""
+the numpy nonedge-count elimination; and its row reads against 2n + 6m."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentaseven import _kernels
 from pentaseven.core import Graph, bits_of, build_graph, induced_subgraph, is_simplicial
@@ -73,6 +74,56 @@ def split_graph(k, s, seed):
     return build_graph(k + s, edges)
 
 
+def descending_path_under_clique(k, t):
+    """Path s1..st on ids 5..t+4 under a clique K on the k ids above it, K
+    complete to the path, and s1 joined through one vertex z (the last id)
+    to the C5 on 0..4.  The path is eliminated from its top end down, and
+    each step moves the watched pair of every K vertex one path vertex
+    down."""
+    path = list(range(5, t + 5))
+    clique = list(range(t + 5, t + k + 5))
+    z = t + k + 5
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(z, 0), (z, path[0])]
+    edges += list(zip(path, path[1:]))
+    edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+    edges += [(a, s) for a in clique for s in path]
+    return build_graph(z + 1, edges)
+
+
+@st.composite
+def interval_graphs(draw, max_n=80):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, 2 * n, size=n)
+    right = left + rng.integers(0, draw(st.integers(1, 2 * n)), size=n)
+    adj = (left[:, None] <= right[None, :]) & (left[None, :] <= right[:, None])
+    np.fill_diagonal(adj, False)
+    return Graph(adj)
+
+
+def relabeled(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.n).tolist()
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class CountingRows(tuple):
+    """Neighborhood rows that count the reads made by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def row_reads(g):
+    """Rows the elimination reads on a fresh copy of g (no memoized seed)."""
+    g = Graph.from_rows(g.rows)
+    g.rows = rows = CountingRows(g.rows)
+    _kernels.simplicial_elimination(g)
+    return rows.reads
+
+
 def assert_matches_references(g, definition=True):
     order, rest = _kernels.simplicial_elimination(g)
     ref_order, ref_rest = elimination_by_counts(g)
@@ -113,3 +164,35 @@ def test_elimination_agrees_on_complete_graph():
 
 def test_backend_reported():
     assert _kernels.BACKEND == "bitset"
+
+
+@given(interval_graphs())
+@settings(max_examples=60, deadline=None)
+def test_elimination_agrees_on_interval_graphs(g):
+    assert_matches_references(g)
+    assert _kernels.simplicial_elimination(g)[1] == 0  # interval graphs are chordal
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_elimination_agrees_on_descending_path(seed):
+    k, t = 30, 40
+    g = descending_path_under_clique(k, t)
+    if seed is None:
+        order = _kernels.simplicial_elimination(g)[0]
+        assert order[:t - 1] == list(range(t + 4, 5, -1))  # st down to s2
+        assert order[t - 1:] == list(range(t + 5, t + k + 5)) + [5, t + k + 5]
+    else:
+        g = relabeled(g, seed)
+    assert_matches_references(g, definition=False)
+
+
+@given(random_graphs(max_n=20))
+@settings(max_examples=100, deadline=None)
+def test_row_reads_bounded(g):
+    assert row_reads(g) <= 2 * g.n + 6 * g.num_edges
+
+
+def test_row_reads_bounded_on_descending_path():
+    # a walk that restarts at the top of L re-reads all of K at every step
+    g = descending_path_under_clique(120, 120)
+    assert row_reads(g) <= 2 * g.n + 6 * g.num_edges
