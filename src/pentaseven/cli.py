@@ -115,6 +115,15 @@ def parse_edge_json(text: str) -> Graph:
 
 
 def load_graph(path: str) -> tuple[Graph, str]:
+    """(graph, sha256 of the bytes) of the file at path.  Running out of
+    memory anywhere from the read to the build is a size-cap error."""
+    try:
+        return _load(path)
+    except MemoryError:
+        raise SizeCapError(f"{path}: input is too large to load") from None
+
+
+def _load(path: str) -> tuple[Graph, str]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()

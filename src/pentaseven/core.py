@@ -136,19 +136,53 @@ def _is_int(x) -> bool:
     return np is not None and isinstance(x, np.integer)
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+def build_graph(n: int, edges: Sequence[Sequence[int]]) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates collapse.
 
     Rejects non-integer counts and endpoints (bools included), loops and
-    out-of-range endpoints, naming the offending value or pair.
+    out-of-range endpoints, naming the first offending value or pair.
+    Valid input of plain ints is built in one pass whose only per-pair test
+    is the endpoint types; any other input is read again by the checker, so
+    edges must be a sequence, not a one-shot iterator.
     """
     if not _is_int(n):
         raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("graphs are nonnull: need n >= 1")
     n = int(n)
+    bit: list[int | None] = [1 << v for v in range(n)]
+    bit += [None] * n
+    try:
+        rows = _or_rows(n, bit, edges)
+    except (TypeError, ValueError, IndexError):
+        rows = None
+    if rows is None or any(r & b for r, b in zip(rows, bit)):  # bad pair or loop
+        rows = _or_rows(n, bit, _checked_pairs(n, edges))
+    return Graph.from_rows(rows)
+
+
+def _or_rows(n: int, bit: list[int | None], edges: Iterable) -> list[int]:
+    """Rows of the pairs in edges, for plain int endpoints only.
+
+    No endpoint is range-checked: bit holds the n vertex bits followed by n
+    Nones and each endpoint indexes both rows and bit, so one outside 0..n-1
+    either indexes past a list (IndexError) or ORs a None (TypeError).  A
+    loop (v, v) sets bit v of rows[v], which the caller looks for.
+    """
     rows = [0] * n
-    bit = [1 << v for v in range(n)]
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise TypeError("endpoint is not a plain int")
+        rows[u] |= bit[v]
+        rows[v] |= bit[u]
+    return rows
+
+
+def _checked_pairs(n: int, edges: Iterable) -> list[tuple[int, int]]:
+    """The pairs of edges as plain ints, after checking each in input order;
+    the first pair that is not two distinct integers in 0..n-1 raises a
+    ValueError naming it."""
+    out = []
     for pair in edges:
         try:
             u, v = pair
@@ -161,11 +195,10 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"loop edge {pair!r}")
-        if not (0 <= u < n and 0 <= v < n):  # bit[-1] would not raise
+        if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint out of range in {pair!r}")
-        rows[u] |= bit[v]
-        rows[v] |= bit[u]
-    return Graph.from_rows(rows)
+        out.append((u, v))
+    return out
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -21,7 +21,13 @@ class SimplicialPrefix:
     order[0..i-1] are deleted; no remainder vertex is simplicial after that."""
 
     order: tuple[int, ...]
-    remainder: frozenset[int]
+    remainder_mask: int
+
+    @cached_property
+    def remainder(self) -> frozenset[int]:
+        """The remainder's vertices, built on first read: recognize works
+        on the mask."""
+        return bits_of(self.remainder_mask)
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ def simplicial_prefix(g: Graph) -> SimplicialPrefix:
     its neighborhood has no such pair left.
     """
     order, rest = _kernels.simplicial_elimination(g)
-    return SimplicialPrefix(order=tuple(order), remainder=bits_of(rest))
+    return SimplicialPrefix(order=tuple(order), remainder_mask=rest)
 
 
 def twin_classes(g: Graph, within: int) -> TwinDecomposition:

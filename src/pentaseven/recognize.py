@@ -701,14 +701,14 @@ def recognize(g: Graph) -> RecognitionReport:
     stages: list[tuple[str, str]] = []
     pre = simplicial_prefix(g)
     stages.append(("simplicial-prefix", f"eliminated {len(pre.order)} of {g.n}"))
-    if not pre.remainder:
+    if not pre.remainder_mask:
         return _reject(
             g, "chordal: the simplicial elimination consumed the whole graph",
             stages, pre,
         )
     # core is nonempty: a complete remainder is all simplicial, so the
     # maximal elimination would have removed it
-    w, core = strip_universals(g, _mask_of(pre.remainder))
+    w, core = strip_universals(g, pre.remainder_mask)
     stages.append(("universal-strip", f"|W| = {len(w)}"))
     twins = twin_classes(g, core)
     k = len(twins.classes)

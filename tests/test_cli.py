@@ -29,6 +29,15 @@ def run(capsys, *argv):
     return code, reports
 
 
+def deep_bad_pair(bad, message):
+    """Case of an edge-json file at benchmark size, n = 300 and 20 000
+    valid pairs, with pair 15 000 replaced by bad; message is the error."""
+    pairs = [[u, v] for u in range(300) for v in range(u + 1, 300)][:20_000]
+    pairs[15_000] = bad
+    text = json.dumps({"n": 300, "edges": pairs})
+    return pytest.param(text, message, id=f"deep-{json.dumps(bad)}")
+
+
 class TestFormats:
     def test_dimacs_round_trip(self, tmp_path):
         g = pattern("T0").graph
@@ -65,6 +74,12 @@ class TestFormats:
         ('{"n": 3.9, "edges": []}', "3.9"),
         ('{"n": 3, "edges": [[0, 1, 2]]}', "[0, 1, 2]"),
         ('{"n": 3, "edges": [7]}', "7"),
+        deep_bad_pair([17, -1], "edge endpoint out of range in [17, -1]"),
+        deep_bad_pair([17, 300], "edge endpoint out of range in [17, 300]"),
+        deep_bad_pair([17, True], "edge endpoint True in [17, True] is not an integer"),
+        deep_bad_pair([17, 1.5], "edge endpoint 1.5 in [17, 1.5] is not an integer"),
+        deep_bad_pair([1, 2, 3], "edge [1, 2, 3] is not a pair of vertices"),
+        deep_bad_pair([17, 17], "loop edge [17, 17]"),
     ])
     def test_non_integer_input_exit_2(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.json"
@@ -102,6 +117,27 @@ class TestFormats:
         assert code == cli.EXIT_SIZE_CAP
         assert len(reports) == 1
         assert f"capped at {cli.VERTEX_CAP}" in reports[0]["error"]
+
+    def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
+        good = write_graph(tmp_path, "t1.json", pattern("T1").graph)
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 3, "edges": [[0, 1]], "big": true}')
+        parse = cli.parse_edge_json
+
+        def short_of_memory(text):
+            if '"big"' in text:
+                raise MemoryError
+            return parse(text)
+
+        monkeypatch.setattr(cli, "parse_edge_json", short_of_memory)
+        for paths in ([str(big)], [good, str(big)]):
+            code = cli.main(["recognize", *paths])
+            out, err = capsys.readouterr()
+            *others, last = [json.loads(line) for line in out.splitlines()]
+            assert code == cli.EXIT_SIZE_CAP and err == ""
+            assert len(others) == len(paths) - 1
+            assert all("error" not in r for r in others)
+            assert last["error"] == f"{big}: input is too large to load"
 
 
 class TestParsePausesCollector:

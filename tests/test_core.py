@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, assume, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from pentaseven import oracle
@@ -13,6 +13,7 @@ from pentaseven.core import (
     COMPLETE,
     MIXED,
     Graph,
+    _is_int,
     _mask_of,
     bits_of,
     build_graph,
@@ -72,6 +73,91 @@ class TestBuildGraph:
         for flag in (True, np.bool_(True)):
             with pytest.raises(ValueError, match=re.escape(f"endpoint {flag!r}")):
                 build_graph(3, [(0, flag)])
+
+
+def build_graph_reference(n, edges):
+    """build_graph as one loop that checks every pair before adding it."""
+    if not _is_int(n):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("graphs are nonnull: need n >= 1")
+    n = int(n)
+    rows = [0] * n
+    bit = [1 << v for v in range(n)]
+    for pair in edges:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {pair!r} is not a pair of vertices") from None
+        if type(u) is not int or type(v) is not int:
+            for x in (u, v):
+                if not _is_int(x):
+                    raise ValueError(f"edge endpoint {x!r} in {pair!r} is not an integer")
+            u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"loop edge {pair!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge endpoint out of range in {pair!r}")
+        rows[u] |= bit[v]
+        rows[v] |= bit[u]
+    return Graph.from_rows(rows)
+
+
+@st.composite
+def mixed_pair_lists(draw):
+    """(n, pairs): valid pairs, with or without a duplicate and a numpy
+    integer endpoint among them, and up to three bad ones inserted anywhere:
+    loops, endpoints out of range on both sides, bools, floats, strings,
+    None and things that are not pairs."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = []
+    if n > 1:  # v = u + d mod n with d in 1..n-1 never equals u
+        valid = st.tuples(vertex, st.integers(1, n - 1)).map(
+            lambda p: (p[0], (p[0] + p[1]) % n)
+        )
+        pairs = draw(st.lists(valid, max_size=24))
+        if pairs and draw(st.booleans()):
+            pairs.append(draw(st.sampled_from(pairs)))  # a duplicate
+        if pairs and draw(st.booleans()):
+            i = draw(st.integers(0, len(pairs) - 1))
+            pairs[i] = [np.int32(pairs[i][0]), pairs[i][1]]
+    outside = st.one_of(st.integers(-2 * n - 1, -1), st.integers(n, 2 * n + 1))
+    endpoint = st.one_of(
+        vertex,
+        outside,
+        vertex.map(np.int64),
+        vertex.map(np.uint8),
+        st.sampled_from([True, False, np.bool_(True), 1.0, 0.5, "0", None]),
+    )
+    bad = st.one_of(
+        vertex.map(lambda v: (v, v)),
+        st.tuples(vertex, outside),
+        st.tuples(outside, vertex),
+        st.lists(endpoint, min_size=2, max_size=2),
+        st.lists(endpoint, min_size=1, max_size=3),
+        st.text(min_size=2, max_size=2),
+        endpoint,
+    )
+    for pair in draw(st.lists(bad, max_size=3)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return n, pairs
+
+
+@given(mixed_pair_lists())
+@settings(max_examples=300, deadline=None)
+def test_build_graph_matches_reference(case):
+    n, edges = case
+    try:
+        want = build_graph_reference(n, edges)
+    except ValueError as exc:
+        event("rejected")
+        with pytest.raises(ValueError) as got:
+            build_graph(n, edges)
+        assert str(got.value) == str(exc)
+    else:
+        event("accepted")
+        assert build_graph(n, edges) == want
 
 
 class TestInducedSubgraph:
