@@ -89,6 +89,12 @@ def parse_dimacs(text: str) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise InputError(f"line {lineno}: malformed edge {line!r}") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise InputError(
+                    f"line {lineno}: edge endpoint out of range 1..{n} in {line!r}"
+                )
+            if u == v:
+                raise InputError(f"line {lineno}: loop edge {line!r}")
             edges.append((u - 1, v - 1))
         else:
             raise InputError(f"line {lineno}: unrecognized line {line!r}")

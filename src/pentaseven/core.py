@@ -215,9 +215,11 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
     keep = _mask_of(vs)
     rows = []
     for old in vs:
-        r = 0
-        for u in _iter_bits(g.rows[old] & keep):
-            r |= 1 << index[u]
+        r, m = 0, g.rows[old] & keep
+        while m:
+            low = m & -m
+            r |= 1 << index[low.bit_length() - 1]
+            m ^= low
         rows.append(r)
     return Graph.from_rows(rows), index
 

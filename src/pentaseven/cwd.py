@@ -4,12 +4,16 @@ certify the width-12 bound for accepted simplicial-free graphs.
 
 Expressions carry explicit vertex ids through their create leaves, so an
 evaluated expression can be compared to a target graph by equality rather
-than isomorphism.  All tree walks are iterative; expressions for thickenings
-get deep (one chain link per vertex).
+than isomorphism.  Nodes are slotted value dataclasses: compared by value,
+unhashable, never mutated once built.  Every walk is a plain stack loop
+that dispatches on the exact node type and raises ExprError, with a path,
+on anything that is not a node; expressions for thickenings get deep (one
+chain link per vertex), so nothing recurses.
 """
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 from .core import Graph, _iter_bits, simplicial_vertices
@@ -28,26 +32,26 @@ class ExpressionRefusal(Exception):
     """The width-bounded construction does not apply to this input."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Create:
     label: int
     vertex: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Union:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Join:
     i: int
     j: int
     child: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Rename:
     old: int
     new: int
@@ -55,6 +59,7 @@ class Rename:
 
 
 Expr = Create | Union | Join | Rename
+_NODE_TYPES = frozenset((Create, Union, Join, Rename))
 
 
 @dataclass(frozen=True)
@@ -64,37 +69,86 @@ class LabeledGraph:
     labeling: dict[int, int]  # expression vertex id -> label
 
 
-def _children(node: Expr) -> tuple[Expr, ...]:
-    if isinstance(node, Union):
-        return (node.left, node.right)
-    if isinstance(node, (Join, Rename)):
-        return (node.child,)
-    return ()
-
-
-def iter_nodes(expr: Expr):
+def _nodes(expr: Expr) -> list:
+    """The nodes of expr in pre-order, right child first, with anything that
+    is not a node listed as a leaf.  Reversed, it is the left-to-right
+    post-order of a recursive evaluation."""
+    nodes = []
     stack = [expr]
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(_children(node))
+        while True:
+            nodes.append(node)
+            t = type(node)
+            if t is Union:
+                stack.append(node.left)
+                node = node.right
+            elif t is Join or t is Rename:
+                node = node.child
+            else:
+                break
+    return nodes
 
 
-def labels_of(expr: Expr) -> frozenset[int]:
-    out: set[int] = set()
-    for node in iter_nodes(expr):
-        if isinstance(node, Create):
-            out.add(node.label)
-        elif isinstance(node, Join):
-            out.update((node.i, node.j))
-        elif isinstance(node, Rename):
-            out.update((node.old, node.new))
-    return frozenset(out)
+def _path(expr: Expr, pos: int) -> str:
+    """Path from the root to the node at position pos of _nodes(expr)."""
+    stack: list[tuple] = [(expr, None)]  # (node, (name, parent's link) or None)
+    for _ in range(pos):
+        node, up = stack.pop()
+        t = type(node)
+        if t is Union:
+            stack.append((node.left, ("left", up)))
+            stack.append((node.right, ("right", up)))
+        elif t is Join or t is Rename:
+            stack.append((node.child, ("child", up)))
+    names, up = [], stack.pop()[1]
+    while up:
+        name, up = up
+        names.append(name)
+    return ".".join(reversed(names))
+
+
+def _not_a_node(expr: object) -> ExprError:
+    """The error naming the leftmost part of expr that is not a node."""
+    nodes = _nodes(expr)
+    pos = max(k for k, node in enumerate(nodes) if type(node) not in _NODE_TYPES)
+    named = reprlib.repr(nodes[pos])  # a str or a container may be long
+    return ExprError(_path(expr, pos), f"not an expression node: {named}")
+
+
+def iter_nodes(expr: Expr):
+    """Iterator over the nodes of expr, in pre-order, right child first."""
+    nodes = _nodes(expr)
+    if not _NODE_TYPES.issuperset(map(type, nodes)):
+        raise _not_a_node(expr)
+    return iter(nodes)
 
 
 def width(expr: Expr) -> int:
     """Number of distinct labels mentioned anywhere in the expression."""
-    return len(labels_of(expr))
+    labels: set[int] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        while True:
+            t = type(node)
+            if t is Create:
+                labels.add(node.label)
+                break
+            if t is Union:
+                stack.append(node.right)
+                node = node.left
+            elif t is Join:
+                labels.add(node.i)
+                labels.add(node.j)
+                node = node.child
+            elif t is Rename:
+                labels.add(node.old)
+                labels.add(node.new)
+                node = node.child
+            else:
+                raise _not_a_node(expr)
+    return len(labels)
 
 
 def eval_expr(expr: Expr) -> LabeledGraph:
@@ -108,47 +162,17 @@ def eval_expr(expr: Expr) -> LabeledGraph:
     join ORs each side's members into the other side's pending mask.  One
     final pass pushes every parent's pending mask down to its leaves, so a
     join costs O(1) mask operations however many vertices it connects.
+    Errors come out in the order of a recursive evaluation.
     """
-    # pre-order with the right child first: its reverse is the left-to-right
-    # post-order, so errors come out in the order of a recursive evaluation
-    nodes: list[Expr] = []
-    up: list[int] = []  # position of each node's parent, -1 for the root
-    vertices: list[int] = []  # create leaves, right to left
-    stack: list[tuple[Expr, int]] = [(expr, -1)]
-    while stack:
-        node, parent = stack.pop()
-        pos = len(nodes)
-        nodes.append(node)
-        up.append(parent)
-        if isinstance(node, Create):
-            vertices.append(node.vertex)
-        elif isinstance(node, Union):
-            stack.append((node.left, pos))
-            stack.append((node.right, pos))
-        else:
-            stack.append((node.child, pos))
-    vertices.reverse()
+    nodes = _nodes(expr)
+    vertices = [node.vertex for node in reversed(nodes) if type(node) is Create]
     order = sorted(set(vertices))
     index = {v: k for k, v in enumerate(order)}
     has_dups = len(order) != len(vertices)
 
-    def path(pos: int) -> str:
-        names = []
-        while up[pos] >= 0:
-            parent = up[pos]
-            if isinstance(nodes[parent], Union):
-                # the right child directly follows its parent in the pre-order
-                names.append("right" if pos == parent + 1 else "left")
-            else:
-                names.append("child")
-            pos = parent
-        return ".".join(reversed(names))
-
     # the merge forest: node x has member mask member[x] (0 once merged),
     # pending neighbour mask pending[x] and parent parent_of[x] (-1 for none)
-    member: list[int] = []
-    pending: list[int] = []
-    parent_of: list[int] = []
+    member, pending, parent_of = [], [], []
 
     def new_class(mask: int) -> int:
         member.append(mask)
@@ -162,19 +186,23 @@ def eval_expr(expr: Expr) -> LabeledGraph:
         parent_of[a] = parent_of[b] = x
         return x
 
+    def error(message: str) -> ExprError:
+        return ExprError(_path(expr, pos), message)
+
     leaves: list[int] = []  # forest node of each create, left to right
     values: list[dict[int, int]] = []  # per evaluated subtree: label -> class node
     for pos in range(len(nodes) - 1, -1, -1):
         node = nodes[pos]
-        if isinstance(node, Create):
+        t = type(node)
+        if t is Create:
             if node.label < 1:
-                raise ExprError(path(pos), f"label must be >= 1, got {node.label}")
+                raise error(f"label must be >= 1, got {node.label}")
             if node.vertex < 0:
-                raise ExprError(path(pos), f"vertex id must be >= 0, got {node.vertex}")
+                raise error(f"vertex id must be >= 0, got {node.vertex}")
             x = new_class(1 << index[node.vertex])
             leaves.append(x)
             values.append({node.label: x})
-        elif isinstance(node, Union):
+        elif t is Union:
             right = values.pop()
             left = values.pop()
             if has_dups:
@@ -185,31 +213,33 @@ def eval_expr(expr: Expr) -> LabeledGraph:
                     rmask |= member[y]
                 if lmask & rmask:
                     dup = [order[k] for k in _iter_bits(lmask & rmask)]
-                    raise ExprError(path(pos), f"duplicate vertex ids across union: {dup}")
+                    raise error(f"duplicate vertex ids across union: {dup}")
             if len(left) < len(right):
                 left, right = right, left
             for label, y in right.items():
                 x = left.get(label)
                 left[label] = y if x is None else merge(x, y)
             values.append(left)
-        elif isinstance(node, Join):
+        elif t is Join:
             if node.i == node.j:
-                raise ExprError(path(pos), f"join needs two distinct labels, got {node.i}")
+                raise error(f"join needs two distinct labels, got {node.i}")
             if node.i < 1 or node.j < 1:
-                raise ExprError(path(pos), "join labels must be >= 1")
+                raise error("join labels must be >= 1")
             value = values[-1]
             x, y = value.get(node.i), value.get(node.j)
             if x is not None and y is not None:
                 pending[x] |= member[y]
                 pending[y] |= member[x]
-        else:
+        elif t is Rename:
             if node.old < 1 or node.new < 1:
-                raise ExprError(path(pos), "rename labels must be >= 1")
+                raise error("rename labels must be >= 1")
             value = values[-1]
             if node.old != node.new and node.old in value:
                 y = value.pop(node.old)
                 x = value.get(node.new)
                 value[node.new] = y if x is None else merge(x, y)
+        else:
+            raise _not_a_node(expr)
 
     # parents are newer than their children: push pending masks and final
     # labels down from the newest node
@@ -244,10 +274,8 @@ def _complete_expr(ids: list[int], acc_label: int, tmp_label: int) -> Expr:
     """K_|ids| with every vertex ending on acc_label."""
     e: Expr = Create(acc_label, ids[0])
     for v in ids[1:]:
-        e = Rename(
-            tmp_label, acc_label,
-            Join(acc_label, tmp_label, Union(e, Create(tmp_label, v))),
-        )
+        e = Union(e, Create(tmp_label, v))
+        e = Rename(tmp_label, acc_label, Join(acc_label, tmp_label, e))
     return e
 
 
@@ -255,15 +283,11 @@ def expr_complete(k: int) -> Expr:
     """K_k on vertices 0..k-1; width 1 for k = 1, otherwise width 2."""
     if k < 1:
         raise ValueError("complete graphs need k >= 1")
-    if k == 1:
-        return Create(1, 0)
     return _complete_expr(list(range(k)), 1, 2)
 
 
 def thickening_expr(
-    quotient: Graph,
-    class_ids: list[list[int]],
-    universal_ids: list[int],
+    quotient: Graph, class_ids: list[list[int]], universal_ids: list[int]
 ) -> Expr:
     """Expression for a thickening of the quotient plus universal vertices.
 
@@ -282,10 +306,7 @@ def thickening_expr(
         ids = sorted(class_ids[q])
         if not ids:
             raise ValueError(f"class {q} is empty")
-        if len(ids) == 1:
-            parts.append(Create(labels[q], ids[0]))
-        else:
-            parts.append(_complete_expr(ids, labels[q], aux))
+        parts.append(_complete_expr(ids, labels[q], aux))
     e = parts[0]
     for p in parts[1:]:
         e = Union(e, p)
@@ -298,12 +319,7 @@ def thickening_expr(
             e = Rename(labels[q], labels[0], e)
         # the W clique is a separate subtree, so labels[0] is safe scratch
         w_acc = labels[1] if k > 1 else extra
-        ids = sorted(universal_ids)
-        w_expr = (
-            Create(w_acc, ids[0])
-            if len(ids) == 1
-            else _complete_expr(ids, w_acc, labels[0])
-        )
+        w_expr = _complete_expr(sorted(universal_ids), w_acc, labels[0])
         e = Join(labels[0], w_acc, Union(e, w_expr))
     return e
 
@@ -323,113 +339,96 @@ def expr_for_class_graph(g: Graph) -> Expr:
     report = recognize(g)
     if not report.in_class:
         raise NotInClassError(report)
-    return thickening_expr(
-        report.quotient,
-        [list(ids) for ids in report.class_ids],
-        sorted(report.universal_w),
-    )
+    classes = [list(ids) for ids in report.class_ids]
+    return thickening_expr(report.quotient, classes, sorted(report.universal_w))
 
 
 # ---------------------------------------------------------------------------
 # s-expression serialization
 
 
+_CLOSE = object()  # a closing parenthesis on to_sexpr's work stack
+
+
 def to_sexpr(expr: Expr) -> str:
+    """The expression in the grammar from_sexpr reads, written in one
+    pre-order walk: an operator's text is written when the walk reaches it."""
     out: list[str] = []
-    work: list[object] = [expr]
+    work: list[object] = [expr]  # right children and closers
     while work:
-        item = work.pop()
-        if isinstance(item, str):
-            out.append(item)
+        node = work.pop()
+        if node is _CLOSE:
+            out.append(")")
             continue
-        node = item
-        if isinstance(node, Create):
-            out.append(f"(create {node.label} {node.vertex})")
-        elif isinstance(node, Union):
-            work.extend([")", node.right, " ", node.left, "(union "])
-        elif isinstance(node, Join):
-            work.extend([")", node.child, f"(join {node.i} {node.j} "])
-        else:
-            work.extend([")", node.child, f"(rename {node.old} {node.new} "])
+        if out:
+            out.append(" ")  # every node popped after the root is a right child
+        while True:
+            t = type(node)
+            if t is Create:
+                out.append(f"(create {node.label} {node.vertex})")
+                break
+            work.append(_CLOSE)
+            if t is Union:
+                out.append("(union ")
+                work.append(node.right)
+                node = node.left
+            elif t is Join:
+                out.append(f"(join {node.i} {node.j} ")
+                node = node.child
+            elif t is Rename:
+                out.append(f"(rename {node.old} {node.new} ")
+                node = node.child
+            else:
+                raise _not_a_node(expr)
     return "".join(out)
 
 
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+_OPERATORS = {  # name -> (node class, numbers, children)
+    "create": (Create, 2, 0),
+    "union": (Union, 0, 2),
+    "join": (Join, 2, 1),
+    "rename": (Rename, 2, 1),
+}
 
 
 def from_sexpr(text: str) -> Expr:
     """Parse the documented grammar:
     (create i v) | (union e e) | (join i j e) | (rename i j e)."""
-    toks = _tokenize(text)
-    pos = 0
-    n_toks = len(toks)
-
-    def number() -> int:
-        nonlocal pos
-        if pos >= n_toks:
-            raise ExprError("", "unexpected end of input")
-        try:
-            val = int(toks[pos])
-        except ValueError:
-            raise ExprError("", f"expected integer, got {toks[pos]!r}") from None
-        pos += 1
-        return val
-
-    stack: list[list] = []  # [op, args..., children list]
-    result: Expr | None = None
-
-    def deliver(node: Expr):
-        nonlocal result
-        if stack:
-            stack[-1][-1].append(node)
-        elif result is None:
-            result = node
-        else:
-            raise ExprError("", "multiple top-level expressions")
-
-    while pos < n_toks:
-        tok = toks[pos]
+    toks = text.replace("(", " ( ").replace(")", " ) ").split()
+    toks.reverse()  # next token last
+    frames: list[tuple[str, list[int], list[Expr]]] = []  # open operators
+    done: list[Expr] = []  # complete top-level expressions
+    while toks:
+        tok = toks.pop()
         if tok == "(":
-            pos += 1
-            if pos >= n_toks:
+            if not toks:
                 raise ExprError("", "unexpected end of input")
-            op = toks[pos]
-            pos += 1
-            if op == "create":
-                lab, vid = number(), number()
-                if pos >= n_toks or toks[pos] != ")":
-                    raise ExprError("", "expected ')' after create")
-                pos += 1
-                deliver(Create(lab, vid))
-            elif op == "union":
-                stack.append(["union", []])
-            elif op in ("join", "rename"):
-                a, b = number(), number()
-                stack.append([op, a, b, []])
-            else:
+            op = toks.pop()
+            if op not in _OPERATORS:
                 raise ExprError("", f"unknown operator {op!r}")
+            numbers = []
+            for _ in range(_OPERATORS[op][1]):
+                if not toks:
+                    raise ExprError("", "unexpected end of input")
+                try:
+                    numbers.append(int(toks[-1]))
+                except ValueError:
+                    raise ExprError("", f"expected integer, got {toks[-1]!r}") from None
+                toks.pop()
+            frames.append((op, numbers, []))
         elif tok == ")":
-            pos += 1
-            if not stack:
+            if not frames:
                 raise ExprError("", "unbalanced ')'")
-            frame = stack.pop()
-            op, kids = frame[0], frame[-1]
-            if op == "union":
-                if len(kids) != 2:
-                    raise ExprError("", f"union needs 2 children, got {len(kids)}")
-                deliver(Union(kids[0], kids[1]))
-            else:
-                if len(kids) != 1:
-                    raise ExprError("", f"{op} needs 1 child, got {len(kids)}")
-                node = Join(frame[1], frame[2], kids[0]) if op == "join" else Rename(
-                    frame[1], frame[2], kids[0]
-                )
-                deliver(node)
+            op, numbers, kids = frames.pop()
+            cls, _, arity = _OPERATORS[op]
+            if len(kids) != arity:
+                noun = "child" if arity == 1 else "children"
+                raise ExprError("", f"{op} needs {arity} {noun}, got {len(kids)}")
+            (frames[-1][2] if frames else done).append(cls(*numbers, *kids))
         else:
             raise ExprError("", f"unexpected token {tok!r}")
-    if stack:
+    if frames:
         raise ExprError("", "unbalanced '(': expression unterminated")
-    if result is None:
-        raise ExprError("", "empty input")
-    return result
+    if len(done) != 1:
+        raise ExprError("", "multiple top-level expressions" if done else "empty input")
+    return done[0]

@@ -65,8 +65,12 @@ def twin_classes(g: Graph, within: int) -> TwinDecomposition:
     smallest member of class i.
     """
     groups: dict[int, list[int]] = {}
-    for v in _iter_bits(within):  # increasing, so groups open in class order
-        groups.setdefault(g.closed_row(v) & within, []).append(v)
+    rows, m = g.rows, within
+    while m:  # lowest first, so groups open in class order
+        low = m & -m
+        v = low.bit_length() - 1
+        groups.setdefault((rows[v] | low) & within, []).append(v)  # N[v] in within
+        m ^= low
     return TwinDecomposition(tuple(frozenset(c) for c in groups.values()), g)
 
 

@@ -91,6 +91,11 @@ class TestFormats:
     MALFORMED = {
         "count.col": ("p edge 3 7\ne 1 2\n", "declares 7 edges, found 1"),
         "second_p.col": ("p edge 3 1\ne 1 2\np edge 2 1\n", "second header"),
+        "range.col": ("p edge 3 1\ne 1 4\n",
+                      "line 2: edge endpoint out of range 1..3 in 'e 1 4'"),
+        "zero.col": ("p edge 3 1\ne 0 2\n",
+                     "line 2: edge endpoint out of range 1..3 in 'e 0 2'"),
+        "loop.col": ("p edge 3 1\ne 2 2\n", "line 2: loop edge 'e 2 2'"),
         "deep.json": ('{"n": 3, "edges": ' + "[" * 200000 + "]" * 200000 + "}",
                       "recursion"),
         "digits.json": ('{"n": ' + "9" * 5000 + ', "edges": []}', "digits"),

@@ -16,6 +16,7 @@ from pentaseven.cwd import (
     expr_complete,
     expr_for_class_graph,
     from_sexpr,
+    iter_nodes,
     thickening_expr,
     to_sexpr,
     width,
@@ -278,6 +279,74 @@ def eval_by_edges(expr):
     return {v: expr.new if x == expr.old else x for v, x in lab.items()}, edges
 
 
+def sexpr_by_recursion(expr):
+    if isinstance(expr, Create):
+        return f"(create {expr.label} {expr.vertex})"
+    if isinstance(expr, Union):
+        return f"(union {sexpr_by_recursion(expr.left)} {sexpr_by_recursion(expr.right)})"
+    a, b = (expr.i, expr.j) if isinstance(expr, Join) else (expr.old, expr.new)
+    op = "join" if isinstance(expr, Join) else "rename"
+    return f"({op} {a} {b} {sexpr_by_recursion(expr.child)})"
+
+
+def labels_by_recursion(expr):
+    if isinstance(expr, Create):
+        return {expr.label}
+    if isinstance(expr, Union):
+        return labels_by_recursion(expr.left) | labels_by_recursion(expr.right)
+    own = {expr.i, expr.j} if isinstance(expr, Join) else {expr.old, expr.new}
+    return own | labels_by_recursion(expr.child)
+
+
+def size_by_recursion(expr):
+    if isinstance(expr, Create):
+        return 1
+    if isinstance(expr, Union):
+        return 1 + size_by_recursion(expr.left) + size_by_recursion(expr.right)
+    return 1 + size_by_recursion(expr.child)
+
+
+class TestWalkersMatchRecursiveReferences:
+    def test_random_expressions(self):
+        for seed in range(1200):
+            rng = np.random.default_rng(seed)
+            ids = rng.choice(200, size=int(rng.integers(1, 30)), replace=False)
+            e = random_expr(rng, ids.tolist(), labels=6)
+            assert to_sexpr(e) == sexpr_by_recursion(e)
+            assert width(e) == len(labels_by_recursion(e))
+            assert sum(1 for _ in iter_nodes(e)) == size_by_recursion(e)
+            assert from_sexpr(to_sexpr(e)) == e
+
+
+class TestNonNodesRejected:
+    """Every walker raises ExprError naming the leftmost part that is not a
+    node, with its path; a str is never taken for serializer text."""
+
+    @pytest.mark.parametrize("walk", [width, to_sexpr, eval_expr, iter_nodes])
+    @pytest.mark.parametrize("expr, path, named", [
+        ("x", "", "'x'"),
+        (7, "", "7"),
+        (None, "", "None"),
+        (Union(Create(1, 0), 7), "right", "7"),
+        (Union(Create(1, 0), "x"), "right", "'x'"),
+        (Join(1, 2, Union(")", Rename(1, 2, "b"))), "child.left", "')'"),
+        (Rename(2, 1, Union(Create(1, 0), Join(1, 2, (Create(2, 1),)))),
+         "child.right.child", "(Create(label=2, vertex=1),)"),
+    ])
+    def test_walkers_raise_expr_error(self, walk, expr, path, named):
+        with pytest.raises(ExprError) as err:
+            walk(expr)
+        assert str(err.value) == f"at {path or 'root'}: not an expression node: {named}"
+        assert err.value.path == path
+
+    def test_deep_non_node_path(self):
+        e = chain_with("x", 30)
+        for walk in (width, to_sexpr, eval_expr, iter_nodes):
+            with pytest.raises(ExprError) as err:
+                walk(e)
+            assert err.value.path.endswith(".right") and err.value.path.count(".") >= 200
+
+
 class TestComplete:
     def test_k1_width_1(self):
         assert width(expr_complete(1)) == 1
@@ -464,7 +533,19 @@ class TestSexpr:
     def test_deep_expression_round_trip(self):
         # recursive dataclass equality would overflow at this depth; compare
         # the canonical serialization instead
-        e = expr_complete(300)
+        e = expr_complete(5000)
         s = to_sexpr(e)
         assert to_sexpr(from_sexpr(s)) == s
-        assert eval_to_graph(e).num_edges == 300 * 299 // 2
+        assert width(e) == 2 and sum(1 for _ in iter_nodes(e)) == 4 * 5000 - 3
+        assert eval_to_graph(e).num_edges == 5000 * 4999 // 2
+
+    def test_deep_thickening_round_trip(self):
+        from pentaseven.catalog import catalog_entry
+
+        base = catalog_entry("M0").graph
+        sizes = [167] * 11 + [163]  # n = 2 000
+        e = thickening_expr(base, consecutive_ids(sizes), [])
+        s = to_sexpr(e)
+        assert to_sexpr(from_sexpr(s)) == s
+        assert width(e) == 12
+        assert eval_to_graph(e) == expand_thickening(base, sizes)[0]
