@@ -327,7 +327,7 @@ def color_in_class(g: Graph) -> Coloring:
     elimination ordering.
     """
     report = recognize(g)
-    if report.prefix.remainder and not report.in_class:
+    if report.prefix.remainder_mask and not report.in_class:
         raise NotInClassError(report)
     assignment: dict[int, int] = {}
     if report.quotient is not None:  # None: chordal, the prefix is all of g

@@ -2,9 +2,11 @@
 partition reconstruction, and the full strip-and-match pipeline.
 
 The architecture is verification-first: the builders may take any route to a
-candidate partition, but everything they emit is checked against the literal
-clause lists of the structure definitions before it is returned.  A clean
-verifier run is the certificate that the input graph lies in the class.
+candidate partition, but everything they emit is checked against the
+structure definitions before it is returned.  Each definition is a table of
+clause rows, one per clause of the paper's special, saucer and tent
+partitions, read by one interpreter.  A clean verifier run is the
+certificate that the input graph lies in the class.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ IN_CLASS_T0 = "in-class-with-T0"
 NOT_IN_CLASS = "not-in-class"
 
 _SPECIAL_NAMES = tuple(f"{s}{i}" for s in "XYZ" for i in MOD7) + ("W",)
+_TENT_CORE = ("A0", "A1", "B0", "B1", "B2", "B3", "C1", "C2", "C3")
+_TENT_NAMES = _TENT_CORE + ("F2", "F3", "W", "Y", "Z")
 
 
 class NotInClassError(Exception):
@@ -116,13 +120,7 @@ class TentPartition:
     z_components: tuple[tuple[int, ...], ...]
 
     def named_sets(self) -> list[tuple[str, frozenset[int]]]:
-        return [
-            ("A0", self.a0), ("A1", self.a1),
-            ("B0", self.b0), ("B1", self.b1), ("B2", self.b2), ("B3", self.b3),
-            ("C1", self.c1), ("C2", self.c2), ("C3", self.c3),
-            ("F2", self.f2), ("F3", self.f3),
-            ("W", self.w), ("Y", self.y), ("Z", self.z),
-        ]
+        return [(name, getattr(self, name.lower())) for name in _TENT_NAMES]
 
 
 @dataclass(frozen=True)
@@ -373,11 +371,14 @@ class _Clauses:
         """The components of the pendant set label (A or Z, with vertex mask
         union): nonempty cliques, each listing its vertices once in nested
         closed-neighborhood order, pairwise anticomplete, covering union
-        exactly."""
+        exactly.  A component listing a non-vertex raises ValueError."""
         out = self.out
         clause = f"{label.lower()}-components"
         name = f"{label}-component"
-        masks = [_mask_of(comp) for comp in comps]
+        masks = [_vertex_mask(self.g, comp) for comp in comps]
+        if None in masks:
+            k = masks.index(None)
+            raise ValueError(f"{name} {k} has a member that is not a vertex")
         comp_union = 0
         for comp, cmask in zip(comps, masks):
             if not comp:
@@ -401,18 +402,140 @@ class _Clauses:
                 for mb in masks[i + 1 :]:
                     self.anticomplete(name, ma, name, mb)
 
+    def run(self, table: tuple, m: dict[str, int]) -> None:
+        """Check the rows of a clause table, in order, on the set masks m."""
+        out = self.out
+        for label, kind, names in table:
+            if kind == "complete" or kind == "anticomplete":
+                a, b = names
+                ma = m[a]
+                if ma and (mb := m[b]):  # a pair with an empty side holds
+                    getattr(self, kind)(a, ma, b, mb)
+            elif kind == "clique":
+                if ma := m[names[0]]:
+                    self.clique(names[0], ma)
+            elif kind == "exclusive":
+                if all(map(m.__getitem__, names)):
+                    a, *rest = names
+                    both = "both " if rest[1:] else ""
+                    detail = f"{a} nonempty but {both}{','.join(rest)} nonempty"
+                    out.append(Violation(label, detail))
+            elif kind == "nonempty":
+                if not m[names[0]]:
+                    out.append(Violation(label, f"{names[0]} is empty"))
+            elif kind == "at-most-one":
+                if sum(map(bool, map(m.__getitem__, names))) > 1:
+                    detail = f"more than one of {', '.join(names)} is nonempty"
+                    out.append(Violation(label, detail))
+            else:  # guarded-anticomplete
+                a, b, guard = names
+                if m[guard] and (w := self.meets(m[a], m[b])):
+                    detail = f"{a} has a neighbor in {b} while {guard} is nonempty"
+                    out.append(Violation(label, detail, w))
 
-def _require_partition(g: Graph, named, what: str) -> list[int]:
-    """The masks of the named sets, in order, once they partition the vertices
+
+# ---------------------------------------------------------------------------
+# the structure definitions
+#
+# Each definition is a table of clause rows (label, kind, set names) in the
+# order the verifier checks them, and a violation carries its row's label.
+# The kinds:
+#   clique S; complete S T; anticomplete S T: a row naming an empty set holds;
+#   nonempty S;
+#   exclusive S T [U]: not every named set is nonempty;
+#   at-most-one S...: at most one named set is nonempty;
+#   guarded-anticomplete S T U: S is anticomplete to T or U is empty.
+
+
+def _rel(a: str, complete: str = "", anticomplete: str = "") -> list:
+    """Rows: a complete to each set named in complete, then a anticomplete to
+    each set named in anticomplete."""
+    return [("complete", "complete", (a, b)) for b in complete.split()] + [
+        ("anticomplete", "anticomplete", (a, b)) for b in anticomplete.split()
+    ]
+
+
+def _cyclic(*rows) -> list:
+    """rows for i = 0..6 in turn, reading the index of each set name X, Y or Z
+    as an offset from i, mod 7."""
+    return [
+        (label, kind, tuple(
+            s if s in ("A", "W") else f"{s[0]}{(i + int(s[1])) % 7}" for s in names
+        ))
+        for i in MOD7 for label, kind, names in rows
+    ]
+
+
+SPECIAL_TABLE = tuple(
+    [("clique", "clique", (name,)) for name in _SPECIAL_NAMES]
+    + _cyclic(("(a)", "nonempty", ("X0",)))
+    + _cyclic(*_rel("X0", "X1", "X2 X3"))
+    + _cyclic(*_rel("X0", "Y0 Y3 Y6 Z0 Z3 Z4 Z5 Z6 W", "Y1 Y2 Y4 Y5 Z1 Z2"))
+    # (d) and (e) on two Y sets or two Z sets, and complete on two Y sets or
+    # two Z sets, state each pair from both sides: each such row is implied
+    # by its mirror.  The three-set (d) row is implied by (d) on Y_{i+3},
+    # Y_{i+4}.
+    + _cyclic(
+        *[("(d)", "exclusive", ("Y0", s)) for s in "Y1 Y2 Y5 Y6 Z5 Z6".split()],
+        ("(d)", "exclusive", ("Y0", "Y3", "Y4")),
+    )
+    + _cyclic(("(e)", "exclusive", ("Z0", "Z2")), ("(e)", "exclusive", ("Z0", "Z5")))
+    + _cyclic(*_rel("Y0", "Y3 Y4 Z0 Z1 Z3 Z4 W", "Z2"))
+    + _cyclic(*_rel("Z0", "Z1 Z3 Z4 Z6 W"))
+)
+
+# A is a union of clique components: pendant_components checks them
+SAUCER_TABLE = SPECIAL_TABLE + tuple(
+    _rel("A", "", "X0 X1 X2 X3 X4 X5 X6")
+    + _cyclic(("saucer-YZ", "guarded-anticomplete", ("A", "Y0", "Z2")))
+)
+
+TENT_TABLE = tuple(
+    # Z is a union of clique components: pendant_components checks them.
+    # The clique row on Y is implied by the nested Y order, whose
+    # consecutive members are adjacent.
+    [("clique", "clique", (name,)) for name in _TENT_NAMES if name != "Z"]
+    + [("core-nonempty", "nonempty", (name,)) for name in _TENT_CORE]
+    + [("F2F3Y", "at-most-one", ("F2", "F3", "Y"))]
+    + _rel("A0", "A1 B0 B2 B3", "B1 C1 C2 C3")
+    + _rel("A1", "B1 B2 B3", "B0 C1 C2 C3")
+    + _rel("B0", "", "B1 B2 B3") + _rel("B1", "", "B2 B3") + _rel("B2", "", "B3")
+    + _rel("C1", "C2 C3") + _rel("C2", "C3")
+    + _rel("C1", "B0 B1", "B2 B3")
+    + _rel("C2", "B2", "B0 B1 B3")
+    + _rel("C3", "B3", "B0 B1 B2")
+    + _rel("F2", "A0 A1 B0 B1 B3 C1 C3", "B2 C2")
+    + _rel("F3", "A0 A1 B0 B1 B2 C1 C2", "B3 C3")
+    + _rel("W", "A0 A1 B0 B1 B2 B3 C1 C2 C3 F2 F3")
+    + _rel("Y", "C2 C3", "A0 A1 B0 B1 B2 B3 C1")
+    + _rel("Z", "", "A0 A1 B0 B1 B2 B3 C1 C2 C3 Y")
+)
+
+
+def _vertex_mask(g: Graph, vertices) -> int | None:
+    """The mask of vertices, or None unless each is an int vertex of g."""
+    try:
+        if vertices and max(vertices) >= g.n:  # before a shift by a huge int
+            return None
+        m = _mask_of(vertices)  # a non-int or a negative int raises
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return m if type(m) is int else None  # numpy integers give numpy masks
+
+
+def _require_partition(g: Graph, named, what: str) -> dict[str, int]:
+    """The masks of the named sets, by name, once they partition the vertices
     of g."""
-    masks = []
+    masks = {}
     seen = 0
     for name, s in named:
-        m = _mask_of(s)
+        m = _vertex_mask(g, s)
+        if m is None:
+            raise ValueError(f"{what}: set {name} has a member that is not a vertex")
         if m & seen:
             raise ValueError(f"{what}: set {name} overlaps another set")
         seen |= m
-        masks.append(m)
+        masks[name] = m
     if seen != g.full_mask:
         raise ValueError(f"{what}: sets do not partition the required vertex set")
     return masks
@@ -421,156 +544,31 @@ def _require_partition(g: Graph, named, what: str) -> list[int]:
 def verify_special_partition(g: Graph, p: SpecialPartition) -> list[Violation]:
     """Check every clause of the 22-set definition; empty list means valid."""
     c = _Clauses(g)
-    _verify_special(c, _require_partition(g, p.named_sets(), "special partition"))
+    c.run(SPECIAL_TABLE, _require_partition(g, p.named_sets(), "special partition"))
     return c.out
-
-
-def _verify_special(c: _Clauses, masks: list[int]) -> None:
-    """The clauses of the special partition whose 22 set masks, in
-    named_sets order, start masks."""
-    xs, ys, zs, w = masks[0:7], masks[7:14], masks[14:21], masks[21]
-    out = c.out
-    for name, m in zip(_SPECIAL_NAMES, masks):
-        c.clique(name, m)
-    comp, anti = c.complete, c.anticomplete
-
-    for i in MOD7:
-        if not xs[i]:
-            out.append(Violation("(a)", f"X{i} is empty"))
-    for i in MOD7:
-        comp(f"X{i}", xs[i], f"X{(i+1)%7}", xs[(i + 1) % 7])
-        for d in (2, 3):
-            anti(f"X{i}", xs[i], f"X{(i+d)%7}", xs[(i + d) % 7])
-    for i in MOD7:
-        for d in (0, 3, 6):
-            comp(f"X{i}", xs[i], f"Y{(i+d)%7}", ys[(i + d) % 7])
-        for d in (0, 3, 4, 5, 6):
-            comp(f"X{i}", xs[i], f"Z{(i+d)%7}", zs[(i + d) % 7])
-        comp(f"X{i}", xs[i], "W", w)
-        for d in (1, 2, 4, 5):
-            anti(f"X{i}", xs[i], f"Y{(i+d)%7}", ys[(i + d) % 7])
-        for d in (1, 2):
-            anti(f"X{i}", xs[i], f"Z{(i+d)%7}", zs[(i + d) % 7])
-    for i in MOD7:
-        if not ys[i]:
-            continue
-        for d in (1, 2, 5, 6):
-            if ys[(i + d) % 7]:
-                out.append(Violation("(d)", f"Y{i} nonempty but Y{(i+d)%7} nonempty"))
-        for d in (5, 6):
-            if zs[(i + d) % 7]:
-                out.append(Violation("(d)", f"Y{i} nonempty but Z{(i+d)%7} nonempty"))
-        if ys[(i + 3) % 7] and ys[(i + 4) % 7]:
-            out.append(
-                Violation("(d)", f"Y{i} nonempty but both Y{(i+3)%7},Y{(i+4)%7} nonempty")
-            )
-    for i in MOD7:
-        if not zs[i]:
-            continue
-        for d in (2, 5):
-            if zs[(i + d) % 7]:
-                out.append(Violation("(e)", f"Z{i} nonempty but Z{(i+d)%7} nonempty"))
-    for i in MOD7:
-        for d in (3, 4):
-            comp(f"Y{i}", ys[i], f"Y{(i+d)%7}", ys[(i + d) % 7])
-        for d in (0, 1, 3, 4):
-            comp(f"Y{i}", ys[i], f"Z{(i+d)%7}", zs[(i + d) % 7])
-        comp(f"Y{i}", ys[i], "W", w)
-        anti(f"Y{i}", ys[i], f"Z{(i+2)%7}", zs[(i + 2) % 7])
-    for i in MOD7:
-        for d in (1, 3, 4, 6):
-            comp(f"Z{i}", zs[i], f"Z{(i+d)%7}", zs[(i + d) % 7])
-        comp(f"Z{i}", zs[i], "W", w)
 
 
 def verify_saucer_partition(g: Graph, p: SaucerPartition) -> list[Violation]:
     """Full 7-saucer check: special partition off A, the A attachment rules,
     and the pendant clique components with nested closed neighborhoods."""
-    masks = _require_partition(g, p.named_sets(), "7-saucer partition")
-    xs, ys, zs, amask = masks[0:7], masks[7:14], masks[14:21], masks[22]
+    m = _require_partition(g, p.named_sets(), "7-saucer partition")
     c = _Clauses(g)
-    _verify_special(c, masks)
-    for i in MOD7:
-        c.anticomplete("A", amask, f"X{i}", xs[i])
-    for i in MOD7:
-        if zs[(i + 2) % 7] and (w := c.meets(amask, ys[i])):
-            c.out.append(
-                Violation(
-                    "saucer-YZ",
-                    f"A has a neighbor in Y{i} while Z{(i+2)%7} is nonempty",
-                    w,
-                )
-            )
-    c.pendant_components("A", p.a_components, amask)
+    c.run(SAUCER_TABLE, m)
+    c.pendant_components("A", p.a_components, m["A"])
     return c.out
 
 
 def verify_tent_partition(g: Graph, p: TentPartition) -> list[Violation]:
-    """Full tent check, clause by clause."""
-    named = p.named_sets()
-    masks = _require_partition(g, named, "tent partition")
-    m = {name: mask for (name, _), mask in zip(named, masks)}
+    """Full tent check: the tent table, the Y order and the Z-components."""
+    m = _require_partition(g, p.named_sets(), "tent partition")
     c = _Clauses(g)
-    out = c.out
-    for name, mask in m.items():
-        if name != "Z":  # Z is a union of clique components, checked below
-            c.clique(name, mask)
-    for name in ("A0", "A1", "B0", "B1", "B2", "B3", "C1", "C2", "C3"):
-        if not m[name]:
-            out.append(Violation("core-nonempty", f"{name} is empty"))
-    if sum(1 for name in ("F2", "F3", "Y") if m[name]) > 1:
-        out.append(Violation("F2F3Y", "more than one of F2, F3, Y is nonempty"))
-
-    def comp(na, nb):
-        c.complete(na, m[na], nb, m[nb])
-
-    def anti(na, nb):
-        c.anticomplete(na, m[na], nb, m[nb])
-
-    comp("A0", "A1")
-    for nb in ("B0", "B2", "B3"):
-        comp("A0", nb)
-    for nb in ("B1", "C1", "C2", "C3"):
-        anti("A0", nb)
-    for nb in ("B1", "B2", "B3"):
-        comp("A1", nb)
-    for nb in ("B0", "C1", "C2", "C3"):
-        anti("A1", nb)
-    bs = ("B0", "B1", "B2", "B3")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            anti(bs[i], bs[j])
-    cs = ("C1", "C2", "C3")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            comp(cs[i], cs[j])
-    comp("C1", "B0"); comp("C1", "B1"); anti("C1", "B2"); anti("C1", "B3")
-    comp("C2", "B2")
-    for nb in ("B0", "B1", "B3"):
-        anti("C2", nb)
-    comp("C3", "B3")
-    for nb in ("B0", "B1", "B2"):
-        anti("C3", nb)
-    for nb in ("A0", "A1", "B0", "B1", "B3", "C1", "C3"):
-        comp("F2", nb)
-    anti("F2", "B2"); anti("F2", "C2")
-    for nb in ("A0", "A1", "B0", "B1", "B2", "C1", "C2"):
-        comp("F3", nb)
-    anti("F3", "B3"); anti("F3", "C3")
-    for nb in ("A0", "A1", "B0", "B1", "B2", "B3", "C1", "C2", "C3", "F2", "F3"):
-        comp("W", nb)
-    comp("Y", "C2"); comp("Y", "C3")
-    for nb in ("A0", "A1", "B0", "B1", "B2", "B3", "C1"):
-        anti("Y", nb)
-    for nb in ("A0", "A1", "B0", "B1", "B2", "B3", "C1", "C2", "C3", "Y"):
-        anti("Z", nb)
-
+    c.run(TENT_TABLE, m)
     if frozenset(p.y_order) != p.y or len(p.y_order) != len(p.y):
-        out.append(Violation("y-order", "ordering does not enumerate Y exactly"))
+        c.out.append(Violation("y-order", "ordering does not enumerate Y exactly"))
     else:
         c.nested_chain("Y", p.y_order)
     c.pendant_components("Z", p.z_components, m["Z"])
-    return out
+    return c.out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from contextlib import contextmanager
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentaseven import oracle
+from pentaseven import catalog, oracle
 from pentaseven import recognize as rec
 from pentaseven.catalog import catalog_entry, pattern
 from pentaseven.core import Graph, _mask_of, bits_of, build_graph, is_clique
@@ -238,6 +239,258 @@ class TestVerifyStructures:
             )
             return
         raise AssertionError("no tent with nonempty Y generated")
+
+
+# members that are not vertices: one past the last vertex, negative, not an int
+NON_VERTICES = {"past-n": None, "negative": -1, "str": "x"}
+
+
+@pytest.mark.parametrize("bad", sorted(NON_VERTICES))
+@pytest.mark.parametrize("where", ["A-component", "W", "Z-component"])
+def test_verifiers_reject_members_that_are_not_vertices(where, bad):
+    from dataclasses import replace
+
+    if where == "Z-component":
+        g, part = gen_tent(GenParams(seed=3, z_components=(1, 2)))
+        verify = verify_tent_partition
+    else:
+        g, part = gen_saucer(GenParams(seed=3, a_components=(1, 2)))
+        verify = verify_saucer_partition
+    assert verify(g, part) == []
+    v = NON_VERTICES[bad] if bad != "past-n" else g.n
+    if where == "W":
+        broken = replace(part, special=replace(part.special, w=part.special.w | {v}))
+        name = "7-saucer partition: set W"
+    else:
+        field = "a_components" if where == "A-component" else "z_components"
+        comps = getattr(part, field)
+        broken = replace(part, **{field: ((*comps[0], v),) + comps[1:]})
+        name = f"{where} 0"
+    with pytest.raises(ValueError, match=f"^{name} has a member that is not a vertex$"):
+        verify(g, broken)
+
+
+# ---------------------------------------------------------------------------
+# the clause tables
+
+TABLES = {"special": rec.SPECIAL_TABLE, "saucer": rec.SAUCER_TABLE,
+          "tent": rec.TENT_TABLE}
+PAIR_KINDS = ("complete", "anticomplete")
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_clause_table_names_each_set_and_each_pair_once(name):
+    gen = {"special": gen_special, "saucer": gen_saucer, "tent": gen_tent}[name]
+    _, part = gen(GenParams(seed=1))
+    table = TABLES[name]
+    named = {s for s, _ in part.named_sets()}
+    assert {s for _, _, names in table for s in names} == named
+    assert len(set(table)) == len(table)
+    assert {kind for _, kind, _ in table} <= {
+        "clique", "nonempty", "exclusive", "at-most-one", "guarded-anticomplete",
+        *PAIR_KINDS}
+    # a pair is named in one order only, or in both orders with one kind: the
+    # special definition states the Y-Y and Z-Z clauses from both sides
+    kinds: dict[frozenset, set[str]] = {}
+    for _, kind, names in table:
+        if kind in PAIR_KINDS:
+            assert names[0] != names[1]
+            kinds.setdefault(frozenset(names), set()).add(kind)
+    assert all(len(k) == 1 for k in kinds.values())
+
+
+def _built(pairs, isolated=()):
+    """A graph with one vertex per label, numbered in order of first mention,
+    the label pairs as its edges, and its partition: label l lies in set
+    l.upper() less any trailing prime.  A label x1 makes a saucer partition,
+    any other a tent partition; each pendant vertex (a, or z) is its own
+    component, and the Y order is Y's vertices in label order."""
+    labels = [lab for pair in pairs for lab in pair] + list(isolated)
+    labels = list(dict.fromkeys(labels))
+    at = {lab: k for k, lab in enumerate(labels)}
+    g = build_graph(len(labels), [(at[u], at[v]) for u, v in pairs])
+    sets: dict[str, tuple[int, ...]] = {}
+    for lab in labels:
+        name = lab.rstrip("'").upper()
+        sets[name] = sets.get(name, ()) + (at[lab],)
+
+    def get(name):
+        return frozenset(sets.get(name, ()))
+
+    if "X1" in sets:
+        special = SpecialPartition(*(tuple(get(f"{s}{i}") for i in range(7))
+                                     for s in "XYZ"), get("W"))
+        comps = tuple((v,) for v in sets.get("A", ()))
+        return g, SaucerPartition(special, get("A"), comps)
+    return g, TentPartition(**{name.lower(): get(name) for name in rec._TENT_NAMES},
+                            y_order=sets.get("Y", ()),
+                            z_components=tuple((v,) for v in sets.get("Z", ())))
+
+
+def _thickened(edges, pendant: str):
+    """The graph of the label pairs edges with each vertex doubled into two
+    adjacent twins, a W of two vertices complete to them, and one isolated
+    pendant vertex."""
+    labels = list(dict.fromkeys(lab for pair in edges for lab in pair))
+    twins = [lab + p for lab in labels for p in ("", "'")]
+    pairs = [(lab, lab + "'") for lab in labels + ["w"]]
+    pairs += [(u + p, v + q) for u, v in edges for p in ("", "'") for q in ("", "'")]
+    pairs += [(w, v) for w in ("w", "w'") for v in twins]
+    return _built(pairs, isolated=[pendant])
+
+
+def _joined(v: str, nbrs: str) -> list:
+    return [(v, u) for u in nbrs.split()]
+
+
+HOLE = [(f"x{i}", f"x{(i + 1) % 7}") for i in range(7)]
+T0_EDGES = [tuple(e.split("-")) for e in (
+    "a0-a1 a0-b0 a0-b2 a0-b3 a1-b1 a1-b2 a1-b3 c1-c2 c1-c3 c2-c3 "
+    "b0-c1 b1-c1 b2-c2 b3-c3").split()]
+Y0 = _joined("y0", "x0 x1 x4")
+
+# partitions that each violate one row, named by its (clause, detail), which
+# no other input of the mutation test violates alone
+HAND_BUILT = {
+    ("(a)", "X0 is empty"): _built(HOLE[1:6]),
+    ("(d)", "Y0 nonempty but Z5 nonempty"):
+        _built(HOLE + Y0 + _joined("z5", "x5 x6 x0 x1 x2")),
+    ("(d)", "Y0 nonempty but Z6 nonempty"):
+        _built(HOLE + Y0 + _joined("z6", "x6 x0 x1 x2 x3")),
+    ("F2F3Y", "more than one of F2, F3, Y is nonempty"):
+        _built(T0_EDGES + _joined("f2", "a0 a1 b0 b1 b3 c1 c3")
+               + _joined("f3", "a0 a1 b0 b1 b2 c1 c2")),
+} | {  # T0 without one core vertex
+    ("core-nonempty", f"{lab.upper()} is empty"):
+        _built([e for e in T0_EDGES if lab not in e])
+    for lab in T0_LABELS
+}
+
+
+@pytest.mark.parametrize("want", sorted(HAND_BUILT))
+def test_hand_built_partition_violates_one_row(want):
+    g, part = HAND_BUILT[want]
+    verify = (verify_saucer_partition if isinstance(part, SaucerPartition)
+              else verify_tent_partition)
+    assert [(v.clause, v.detail) for v in verify(g, part)] == [want]
+
+
+def _flipped(row):
+    label, kind, names = row
+    other = PAIR_KINDS[kind == "complete"]
+    return other, other, names
+
+
+def _turned(row, r):
+    """row with every X, Y and Z index moved up by r, mod 7."""
+    label, kind, names = row
+    return label, kind, tuple(
+        s if s in ("A", "W") else f"{s[0]}{(int(s[1]) + r) % 7}" for s in names
+    )
+
+
+def _implied(table, row) -> bool:
+    """Whether other clauses imply row: a row on the same sets named in the
+    other order, or, for an exclusive row, one on a subset of its sets.  The
+    tent's clique row on Y is implied by the Y order, whose consecutive
+    members are adjacent."""
+    label, kind, names = row
+    if table is rec.TENT_TABLE and row == ("clique", "clique", ("Y",)):
+        return True
+    return any(
+        olabel == label and okind == kind and onames != names
+        and (onames == names[::-1] or kind == "exclusive" and set(onames) < set(names))
+        for olabel, okind, onames in table
+    )
+
+
+def _with_pair_flips(g, part):
+    """g, and g with one pair flipped for each pair of nonempty named sets,
+    at their lowest and at their highest vertices, and inside each set of
+    two or more.  An edge the first vertex of a nested order gains, or the
+    last one loses, keeps the order nested."""
+    sets = [sorted(s) for _, s in part.named_sets() if s]
+    yield g, part
+    for i, a in enumerate(sets):
+        if len(a) > 1:
+            yield _flip(g, [a[-2:]]), part
+        for b in sets[i + 1 :]:
+            for pair in {(a[0], b[0]), (a[-1], b[-1])}:
+                yield _flip(g, [pair]), part
+
+
+def _mutation_inputs():
+    for entry in catalog.dedup_family_index():
+        labels = entry.labels
+        edges = [(labels[u], labels[v]) for u, v in entry.graph.edges()]
+        pendant = "a" if "x1" in labels.values() else "z"
+        yield from _with_pair_flips(*_thickened(edges, pendant))
+    for extra in (_joined("f2", "a0 a1 b0 b1 b3 c1 c3"), _joined("y", "c2 c3")):
+        yield from _with_pair_flips(*_thickened(T0_EDGES + extra, "z"))
+    for seed in range(6):
+        params = GenParams(seed=seed, a_components=(1, 2), z_components=(1, 2))
+        yield from _with_pair_flips(*gen_saucer(params))
+        yield from _with_pair_flips(*gen_tent(params))
+    yield from HAND_BUILT.values()
+
+
+@pytest.mark.parametrize("name", ["special", "saucer"])
+def test_clause_tables_turn_into_themselves(name):
+    # the definitions are invariant under moving every index up by one
+    table = TABLES[name]
+    assert sorted(_turned(row, 1) for row in table) == sorted(table)
+
+
+# the inputs' verdicts (1: refused) in order, hashed: every mutant table
+# changes one of them
+MUTATION_VERDICTS = "f789afd735f4f552ee4aa34babe95ba192ce7aa58a3ff9a87b7b764f5bb0de88"
+
+
+def test_every_clause_row_mutation_changes_some_verdict():
+    # A mutant table drops one row, or flips one complete row to anticomplete
+    # or back; some input must change its verdict, clean or not, under it.
+    # Only an input with at most one violation can, so each such input is
+    # decided in one pass of the rows.  A clique or pair row naming an empty
+    # set holds, flipped or not, and is passed over.  The saucer table turns
+    # into itself, so what an input detects its turns detect, turned.
+    dropped = {"saucer": set(), "tent": set()}
+    flipped = {"saucer": set(), "tent": set()}
+    verdicts = []
+    for g, part in _mutation_inputs():
+        name = "saucer" if isinstance(part, SaucerPartition) else "tent"
+        verify = verify_saucer_partition if name == "saucer" else verify_tent_partition
+        found = verify(g, part)
+        verdicts.append("1" if found else "0")
+        if len(found) > 1:
+            continue
+        m = rec._require_partition(g, part.named_sets(), name)
+        c = rec._Clauses(g)
+
+        def fails(row):
+            before = len(c.out)
+            c.run((row,), m)
+            return len(c.out) > before
+
+        for row in TABLES[name]:
+            kind = row[1]
+            if kind in ("clique",) + PAIR_KINDS and not all(map(m.__getitem__, row[2])):
+                continue
+            if found and fails(row):  # the one violation: the input detects
+                dropped[name].add(row)  # the drop, and the flip if that holds
+                if kind in PAIR_KINDS and not fails(_flipped(row)):
+                    flipped[name].add(row)
+                break
+            if not found and kind in PAIR_KINDS and fails(_flipped(row)):
+                flipped[name].add(row)
+    verdicts = "".join(verdicts)
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == MUTATION_VERDICTS
+    assert 0 < verdicts.count("0") < len(verdicts)
+    for found in (dropped, flipped):
+        found["saucer"] = {_turned(row, r) for row in found["saucer"] for r in range(7)}
+    for name, table in (("saucer", rec.SAUCER_TABLE), ("tent", rec.TENT_TABLE)):
+        drops, flips = dropped[name], flipped[name]
+        assert [row for row in table if row[1] in PAIR_KINDS and row not in flips] == []
+        assert [row for row in table if (row in drops) == _implied(table, row)] == []
 
 
 def _with_edge(g, a, b):
