@@ -250,14 +250,15 @@ def is_isomorphic_small(g: Graph, h: Graph) -> dict[int, int] | None:
 
 @cache
 def _dedup_targets() -> list[NamedGraph]:
-    """Family plus T0/T1, one representative per isomorphism class."""
+    """Family plus T0/T1, one representative per isomorphism class, in
+    catalog order.  Isomorphic graphs share an invariant key, so an entry is
+    tested only against the earlier representatives with its key."""
     reps: list[NamedGraph] = []
+    reps_by_key: dict[tuple[int, int, tuple[int, ...]], list[NamedGraph]] = {}
     for entry in family_M() + [pattern("T0"), pattern("T1")]:
-        if all(
-            rep.graph.n != entry.graph.n
-            or is_isomorphic_small(rep.graph, entry.graph) is None
-            for rep in reps
-        ):
+        same_key = reps_by_key.setdefault(_invariant_key(entry.graph), [])
+        if all(is_isomorphic_small(rep.graph, entry.graph) is None for rep in same_key):
+            same_key.append(entry)
             reps.append(entry)
     return reps
 

@@ -16,10 +16,14 @@ import os
 import sys
 import time
 from functools import cache, partial
+from typing import TYPE_CHECKING
 
-from . import __version__, color, cwd, oracle, recognize
+from . import __version__, recognize
 from .catalog import pattern
 from .core import Graph, build_graph, relation
+
+if TYPE_CHECKING:
+    from . import oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -269,6 +273,8 @@ def _recognize(g: Graph, args) -> tuple[int, dict]:
     rep = recognize.recognize(g)
     body = {"verdict": report_to_json(rep)}
     if args.crosscheck:
+        from . import oracle
+
         if g.n > oracle.VERDICT_CAP:
             raise SizeCapError(
                 f"oracle crosscheck capped at {oracle.VERDICT_CAP} vertices"
@@ -287,6 +293,8 @@ def _recognize(g: Graph, args) -> tuple[int, dict]:
 
 
 def _color(g: Graph, args) -> tuple[int, dict]:
+    from . import color
+
     try:
         result = color.color_in_class(g)
     except recognize.NotInClassError as exc:
@@ -296,6 +304,8 @@ def _color(g: Graph, args) -> tuple[int, dict]:
         "coloring": {str(v): result.assignment[v] for v in range(g.n)},
     }
     if args.crosscheck:
+        from . import oracle
+
         if g.n > oracle.CHROMATIC_CAP:
             raise SizeCapError(
                 f"chromatic crosscheck capped at {oracle.CHROMATIC_CAP} vertices"
@@ -307,6 +317,8 @@ def _color(g: Graph, args) -> tuple[int, dict]:
 
 
 def _cwd(g: Graph, args) -> tuple[int, dict]:
+    from . import cwd
+
     try:
         expr = cwd.expr_for_class_graph(g)
     except (recognize.NotInClassError, cwd.ExpressionRefusal) as exc:
@@ -322,6 +334,8 @@ def _cwd(g: Graph, args) -> tuple[int, dict]:
 
 
 def _oracle(g: Graph, args) -> tuple[int, dict]:
+    from . import oracle
+
     body: dict = {}
     try:
         if args.pattern:

@@ -311,27 +311,55 @@ def is_simplicial(g: Graph, v: int) -> bool:
     return is_clique_mask(g, g.rows[v])
 
 
+def _seed_walk(g: Graph, stop: bool) -> int | None:
+    """Walk the closed-twin classes of g in order of their least member, one
+    clique walk per class: closed twins share N[v], so the walk from the
+    least member v decides the class, and the pair it finds in N(v) avoids
+    v's twins, which are complete to it.  With stop set, return v at the
+    first simplicial class; a walk that reaches the end memoizes the seed
+    on g and returns None."""
+    rows = g.rows
+    simplicial: list[int] = []
+    blocked = []
+    members_of: dict[int, list[int]] = {}  # N[v] -> its class's member list
+    for v, r in enumerate(rows):
+        closed = r | 1 << v
+        members = members_of.get(closed)
+        if members is None:
+            pair = nonadjacent_pair(rows, r)
+            if pair is None:
+                if stop:
+                    return v
+                members = simplicial  # every simplicial class lands in one list
+            else:
+                members = []
+                blocked.append((pair, members))
+            members_of[closed] = members
+        members.append(v)
+    g._simplicial = frozenset(simplicial), tuple(blocked)
+    return None
+
+
 def simplicial_seed(g: Graph) -> tuple[frozenset[int], tuple]:
     """(simplicial, blocked): the simplicial vertices of g, and one
-    (pair, members) per other closed-twin class, pair nonadjacent inside
-    the neighborhood of every member.  Closed twins share N[v], so one walk
-    decides a class, and the pair it finds in N(v) avoids v's twins, which
-    are complete to it.  Memoized on g, which is immutable: cwd's refusal
-    check and the elimination in recognize share it."""
+    (pair, members) per other closed-twin class in order of least member,
+    pair nonadjacent inside the neighborhood of every member.  Built by the
+    class walk that least_simplicial may stop early; a walk that reaches the
+    end memoizes the seed on g, which is immutable, so cwd's refusal check
+    on a simplicial-free graph and the elimination in recognize share it."""
     if g._simplicial is None:
-        classes: dict[int, list[int]] = {}
-        for v, r in enumerate(g.rows):
-            classes.setdefault(r | 1 << v, []).append(v)
-        simplicial: list[int] = []
-        blocked = []
-        for closed, members in classes.items():
-            pair = nonadjacent_pair(g.rows, closed ^ 1 << members[0])
-            if pair is None:
-                simplicial.extend(members)
-            else:
-                blocked.append((pair, members))
-        g._simplicial = frozenset(simplicial), tuple(blocked)
+        _seed_walk(g, stop=False)
     return g._simplicial
+
+
+def least_simplicial(g: Graph) -> int | None:
+    """The least simplicial vertex of g, or None.  The class walk stops at
+    the first simplicial class, so a graph with a simplicial vertex pays only
+    for the classes before it; one without pays for a full walk and leaves
+    the seed memoized, as simplicial_seed would."""
+    if g._simplicial is not None:
+        return min(g._simplicial[0], default=None)
+    return _seed_walk(g, stop=True)
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 
-from .core import Graph, _iter_bits, simplicial_vertices
+from .core import Graph, _iter_bits, least_simplicial
 from .recognize import NotInClassError, recognize
 
 
@@ -170,21 +170,15 @@ def eval_expr(expr: Expr) -> LabeledGraph:
     index = {v: k for k, v in enumerate(order)}
     has_dups = len(order) != len(vertices)
 
-    # the merge forest: node x has member mask member[x] (0 once merged),
-    # pending neighbour mask pending[x] and parent parent_of[x] (-1 for none)
-    member, pending, parent_of = [], [], []
-
-    def new_class(mask: int) -> int:
-        member.append(mask)
-        pending.append(0)
-        parent_of.append(-1)
-        return len(member) - 1
-
-    def merge(a: int, b: int) -> int:
-        x = new_class(member[a] | member[b])
-        member[a] = member[b] = 0
-        parent_of[a] = parent_of[b] = x
-        return x
+    # the merge forest: node x < size has member mask member[x] (0 once
+    # merged), pending neighbour mask pending[x] and parent parent_of[x] (-1
+    # for none); one node per create and per merge, and a merge turns two
+    # live classes into one, so there are fewer than twice the creates
+    cap = 2 * len(vertices)
+    member = [0] * cap
+    pending = [0] * cap
+    parent_of = [-1] * cap
+    size = 0
 
     def error(message: str) -> ExprError:
         return ExprError(_path(expr, pos), message)
@@ -199,28 +193,12 @@ def eval_expr(expr: Expr) -> LabeledGraph:
                 raise error(f"label must be >= 1, got {node.label}")
             if node.vertex < 0:
                 raise error(f"vertex id must be >= 0, got {node.vertex}")
-            x = new_class(1 << index[node.vertex])
-            leaves.append(x)
-            values.append({node.label: x})
-        elif t is Union:
-            right = values.pop()
-            left = values.pop()
-            if has_dups:
-                lmask = rmask = 0
-                for x in left.values():
-                    lmask |= member[x]
-                for y in right.values():
-                    rmask |= member[y]
-                if lmask & rmask:
-                    dup = [order[k] for k in _iter_bits(lmask & rmask)]
-                    raise error(f"duplicate vertex ids across union: {dup}")
-            if len(left) < len(right):
-                left, right = right, left
-            for label, y in right.items():
-                x = left.get(label)
-                left[label] = y if x is None else merge(x, y)
-            values.append(left)
-        elif t is Join:
+            member[size] = 1 << index[node.vertex]
+            leaves.append(size)
+            values.append({node.label: size})
+            size += 1
+            continue
+        if t is Join:
             if node.i == node.j:
                 raise error(f"join needs two distinct labels, got {node.i}")
             if node.i < 1 or node.j < 1:
@@ -230,23 +208,51 @@ def eval_expr(expr: Expr) -> LabeledGraph:
             if x is not None and y is not None:
                 pending[x] |= member[y]
                 pending[y] |= member[x]
+            continue
+        if t is Union:
+            right = values.pop()
+            value = values[-1]
+            if has_dups:
+                lmask = rmask = 0
+                for x in value.values():
+                    lmask |= member[x]
+                for y in right.values():
+                    rmask |= member[y]
+                if lmask & rmask:
+                    dup = [order[k] for k in _iter_bits(lmask & rmask)]
+                    raise error(f"duplicate vertex ids across union: {dup}")
+            if len(value) < len(right):
+                value, right = right, value
+                values[-1] = value
+            moved = right.items()
         elif t is Rename:
             if node.old < 1 or node.new < 1:
                 raise error("rename labels must be >= 1")
             value = values[-1]
-            if node.old != node.new and node.old in value:
-                y = value.pop(node.old)
-                x = value.get(node.new)
-                value[node.new] = y if x is None else merge(x, y)
+            if node.old == node.new or node.old not in value:
+                continue
+            moved = ((node.new, value.pop(node.old)),)
         else:
             raise _not_a_node(expr)
+        # move the classes of moved into value; a class meeting one already
+        # on its label merges with it under a new parent
+        for label, y in moved:
+            x = value.get(label)
+            if x is None:
+                value[label] = y
+            else:
+                z = value[label] = size
+                size += 1
+                member[z] = member[x] | member[y]
+                member[x] = member[y] = 0
+                parent_of[x] = parent_of[y] = z
 
     # parents are newer than their children: push pending masks and final
     # labels down from the newest node
-    label_of = [0] * len(member)
+    label_of = [0] * size
     for label, x in values.pop().items():
         label_of[x] = label
-    for x in range(len(member) - 1, -1, -1):
+    for x in range(size - 1, -1, -1):
         p = parent_of[x]
         if p >= 0:
             pending[x] |= pending[p]
@@ -330,10 +336,10 @@ def expr_for_class_graph(g: Graph) -> Expr:
     Applies only to accepted graphs with no simplicial vertices: those are
     exactly thickenings of a catalog base under extra universal vertices.
     """
-    simplicial = simplicial_vertices(g)
-    if simplicial:
+    v = least_simplicial(g)
+    if v is not None:
         raise ExpressionRefusal(
-            f"graph has a simplicial vertex ({min(simplicial)}); "
+            f"graph has a simplicial vertex ({v}); "
             "the width bound only covers simplicial-free graphs"
         )
     report = recognize(g)

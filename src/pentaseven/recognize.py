@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from . import oracle
 from .catalog import T0_LABELS, QUOTIENT_CAP, catalog_entry, match_catalog, pattern
 from .core import Graph, _is_int, _iter_bits, _mask_of, bits_of, component_masks
 # unused here, but perfbench/spans.py patches recognize.induced_subgraph
@@ -26,6 +26,9 @@ from .decompose import (
     strip_universals,
     twin_classes,
 )
+
+if TYPE_CHECKING:
+    from .oracle import Embedding
 
 MOD7 = tuple(range(7))
 
@@ -143,13 +146,17 @@ class RecognitionReport:
         return self.kind != NOT_IN_CLASS
 
     @cached_property
-    def witness(self) -> oracle.Embedding | None:
+    def witness(self) -> Embedding | None:
         """An induced 2P3, C4 or C6 of the refused graph, the first found in
         that order, when it has at most oracle.VERDICT_CAP vertices.  Searched
         on first access, so a caller that only needs the verdict (the colorer
-        on a chordal input) never pays for it."""
+        on a chordal input) never pays for it, nor for importing the oracle."""
         g = self.refused
-        if g is None or g.n > oracle.VERDICT_CAP:
+        if g is None:
+            return None
+        from . import oracle
+
+        if g.n > oracle.VERDICT_CAP:
             return None
         for nm in ("2P3", "C4", "C6"):
             found = oracle.find_induced(g, pattern(nm))
@@ -353,9 +360,17 @@ class _Clauses:
             )
 
     def nested_chain(self, label: str, ordered: tuple[int, ...]) -> None:
-        g = self.g
-        for a, b in zip(ordered, ordered[1:]):
-            if g.closed_row(b) & ~g.closed_row(a):
+        """N[b] within N[a] for each consecutive pair (a, b) of ordered; the
+        first pair that fails is the violation.  Each closed row is built
+        once and carried to the next pair."""
+        if not ordered:
+            return
+        rows = self.g.rows
+        a = ordered[0]
+        closed_a = rows[a] | 1 << a
+        for b in ordered[1:]:
+            closed_b = rows[b] | 1 << b
+            if closed_b & ~closed_a:
                 self.out.append(
                     Violation(
                         "nested-order",
@@ -364,6 +379,7 @@ class _Clauses:
                     )
                 )
                 return
+            a, closed_a = b, closed_b
 
     def pendant_components(
         self, label: str, comps: tuple[tuple[int, ...], ...], union: int

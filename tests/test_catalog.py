@@ -185,6 +185,26 @@ class TestFamily:
         assert len(reps) <= 37
         print(f"\ndedup index: {len(reps)} isomorphism classes (incl. T0, T1)")
 
+    def test_dedup_keeps_the_first_of_each_class_in_order(self, monkeypatch):
+        # an entry is tested only against the representatives that share its
+        # invariant key, so the index costs 15 isomorphism tests, not 99
+        tests = []
+        iso = catalog.is_isomorphic_small
+        monkeypatch.setattr(catalog, "is_isomorphic_small",
+                            lambda g, h: tests.append(1) or iso(g, h))
+        _dedup_targets.cache_clear()
+        try:
+            names = [e.name for e in _dedup_targets()]
+        finally:
+            _dedup_targets.cache_clear()
+        subsets = ["{y0}", "{y0,y3}", "{z0}", "{y0,z0}", "{y0,y3,z0}", "{z3}",
+                   "{y0,z3}", "{y3,z3}", "{y0,y3,z3}", "{z0,z3}", "{y0,z0,z3}",
+                   "{y3,z0,z3}", "{y0,y3,z0,z3}", "{z3,z4}", "{z0,z3,z4}",
+                   "{y0,z0,z3,z4}", "{y0,y3,z0,z3,z4}"]
+        assert names == ["M0", *(f"M0-minus-{s}" for s in subsets),
+                         "M1", "M2", "T0", "T1"]
+        assert len(tests) == 15
+
 
 class TestFixedGraphs:
     def test_t0_shape(self):

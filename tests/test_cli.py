@@ -355,17 +355,26 @@ class TestRecognizeCmd:
         assert "capped at 20" in json.loads(lines[0])["error"]
 
     def test_import_path_stays_lean(self, tmp_path):
-        # the colorer's LP imports fractions, the graph matrix views numpy and
-        # --jobs > 1 multiprocessing, each only when it runs; recognize and
-        # cwd on an in-class file never reach numpy
-        path = write_graph(tmp_path, "t1.json", pattern("T1").graph)
+        # each command imports what it runs, when it runs: the colorer's LP
+        # fractions, the graph matrix views numpy, --jobs > 1
+        # multiprocessing, cwd the expression module and a refusal's witness
+        # the oracle; recognize and cwd on an in-class file never reach numpy
+        from pentaseven.recognize import recognize
+
+        t1 = write_graph(tmp_path, "t1.json", pattern("T1").graph)
+        p3 = write_graph(tmp_path, "p3.json", pattern("P3").graph)
+        c6 = write_graph(tmp_path, "c6.json", pattern("C6").graph)
         script = (
             "import sys\n"
             "from pentaseven import cli\n"
-            "lazy = ('fractions', 'numpy', 'multiprocessing', 'pentaseven.generate')\n"
-            "print(sorted(m for m in lazy if m in sys.modules))\n"
-            f"codes = [cli.main([c, {path!r}]) for c in ('recognize', 'cwd')]\n"
-            "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n"
+            "lazy = ('fractions', 'numpy', 'multiprocessing', 'pentaseven.generate',\n"
+            "        'pentaseven.color', 'pentaseven.cwd', 'pentaseven.oracle')\n"
+            "def loaded(code):\n"
+            "    print(code, sorted(m for m in lazy if m in sys.modules), file=sys.stderr)\n"
+            "loaded(None)\n"
+            f"for argv in [['recognize', {t1!r}], ['cwd', {p3!r}], ['cwd', {t1!r}],\n"
+            f"             ['recognize', {c6!r}]]:\n"
+            "    loaded(cli.main(argv))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -375,8 +384,16 @@ class TestRecognizeCmd:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[0] == "[]"
-        assert proc.stderr.strip() == "[0, 0] False"
+        assert proc.stderr.splitlines() == [
+            "None []",
+            "0 []",
+            "3 ['pentaseven.cwd']",
+            "0 ['pentaseven.cwd']",
+            "0 ['pentaseven.cwd', 'pentaseven.oracle']",
+        ]
+        refused = json.loads(proc.stdout.splitlines()[-1])["verdict"]
+        want = cli.report_to_json(recognize(pattern("C6").graph))
+        assert refused["witness"] == want["witness"]
 
     def test_parser_reuse_leaks_no_state(self, tmp_path, capsys, monkeypatch):
         # one parser serves every main call in the process: an option given

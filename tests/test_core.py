@@ -22,8 +22,10 @@ from pentaseven.core import (
     induced_subgraph,
     is_clique,
     is_simplicial,
+    least_simplicial,
     nonadjacent_pair,
     relation,
+    simplicial_seed,
     simplicial_vertices,
 )
 from pentaseven.decompose import expand_thickening, strip_universals
@@ -242,6 +244,25 @@ class TestPredicates:
             g, _ = expand_thickening(base, [int(s) for s in rng.integers(1, 6, size=n)])
             want = {v for v in range(g.n) if is_simplicial(g, v)}
             assert simplicial_vertices(g) == want
+
+    @given(random_graphs(max_n=14))
+    @settings(max_examples=150, deadline=None)
+    def test_least_simplicial_is_min_of_a_fresh_seed(self, g):
+        fresh = Graph.from_rows(g.rows)
+        least = least_simplicial(g)
+        assert least == min(simplicial_vertices(fresh), default=None)
+        if least is None:  # the walk ran to the end and left the full seed
+            assert g._simplicial == simplicial_seed(fresh)
+        else:  # the walk stopped early and memoized nothing
+            assert g._simplicial is None
+        assert least_simplicial(g) == least
+
+    def test_least_simplicial_reads_the_memo(self):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert simplicial_vertices(g) == {0, 3}
+        with mock.patch("pentaseven.core.nonadjacent_pair") as walk:
+            assert least_simplicial(g) == 0
+        walk.assert_not_called()
 
     @given(random_graphs(max_n=14), st.data())
     @settings(max_examples=150, deadline=None)

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentaseven import cwd
 from pentaseven.catalog import family_M, pattern
-from pentaseven.core import Graph, _mask_of, build_graph, induced_subgraph
+from pentaseven.core import (
+    Graph,
+    _mask_of,
+    build_graph,
+    induced_subgraph,
+    least_simplicial,
+    simplicial_vertices,
+)
 from pentaseven.cwd import (
     Create,
     ExprError,
@@ -23,7 +32,7 @@ from pentaseven.cwd import (
 )
 from pentaseven.decompose import expand_thickening, simplicial_prefix
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
-from pentaseven.recognize import NotInClassError
+from pentaseven.recognize import NotInClassError, recognize
 
 
 def complete(k):
@@ -497,6 +506,27 @@ class TestClassExpression:
         assert eval_to_graph(expr_for_class_graph(g)) == g
         assert len(walks) == 12  # one clique walk per closed-twin class
 
+    def test_refusal_stops_at_the_first_simplicial_class(self, monkeypatch):
+        from pentaseven import core
+
+        g, part = gen_saucer(GenParams(seed=0, a_components=(1, 2)))
+        assert part.a_components
+        # relabel so that a simplicial vertex comes first
+        s = min(simplicial_vertices(g))
+        order = [s] + [v for v in range(g.n) if v != s]
+        new = {v: k for k, v in enumerate(order)}
+        g = build_graph(g.n, [(new[u], new[v]) for u, v in g.edges()])
+        walks = []
+        nonadjacent_pair = core.nonadjacent_pair
+        monkeypatch.setattr(
+            core, "nonadjacent_pair",
+            lambda rows, mask, top=None: walks.append(mask)
+            or nonadjacent_pair(rows, mask, top),
+        )
+        with pytest.raises(ExpressionRefusal, match=r"simplicial vertex \(0\)"):
+            expr_for_class_graph(g)
+        assert len(walks) == 1
+
     def test_out_of_class_refused(self):
         with pytest.raises(NotInClassError):
             expr_for_class_graph(pattern("C6").graph)
@@ -549,3 +579,15 @@ class TestSexpr:
         assert to_sexpr(from_sexpr(s)) == s
         assert width(e) == 12
         assert eval_to_graph(e) == expand_thickening(base, sizes)[0]
+
+
+@given(st.integers(0, 2**16), st.sampled_from([gen_saucer, gen_tent]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_least_simplicial_on_pendant_graphs(seed, gen, flip):
+    g, _ = gen(GenParams(seed=seed, a_components=(1, 2), z_components=(1, 2)))
+    if flip:
+        g = mutate(g, seed)
+    least = least_simplicial(g)
+    assert least == min(simplicial_vertices(Graph.from_rows(g.rows)), default=None)
+    # a stopped walk leaves nothing behind that recognize could misread
+    assert recognize(g) == recognize(Graph.from_rows(g.rows))

@@ -624,6 +624,16 @@ def ref_pendant_components(self, label, comps, union):
             ref_anticomplete(self, name, ma, name, mb)
 
 
+def ref_nested_chain(self, label, ordered):
+    g = self.g
+    for a, b in zip(ordered, ordered[1:]):
+        if g.closed_row(b) & ~g.closed_row(a):
+            self.out.append(Violation("nested-order",
+                                      f"{label}: N[{b}] is not contained in N[{a}]",
+                                      (a, b)))
+            return
+
+
 @contextmanager
 def per_vertex_clauses():
     """Run the verifiers' clause lists with the per-vertex clause methods."""
@@ -633,6 +643,7 @@ def per_vertex_clauses():
         complete=ref_complete,
         meets=ref_meets,
         anticomplete=ref_anticomplete,
+        nested_chain=ref_nested_chain,
         pendant_components=ref_pendant_components,
     ):
         yield
