@@ -20,6 +20,9 @@ ISO_SIZE_CAP = 16
 # Largest catalog entry (M0); also the cap on the twin quotients that
 # recognition matches, the weighted colorer solves and cwd thickens.
 QUOTIENT_CAP = 12
+# Largest graph the brute-force class verdict runs on, and so the largest
+# refused graph that recognition searches a witness in.
+VERDICT_CAP = 20
 
 M0_OPTIONAL = ("y0", "y3", "z0", "z3", "z4")
 

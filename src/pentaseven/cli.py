@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, recognize
 from .catalog import pattern
-from .core import Graph, build_graph, relation
+from .core import VERTEX_CAP, Graph, VertexCapError, build_graph, relation
 
 if TYPE_CHECKING:
     from . import oracle
@@ -52,14 +52,12 @@ class SizeCapError(CliError):
 # graph file formats
 
 
-VERTEX_CAP = 10_000
-
-
 def _build(n, edges) -> Graph:
     """build_graph behind the vertex cap, which is checked before the n
-    neighborhood rows are allocated; malformed input becomes an InputError."""
+    neighborhood rows are allocated (a VertexCapError, which load_graph
+    turns into a SizeCapError); malformed input becomes an InputError."""
     if isinstance(n, int) and n > VERTEX_CAP:
-        raise SizeCapError(f"graphs are capped at {VERTEX_CAP} vertices, got {n}")
+        raise VertexCapError(n)
     try:
         return build_graph(n, edges)
     except ValueError as exc:
@@ -125,10 +123,13 @@ def parse_edge_json(text: str) -> Graph:
 
 
 def load_graph(path: str) -> tuple[Graph, str]:
-    """(graph, sha256 of the bytes) of the file at path.  Running out of
-    memory anywhere from the read to the build is a size-cap error."""
+    """(graph, sha256 of the bytes) of the file at path.  A graph past
+    VERTEX_CAP, or running out of memory anywhere from the read to the
+    build, is a size-cap error."""
     try:
         return _load(path)
+    except VertexCapError as exc:
+        raise SizeCapError(str(exc)) from None
     except MemoryError:
         raise SizeCapError(f"{path}: input is too large to load") from None
 
@@ -403,8 +404,12 @@ def run_generate(args) -> tuple[int, dict]:
                     fh.write("\n")
         except OSError as exc:
             raise InputError(f"cannot write to {args.out}: {exc}") from None
+    except VertexCapError as exc:  # checked before any row is allocated
+        raise SizeCapError(str(exc)) from None
     except ValueError as exc:  # parameters the generators refuse
         raise InputError(str(exc)) from None
+    except MemoryError:
+        raise SizeCapError(f"{args.kind} graph is too large to generate") from None
     return EXIT_OK, {
         "schema": SCHEMA,
         "command": "generate",

@@ -16,6 +16,16 @@ COMPLETE = "complete"
 ANTICOMPLETE = "anticomplete"
 MIXED = "mixed"
 
+# The most vertices of a graph that the CLI reads or generates.
+VERTEX_CAP = 10_000
+
+
+class VertexCapError(ValueError):
+    """A graph of n > VERTEX_CAP vertices, refused before its rows exist."""
+
+    def __init__(self, n: int):
+        super().__init__(f"graphs are capped at {VERTEX_CAP} vertices, got {n}")
+
 
 def _mask_of(vertices: Iterable[int]) -> int:
     m = 0

@@ -10,11 +10,13 @@ is part of the repo's reproducibility contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
 from .catalog import T0_LABELS, NamedGraph, family_M, pattern
-from .core import Graph, build_graph
+from .core import VERTEX_CAP, Graph, VertexCapError, _mask_of
+from .decompose import expand_thickening
 from .recognize import (
     MOD7,
     SaucerPartition,
@@ -67,39 +69,40 @@ def _chain(rng, pool: list[int], r: int, p: float) -> list[set[int]]:
     return sets
 
 
+def _check_cap(n: int) -> None:
+    """Refuse a graph of n vertices past VERTEX_CAP before its rows exist."""
+    if n > VERTEX_CAP:
+        raise VertexCapError(n)
+
+
 @dataclass
 class _Builder:
-    n: int = 0
-    edges: list[tuple[int, int]] | None = None
-
-    def __post_init__(self):
-        self.edges = []
+    rows: list[int]  # new vertices take the next ids
 
     def clique(self, size: int) -> list[int]:
-        ids = list(range(self.n, self.n + size))
-        self.n += size
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                self.edges.append((a, b))
-        return ids
+        start = len(self.rows)
+        _check_cap(start + size)
+        mask = ((1 << size) - 1) << start
+        self.rows.extend(mask ^ 1 << v for v in range(start, start + size))
+        return list(range(start, start + size))
 
-    def join(self, xs: list[int], ys: list[int]) -> None:
+    def join(self, xs: Collection[int], ys: Collection[int]) -> None:
+        mx, my = _mask_of(xs), _mask_of(ys)
         for a in xs:
-            for b in ys:
-                self.edges.append((a, b))
+            self.rows[a] |= my
+        for b in ys:
+            self.rows[b] |= mx
 
     def graph(self) -> Graph:
-        return build_graph(self.n, self.edges)
+        return Graph.from_rows(self.rows)
 
 
-def _thicken_named(rng, base: NamedGraph, params: GenParams, b: _Builder):
-    sizes = {
-        v: _rand_range(rng, 1, params.max_class_size) for v in range(base.graph.n)
-    }
-    ids = {v: b.clique(sizes[v]) for v in range(base.graph.n)}
-    for u, v in base.graph.edges():
-        b.join(ids[u], ids[v])
-    return ids
+def _thicken_named(rng, base: NamedGraph, params: GenParams):
+    """A builder holding base thickened by drawn class sizes, and the class ids."""
+    sizes = [_rand_range(rng, 1, params.max_class_size) for _ in range(base.graph.n)]
+    _check_cap(sum(sizes))
+    g, ids = expand_thickening(base.graph, sizes)
+    return _Builder(list(g.rows)), ids
 
 
 def _pendant_cliques(
@@ -107,12 +110,13 @@ def _pendant_cliques(
 ) -> list[tuple[int, ...]]:
     """count new cliques, each vertex joined to one set of a nested chain
     drawn from pool: closed neighborhoods nest, the first id's largest."""
+    _check_cap(len(b.rows) + count)  # each component has a vertex
     comps = []
     for _ in range(count):
         size = _rand_range(rng, 1, params.max_component_size)
         ids = b.clique(size)
         for v, tset in zip(ids, _chain(rng, pool, size, params.p_attach)):
-            b.join([v], sorted(tset))
+            b.join([v], tset)
         comps.append(tuple(ids))
     return comps
 
@@ -123,30 +127,16 @@ def gen_special(params: GenParams) -> tuple[Graph, SpecialPartition]:
     rng = _rng(params)
     fam = family_M()
     base = fam[int(rng.integers(0, len(fam)))]
-    b = _Builder()
-    ids = _thicken_named(rng, base, params, b)
-    w_count = _rand_range(rng, *params.universal_count)
-    w_ids = b.clique(w_count)
-    core = [v for c in ids.values() for v in c]
-    b.join(w_ids, core)
-    g = b.graph()
+    b, ids = _thicken_named(rng, base, params)
+    w_ids = b.clique(_rand_range(rng, *params.universal_count))
+    b.join(w_ids, [v for c in ids for v in c])
 
-    xs = [frozenset() for _ in MOD7]
-    ys = [frozenset() for _ in MOD7]
-    zs = [frozenset() for _ in MOD7]
+    sets = {kind: [frozenset()] * 7 for kind in "xyz"}  # X_i, Y_i, Z_i by label
     for v, lab in base.labels.items():
-        kind, idx = lab[0], int(lab[1:])
-        members = frozenset(ids[v])
-        if kind == "x":
-            xs[idx] = members
-        elif kind == "y":
-            ys[idx] = members
-        else:
-            zs[idx] = members
-    part = SpecialPartition(
-        x=tuple(xs), y=tuple(ys), z=tuple(zs), w=frozenset(w_ids)
-    )
-    return g, part
+        sets[lab[0]][int(lab[1:])] = frozenset(ids[v])
+    part = SpecialPartition(x=tuple(sets["x"]), y=tuple(sets["y"]),
+                            z=tuple(sets["z"]), w=frozenset(w_ids))
+    return b.graph(), part
 
 
 def gen_saucer(params: GenParams) -> tuple[Graph, SaucerPartition]:
@@ -163,73 +153,53 @@ def gen_saucer(params: GenParams) -> tuple[Graph, SaucerPartition]:
         set().union(*(special.y[i] for i in allowed_y), *special.z, special.w)
     )
     n_comp = _rand_range(rng, *params.a_components)
-    b = _Builder()
-    b.n = g0.n
-    b.edges = [tuple(e) for e in g0.edges()]
+    b = _Builder(list(g0.rows))
     comps = _pendant_cliques(rng, b, pool, n_comp, params)
-    g = b.graph()
     part = SaucerPartition(
         special=special,
         a=frozenset(v for c in comps for v in c),
         a_components=tuple(comps),
     )
-    return g, part
+    return b.graph(), part
+
+
+# The T0 classes that each optional tent class, F2, F3 or Y, is complete to.
+_TENT_OPTIONAL = {
+    "f2": ("a0", "a1", "b0", "b1", "b3", "c1", "c3"),
+    "f3": ("a0", "a1", "b0", "b1", "b2", "c1", "c2"),
+    "y": ("c2", "c3"),
+}
 
 
 def gen_tent(params: GenParams) -> tuple[Graph, TentPartition]:
     """Core tent cliques, at most one of F2/F3/Y, a W clique, and pendant
     Z-components chained into F2+F3+W."""
     rng = _rng(params)
-    b = _Builder()
-    by_vertex = _thicken_named(rng, pattern("T0"), params, b)
-    ids = {nm: by_vertex[v] for v, nm in enumerate(T0_LABELS)}
+    b, by_vertex = _thicken_named(rng, pattern("T0"), params)
+    ids = dict(zip(T0_LABELS, by_vertex))
 
-    f2: list[int] = []
-    f3: list[int] = []
-    y: list[int] = []
+    optional: dict[str, list[int]] = {nm: [] for nm in _TENT_OPTIONAL}
     if rng.random() < params.p_nonempty:
-        which = int(rng.integers(0, 3))
-        size = _rand_range(rng, 1, params.max_class_size)
-        if which == 0:
-            f2 = b.clique(size)
-            for nm in ("a0", "a1", "b0", "b1", "b3", "c1", "c3"):
-                b.join(f2, ids[nm])
-        elif which == 1:
-            f3 = b.clique(size)
-            for nm in ("a0", "a1", "b0", "b1", "b2", "c1", "c2"):
-                b.join(f3, ids[nm])
-        else:
-            y = b.clique(size)
-            b.join(y, ids["c2"])
-            b.join(y, ids["c3"])
+        nm = tuple(_TENT_OPTIONAL)[int(rng.integers(0, 3))]
+        optional[nm] = b.clique(_rand_range(rng, 1, params.max_class_size))
+        b.join(optional[nm], [v for t in _TENT_OPTIONAL[nm] for v in ids[t]])
+    f2, f3, y = optional.values()
 
     w = b.clique(_rand_range(rng, *params.universal_count))
-    for nm in T0_LABELS:
-        b.join(w, ids[nm])
-    b.join(w, f2)
-    b.join(w, f3)
-
-    y_order: tuple[int, ...] = ()
+    b.join(w, [v for c in by_vertex for v in c] + f2 + f3)
     if y:
-        chain = _chain(rng, sorted(w), len(y), params.p_attach)
-        for v, tset in zip(y, chain):
-            b.join([v], sorted(tset))
-        y_order = tuple(y)
+        for v, tset in zip(y, _chain(rng, sorted(w), len(y), params.p_attach)):
+            b.join([v], tset)
 
     n_comp = _rand_range(rng, *params.z_components)
     z_comps = _pendant_cliques(rng, b, sorted(f2 + f3 + w), n_comp, params)
-    g = b.graph()
     part = TentPartition(
-        a0=frozenset(ids["a0"]), a1=frozenset(ids["a1"]),
-        b0=frozenset(ids["b0"]), b1=frozenset(ids["b1"]),
-        b2=frozenset(ids["b2"]), b3=frozenset(ids["b3"]),
-        c1=frozenset(ids["c1"]), c2=frozenset(ids["c2"]),
-        c3=frozenset(ids["c3"]),
+        **{nm: frozenset(c) for nm, c in ids.items()},
         f2=frozenset(f2), f3=frozenset(f3), w=frozenset(w),
         y=frozenset(y), z=frozenset(v for c in z_comps for v in c),
-        y_order=y_order, z_components=tuple(z_comps),
+        y_order=tuple(y), z_components=tuple(z_comps),
     )
-    return g, part
+    return b.graph(), part
 
 
 def mutate(g: Graph, seed: int) -> Graph:

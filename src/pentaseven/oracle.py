@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .catalog import NamedGraph, connected_order, embed, pattern
+from .catalog import VERDICT_CAP, NamedGraph, connected_order, embed, pattern
 from .core import Graph, _iter_bits, bits_of, greedy_extend, is_connected, reach_mask
 
 PATTERN_CAP = 10
 HOLE_CAP = 16
 CHROMATIC_CAP = 18
 CUTSET_CAP = 18
-VERDICT_CAP = 20
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .catalog import T0_LABELS, QUOTIENT_CAP, catalog_entry, match_catalog, pattern
+from .catalog import QUOTIENT_CAP, T0_LABELS, VERDICT_CAP, catalog_entry, match_catalog
+from .catalog import pattern
 from .core import Graph, _is_int, _iter_bits, _mask_of, bits_of, component_masks
 # unused here, but perfbench/spans.py patches recognize.induced_subgraph
 from .core import induced_subgraph  # noqa: F401
@@ -148,16 +149,14 @@ class RecognitionReport:
     @cached_property
     def witness(self) -> Embedding | None:
         """An induced 2P3, C4 or C6 of the refused graph, the first found in
-        that order, when it has at most oracle.VERDICT_CAP vertices.  Searched
-        on first access, so a caller that only needs the verdict (the colorer
-        on a chordal input) never pays for it, nor for importing the oracle."""
+        that order, when it has at most VERDICT_CAP vertices.  Searched on
+        first access, so a caller that only needs the verdict (the colorer on
+        a chordal input) never pays for it, nor for importing the oracle."""
         g = self.refused
-        if g is None:
+        if g is None or g.n > VERDICT_CAP:
             return None
         from . import oracle
 
-        if g.n > oracle.VERDICT_CAP:
-            return None
         for nm in ("2P3", "C4", "C6"):
             found = oracle.find_induced(g, pattern(nm))
             if found is not None:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,58 @@ def test_recognize_exit_codes_on_any_input(tmp_path_factory, raw):
     assert isinstance(json.loads(lines[0]), dict)
 
 
+# generate's numeric options: small values, which build small graphs fast,
+# and values below zero or far past the vertex cap, which are refused before
+# any row is allocated; a value just under the cap would build a dense graph
+# of millions of edges, which a draw from 10**9..10**12 almost never gives
+gen_ints = st.one_of(st.integers(-3, 4), st.integers(-10**12, -1),
+                     st.integers(10**9, 10**12)).map(str)
+gen_floats = st.one_of(st.floats(0, 1).map(repr),
+                       st.sampled_from(["-0.5", "1.5", "nan", "inf", "-inf", "1e400"]))
+gen_options = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["--max-class-size", "--max-component-size"]),
+              gen_ints),
+    st.tuples(st.sampled_from(["--a-components", "--z-components", "--universals"]),
+              gen_ints, gen_ints),
+    st.builds("{}={}".format, st.sampled_from(["--p-nonempty", "--p-attach"]),
+              gen_floats).map(lambda opt: (opt,)),
+), max_size=4)
+oracle_modes = st.one_of(
+    st.sampled_from([(), ("--holes",), ("--chi",), ("--clique-cutset",)]),
+    st.tuples(st.just("--pattern"), st.sampled_from(["C4", "2P3", "T1", "nope"])),
+)
+
+
+@given(kind=st.sampled_from(["special", "saucer", "tent"]),
+       seed=st.integers(-1, 10**12).map(str), options=gen_options)
+@settings(max_examples=150, deadline=None)
+def test_generate_exit_codes_on_any_options(tmp_path_factory, kind, seed, options):
+    out = tmp_path_factory.getbasetemp() / "fuzz-generate"
+    argv = ["generate", kind, "--seed", seed, "--out", str(out)]
+    assert_exit_contract(argv + [arg for opt in options for arg in opt])
+
+
+@given(raw=st.one_of(st.binary(max_size=200), edge_json, dimacs), mode=oracle_modes)
+@settings(max_examples=150, deadline=None)
+def test_oracle_exit_codes_on_any_input(tmp_path_factory, raw, mode):
+    path = tmp_path_factory.getbasetemp() / "fuzz-oracle-input"
+    path.write_bytes(raw)
+    assert_exit_contract(["oracle", str(path), *mode])
+
+
+def assert_exit_contract(argv):
+    """main(argv) exits 0, 2, 3 or 4 and prints one JSON object: the report
+    on stdout on success, the error on stderr otherwise."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_REFUSED, cli.EXIT_SIZE_CAP)
+    lines, silent = (out, err) if code == cli.EXIT_OK else (err, out)
+    lines = lines.getvalue().splitlines()
+    assert len(lines) == 1 and silent.getvalue() == ""
+    assert isinstance(json.loads(lines[0]), dict)
+
+
 class TestRecognizeCmd:
     def test_t1_accepted(self, tmp_path, capsys):
         path = write_graph(tmp_path, "t1.json", pattern("T1").graph)
@@ -364,6 +417,9 @@ class TestRecognizeCmd:
         t1 = write_graph(tmp_path, "t1.json", pattern("T1").graph)
         p3 = write_graph(tmp_path, "p3.json", pattern("P3").graph)
         c6 = write_graph(tmp_path, "c6.json", pattern("C6").graph)
+        # refused, but past the cap of the witness search
+        p21 = write_graph(tmp_path, "p21.json",
+                          build_graph(21, [(i, i + 1) for i in range(20)]))
         script = (
             "import sys\n"
             "from pentaseven import cli\n"
@@ -373,7 +429,7 @@ class TestRecognizeCmd:
             "    print(code, sorted(m for m in lazy if m in sys.modules), file=sys.stderr)\n"
             "loaded(None)\n"
             f"for argv in [['recognize', {t1!r}], ['cwd', {p3!r}], ['cwd', {t1!r}],\n"
-            f"             ['recognize', {c6!r}]]:\n"
+            f"             ['recognize', {p21!r}], ['recognize', {c6!r}]]:\n"
             "    loaded(cli.main(argv))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -389,8 +445,11 @@ class TestRecognizeCmd:
             "0 []",
             "3 ['pentaseven.cwd']",
             "0 ['pentaseven.cwd']",
+            "0 ['pentaseven.cwd']",
             "0 ['pentaseven.cwd', 'pentaseven.oracle']",
         ]
+        large = json.loads(proc.stdout.splitlines()[-2])["verdict"]
+        assert large["kind"] == "not-in-class" and "witness" not in large
         refused = json.loads(proc.stdout.splitlines()[-1])["verdict"]
         want = cli.report_to_json(recognize(pattern("C6").graph))
         assert refused["witness"] == want["witness"]
@@ -489,6 +548,42 @@ class TestGenerateCmd:
         assert code == cli.EXIT_INPUT and captured.out == ""
         assert "--seed" in json.loads(captured.err)["error"]
         assert "pentaseven.generate" not in sys.modules
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind, option", [
+        ("special", "--universals"), ("saucer", "--a-components"),
+        ("tent", "--z-components"), ("tent", "--max-class-size"),
+    ])
+    def test_vertex_cap_exit_4(self, tmp_path, capsys, kind, option):
+        # the vertex count the draws give is capped before any row exists
+        from pentaseven import generate  # noqa: F401  (imported untraced)
+
+        values = ["100000000"] * (1 if option == "--max-class-size" else 2)
+        tracemalloc.start()
+        try:
+            code = cli.main(["generate", kind, "--seed", "0", "--out",
+                             str(tmp_path), option, *values])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_SIZE_CAP and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error.startswith(f"graphs are capped at {cli.VERTEX_CAP} vertices, got ")
+        assert peak < 1 << 20
+        assert not list(tmp_path.iterdir())
+
+    def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
+        from pentaseven import generate
+
+        def short_of_memory(builder, size):
+            raise MemoryError
+
+        monkeypatch.setattr(generate._Builder, "clique", short_of_memory)
+        code = cli.main(["generate", "special", "--seed", "0", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_SIZE_CAP and captured.out == ""
+        assert "too large" in json.loads(captured.err)["error"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("seed", [0, 2**128 - 1])

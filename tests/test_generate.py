@@ -1,7 +1,10 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentaseven.cli import partition_to_json
 from pentaseven.core import simplicial_vertices
@@ -46,6 +49,48 @@ def test_generator_digest():
             h.update(json.dumps([graph.n, [f"{r:x}" for r in graph.rows]]).encode())
         h.update(json.dumps(partition_to_json(part)).encode())
     assert h.hexdigest() == GENERATOR_DIGEST
+
+
+def count_ranges(hi):
+    return st.integers(0, hi).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, hi)))
+
+
+gen_params = st.builds(
+    GenParams,
+    seed=st.integers(0, 2**128 - 1),
+    max_class_size=st.integers(1, 5),
+    p_nonempty=st.floats(0, 1),
+    p_attach=st.floats(0, 1),
+    a_components=count_ranges(4),
+    z_components=count_ranges(4),
+    max_component_size=st.integers(1, 5),
+    universal_count=count_ranges(4),
+)
+
+
+@given(params=gen_params, gen=st.sampled_from([gen_special, gen_saucer, gen_tent]))
+@settings(max_examples=300, deadline=None)
+def test_generated_rows_are_a_simple_graph(params, gen):
+    # Graph.from_rows trusts its rows, so the generators must build both
+    # directions of every edge, no loop and no bit at or past n
+    g, _ = gen(params)
+    for u, row in enumerate(g.rows):
+        assert 0 <= row < 1 << g.n and not row >> u & 1
+        assert all(g.rows[v] >> u & 1 for v in range(g.n) if row >> v & 1)
+
+
+def test_saucer_memory_is_its_rows():
+    # n = 3 458 and 3.7 M edges: the rows take n**2 / 8 bytes, and building
+    # through a list of edges peaked near 400 MB
+    params = GenParams(seed=0, max_class_size=800)
+    tracemalloc.start()
+    try:
+        g, _ = gen_saucer(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3_000 <= g.n <= 4_000
+    assert peak <= 4 * g.n**2 // 8
 
 
 class TestDeterminism:
