@@ -266,10 +266,6 @@ def _dedup_targets() -> list[NamedGraph]:
     return reps
 
 
-def dedup_family_index() -> list[NamedGraph]:
-    return list(_dedup_targets())
-
-
 def _invariant_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
     """(n, m, sorted degree sequence): equal for isomorphic graphs."""
     degrees = sorted(r.bit_count() for r in g.rows)

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 from . import __version__, recognize
 from .catalog import pattern
 from .core import VERTEX_CAP, Graph, VertexCapError, build_graph, relation
+from .structure import TentPartition
 
 if TYPE_CHECKING:
     from . import oracle
@@ -167,23 +168,13 @@ def _sorted(s) -> list[int]:
     return sorted(int(v) for v in s)
 
 
-def _pendant(p) -> tuple[str, tuple[tuple[int, ...], ...]] | None:
-    """(name, components) of the pendant cliques of a saucer or tent
-    partition; None for a special partition, which has none."""
-    if isinstance(p, recognize.SaucerPartition):
-        return "A", p.a_components
-    if isinstance(p, recognize.TentPartition):
-        return "Z", p.z_components
-    return None
-
-
 def partition_to_json(p) -> dict:
     """The named sets of a special, saucer or tent partition, plus a tent's
     Y order and the pendant components, each in its stored order."""
     out = {name: _sorted(s) for name, s in p.named_sets()}
-    if isinstance(p, recognize.TentPartition):
+    if isinstance(p, TentPartition):
         out["Y_order"] = list(p.y_order)
-    if pendant := _pendant(p):
+    if pendant := getattr(p, "pendant", None):  # a special partition has none
         name, comps = pendant
         out[f"{name}_components"] = [list(c) for c in comps]
     return out
@@ -226,7 +217,7 @@ def _dot_parts(rep: recognize.RecognitionReport) -> list[tuple[str, list[int]]]:
     p = rep.saucer or rep.tent
     if not p:
         return []
-    name, comps = _pendant(p)
+    name, comps = p.pendant
     parts = [(n, _sorted(s)) for n, s in p.named_sets() if s and n != name]
     parts += [(f"{name}{k + 1}", list(c)) for k, c in enumerate(comps)]
     return parts

@@ -289,15 +289,6 @@ def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
-def is_clique(g: Graph, s: Iterable[int]) -> bool:
-    """Empty and singleton sets count as cliques."""
-    return is_clique_mask(g, _mask_of(s))
-
-
-def is_clique_mask(g: Graph, mask: int) -> bool:
-    return nonadjacent_pair(g.rows, mask) is None
-
-
 def nonadjacent_pair(
     rows: Sequence[int], mask: int, top: int | None = None
 ) -> tuple[int, int] | None:
@@ -315,10 +306,6 @@ def nonadjacent_pair(
             return w, miss.bit_length() - 1
         todo ^= bit
     return None
-
-
-def is_simplicial(g: Graph, v: int) -> bool:
-    return is_clique_mask(g, g.rows[v])
 
 
 def _seed_walk(g: Graph, stop: bool) -> int | None:
@@ -370,11 +357,6 @@ def least_simplicial(g: Graph) -> int | None:
     if g._simplicial is not None:
         return min(g._simplicial[0], default=None)
     return _seed_walk(g, stop=True)
-
-
-def simplicial_vertices(g: Graph) -> frozenset[int]:
-    """Vertices whose neighborhood is a clique (memoized with the pairs)."""
-    return simplicial_seed(g)[0]
 
 
 def greedy_extend(g: Graph, order: Iterable[int], assignment: dict[int, int]) -> None:

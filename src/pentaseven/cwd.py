@@ -285,13 +285,6 @@ def _complete_expr(ids: list[int], acc_label: int, tmp_label: int) -> Expr:
     return e
 
 
-def expr_complete(k: int) -> Expr:
-    """K_k on vertices 0..k-1; width 1 for k = 1, otherwise width 2."""
-    if k < 1:
-        raise ValueError("complete graphs need k >= 1")
-    return _complete_expr(list(range(k)), 1, 2)
-
-
 def thickening_expr(
     quotient: Graph, class_ids: list[list[int]], universal_ids: list[int]
 ) -> Expr:

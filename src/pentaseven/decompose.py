@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import _kernels
-from .core import Graph, _iter_bits, _mask_of, bits_of, induced_subgraph
+from .core import Graph, _iter_bits, _mask_of, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,6 @@ class SimplicialPrefix:
 
     order: tuple[int, ...]
     remainder_mask: int
-
-    @cached_property
-    def remainder(self) -> frozenset[int]:
-        """The remainder's vertices, built on first read: recognize works
-        on the mask."""
-        return bits_of(self.remainder_mask)
 
 
 @dataclass(frozen=True)

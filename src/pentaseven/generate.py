@@ -2,9 +2,9 @@
 (special partitions, saucers, tents), plus an adversarial single-flip
 mutator.
 
-Randomness comes from numpy's Philox counter-based generator keyed on the
-64-bit seed; identical (seed, params) reproduce the output bit for bit, which
-is part of the repo's reproducibility contract.
+Randomness comes from numpy's Philox counter-based generator, keyed by the
+seed itself, an integer in [0, 2**128); identical (seed, params) reproduce
+the output bit for bit, which is part of the repo's reproducibility contract.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .catalog import T0_LABELS, NamedGraph, family_M, pattern
 from .core import VERTEX_CAP, Graph, VertexCapError, _mask_of
 from .decompose import expand_thickening
-from .recognize import (
+from .structure import (
     MOD7,
     SaucerPartition,
     SpecialPartition,

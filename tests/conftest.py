@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pentaseven.catalog import pattern
-from pentaseven.core import Graph, build_graph
+from pentaseven.catalog import _dedup_targets, pattern
+from pentaseven.core import (
+    Graph,
+    _mask_of,
+    bits_of,
+    build_graph,
+    nonadjacent_pair,
+    simplicial_seed,
+)
+from pentaseven.cwd import Expr, _complete_expr
+from pentaseven.decompose import SimplicialPrefix
 from pentaseven.oracle import find_induced
 
 
@@ -40,3 +49,41 @@ def groetzsch() -> Graph:
     edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, -1)]
     edges += [(10, 5 + i) for i in range(5)]
     return build_graph(11, edges)
+
+
+# ---------------------------------------------------------------------------
+# views of the library that only the tests read
+
+
+def is_clique_mask(g: Graph, mask: int) -> bool:
+    return nonadjacent_pair(g.rows, mask) is None
+
+
+def is_clique(g: Graph, s) -> bool:
+    """Empty and singleton sets count as cliques."""
+    return is_clique_mask(g, _mask_of(s))
+
+
+def is_simplicial(g: Graph, v: int) -> bool:
+    return is_clique_mask(g, g.rows[v])
+
+
+def simplicial_vertices(g: Graph) -> frozenset[int]:
+    """Vertices whose neighborhood is a clique (memoized with the pairs)."""
+    return simplicial_seed(g)[0]
+
+
+def remainder(pre: SimplicialPrefix) -> frozenset[int]:
+    """The vertices of the prefix's remainder."""
+    return bits_of(pre.remainder_mask)
+
+
+def expr_complete(k: int) -> Expr:
+    """K_k on vertices 0..k-1; width 1 for k = 1, otherwise width 2."""
+    if k < 1:
+        raise ValueError("complete graphs need k >= 1")
+    return _complete_expr(list(range(k)), 1, 2)
+
+
+def dedup_family_index():
+    return list(_dedup_targets())

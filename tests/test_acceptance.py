@@ -6,9 +6,9 @@ import time
 from contextlib import contextmanager
 
 from pentaseven.catalog import catalog_entry, pattern
-from pentaseven.core import build_graph, is_clique, simplicial_vertices
+from pentaseven.core import build_graph
 from pentaseven.color import color_in_class, verify_coloring
-from pentaseven.cwd import eval_to_graph, expr_complete, expr_for_class_graph, width
+from pentaseven.cwd import eval_to_graph, expr_for_class_graph, width
 from pentaseven.decompose import expand_thickening
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.oracle import (
@@ -21,21 +21,23 @@ from pentaseven.recognize import (
     IN_CLASS_C7,
     T0_LABELS,
     BuildFailure,
-    SaucerPartition,
-    TentPartition,
-    Violation,
     build_saucer_from_hole,
     build_tent_from_T0,
     classify_vs_C7,
     classify_vs_T0,
     recognize,
+)
+from pentaseven.structure import (
+    SaucerPartition,
+    TentPartition,
+    Violation,
     verify_saucer_partition,
     verify_special_partition,
     verify_tent_partition,
     yz_outcome,
 )
 
-from conftest import is_free_of
+from conftest import expr_complete, is_clique, is_free_of, simplicial_vertices
 
 
 @contextmanager

@@ -7,7 +7,6 @@ from pentaseven.catalog import (
     _invariant_key,
     _targets_by_key,
     catalog_entry,
-    dedup_family_index,
     family_M,
     fixed_graphs,
     is_isomorphic_small,
@@ -17,12 +16,11 @@ from pentaseven.catalog import (
 from pentaseven.core import (
     build_graph,
     components,
-    simplicial_vertices,
 )
 from pentaseven.decompose import strip_universals, twin_classes
 from pentaseven.oracle import find_induced
 
-from conftest import is_free_of, random_graphs
+from conftest import dedup_family_index, is_free_of, random_graphs, simplicial_vertices
 
 
 def iso_reference(g, h):

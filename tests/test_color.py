@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pentaseven import oracle
-from pentaseven.catalog import dedup_family_index, pattern
+from pentaseven.catalog import pattern
 from pentaseven.color import (
     Coloring,
     WeightedInstance,
@@ -20,7 +20,7 @@ from pentaseven.generate import GenParams, gen_saucer, gen_tent
 from pentaseven.oracle import chromatic_number_bf, max_clique_mask
 from pentaseven.recognize import NotInClassError, recognize
 
-from conftest import GROETZSCH_WEIGHTS, groetzsch
+from conftest import GROETZSCH_WEIGHTS, dedup_family_index, groetzsch, remainder
 
 
 def complete(k):
@@ -272,7 +272,7 @@ class TestColorInClass:
             weights = tuple(len(ids) for ids in rep.class_ids)
             k0, _ = solve_weighted(WeightedInstance(rep.quotient, weights))
             bounds = [k0 + len(rep.universal_w)]
-            alive = set(rep.prefix.remainder)
+            alive = set(remainder(rep.prefix))
             for v in reversed(rep.prefix.order):
                 bounds.append(len(g.neighbors(v) & alive) + 1)
                 alive.add(v)

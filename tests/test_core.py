@@ -20,18 +20,15 @@ from pentaseven.core import (
     components,
     greedy_extend,
     induced_subgraph,
-    is_clique,
-    is_simplicial,
     least_simplicial,
     nonadjacent_pair,
     relation,
     simplicial_seed,
-    simplicial_vertices,
 )
 from pentaseven.decompose import expand_thickening, strip_universals
 from pentaseven.oracle import find_induced
 
-from conftest import random_graphs
+from conftest import is_clique, is_simplicial, random_graphs, simplicial_vertices
 
 
 def c7():

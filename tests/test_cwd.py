@@ -11,7 +11,6 @@ from pentaseven.core import (
     build_graph,
     induced_subgraph,
     least_simplicial,
-    simplicial_vertices,
 )
 from pentaseven.cwd import (
     Create,
@@ -22,7 +21,6 @@ from pentaseven.cwd import (
     Union,
     eval_expr,
     eval_to_graph,
-    expr_complete,
     expr_for_class_graph,
     from_sexpr,
     iter_nodes,
@@ -33,6 +31,8 @@ from pentaseven.cwd import (
 from pentaseven.decompose import expand_thickening, simplicial_prefix
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.recognize import NotInClassError, recognize
+
+from conftest import expr_complete, simplicial_vertices
 
 
 def complete(k):

@@ -9,8 +9,6 @@ from pentaseven.core import (
     bits_of,
     build_graph,
     induced_subgraph,
-    is_simplicial,
-    simplicial_vertices,
 )
 from pentaseven.decompose import (
     expand_thickening,
@@ -19,7 +17,7 @@ from pentaseven.decompose import (
     twin_classes,
 )
 
-from conftest import random_graphs
+from conftest import is_simplicial, random_graphs, remainder, simplicial_vertices
 
 
 def complete(k):
@@ -57,11 +55,11 @@ class TestSimplicialPrefix:
     def test_tree_fully_eliminated(self):
         tree = build_graph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)])
         pre = simplicial_prefix(tree)
-        assert not pre.remainder and len(pre.order) == 7
+        assert not remainder(pre) and len(pre.order) == 7
 
     def test_c7_stalls_immediately(self):
         pre = simplicial_prefix(pattern("C7").graph)
-        assert pre.order == () and len(pre.remainder) == 7
+        assert pre.order == () and len(remainder(pre)) == 7
 
     def test_tent_prefix_consumes_y_and_z(self):
         from pentaseven.generate import GenParams, gen_tent
@@ -81,7 +79,7 @@ class TestSimplicialPrefix:
         g = pattern("T1").graph
         pre = simplicial_prefix(g)
         sub, old_to_new = (
-            induced_subgraph(g, pre.remainder) if pre.remainder else (None, None)
+            induced_subgraph(g, remainder(pre)) if remainder(pre) else (None, None)
         )
         if sub is not None:
             assert not simplicial_vertices(sub)
@@ -238,6 +236,6 @@ def test_prefix_remainder_stable_under_relabeling():
             relabeled = build_graph(
                 g.n, [(int(perm[u]), int(perm[v])) for u, v in g.edges()]
             )
-            r1 = simplicial_prefix(g).remainder
-            r2 = simplicial_prefix(relabeled).remainder
+            r1 = remainder(simplicial_prefix(g))
+            r2 = remainder(simplicial_prefix(relabeled))
             assert {int(perm[v]) for v in r1} == set(r2), (seed, gen.__name__)

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentaseven.cli import partition_to_json
-from pentaseven.core import simplicial_vertices
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.oracle import class_verdict
-from pentaseven.recognize import (
+from pentaseven.structure import (
     verify_saucer_partition,
     verify_special_partition,
     verify_tent_partition,
 )
+
+from conftest import simplicial_vertices
 
 
 # sha256 of the generators' output on generator_cases(): the benchmark

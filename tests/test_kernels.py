@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentaseven import _kernels
-from pentaseven.core import Graph, bits_of, build_graph, induced_subgraph, is_simplicial
+from pentaseven.core import Graph, bits_of, build_graph, induced_subgraph
 from pentaseven.generate import GenParams, gen_saucer, gen_tent
 
-from conftest import random_graphs
+from conftest import is_simplicial, random_graphs
 
 
 def elimination_by_definition(g):

@@ -5,8 +5,6 @@ from pentaseven.catalog import pattern
 from pentaseven.core import (
     build_graph,
     induced_subgraph,
-    is_clique,
-    simplicial_vertices,
 )
 from pentaseven.catalog import is_isomorphic_small
 from pentaseven.oracle import (
@@ -18,7 +16,7 @@ from pentaseven.oracle import (
     max_clique_mask,
 )
 
-from conftest import is_free_of, random_graphs
+from conftest import is_clique, is_free_of, random_graphs, simplicial_vertices
 
 
 def path(k):

@@ -19,7 +19,13 @@ from pentaseven.oracle import (
     max_weighted_clique,
 )
 
-from conftest import GROETZSCH_WEIGHTS, groetzsch, random_graphs
+from conftest import (
+    GROETZSCH_WEIGHTS,
+    dedup_family_index,
+    groetzsch,
+    is_clique,
+    random_graphs,
+)
 
 
 def holes_by_subset_scan(g):
@@ -92,7 +98,7 @@ def test_chromatic_vs_exhaustion(g):
 
 
 def clique_cutset_by_subset_scan(g):
-    from pentaseven.core import components, induced_subgraph, is_clique
+    from pentaseven.core import components, induced_subgraph
 
     for mask in range(1 << g.n):
         members = set(bits_of(mask))
@@ -195,7 +201,6 @@ def test_solve_weighted_vs_milp_if_available():
     # the expanded graphs are far beyond CHROMATIC_CAP, so this is the only
     # check of the optimum itself at these weights
     scipy_opt = pytest.importorskip("scipy.optimize")
-    from pentaseven.catalog import dedup_family_index
     from pentaseven.color import WeightedInstance, solve_weighted
 
     rng = np.random.default_rng(11)

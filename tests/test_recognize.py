@@ -8,23 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentaseven import catalog, oracle
-from pentaseven import recognize as rec
+from pentaseven import oracle, structure
 from pentaseven.catalog import catalog_entry, pattern
-from pentaseven.core import Graph, _mask_of, bits_of, build_graph, is_clique
+from pentaseven.core import Graph, _mask_of, bits_of, build_graph
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.oracle import class_verdict, clique_cutset_bf
 from pentaseven.recognize import (
     IN_CLASS_C7,
     IN_CLASS_T0,
     NOT_IN_CLASS,
+    T0_LABELS,
     Attachment,
     BuildFailure,
-    SaucerPartition,
-    SpecialPartition,
-    T0_LABELS,
-    TentPartition,
-    Violation,
     _clique_components_ordered,
     build_saucer_from_hole,
     build_tent_from_T0,
@@ -33,13 +28,19 @@ from pentaseven.recognize import (
     recognize,
     validate_hole,
     validate_t0_embedding,
+)
+from pentaseven.structure import (
+    SaucerPartition,
+    SpecialPartition,
+    TentPartition,
+    Violation,
     verify_saucer_partition,
     verify_special_partition,
     verify_tent_partition,
     yz_outcome,
 )
 
-from conftest import random_graphs
+from conftest import dedup_family_index, is_clique, random_graphs
 
 
 def t0_host_map():
@@ -195,7 +196,7 @@ class TestVerifyStructures:
         # each clause is decided on set rows; a per-vertex scan (bits_of)
         # runs only to name the witness of a failed clause
         scans = []
-        monkeypatch.setattr(rec, "bits_of", lambda m: scans.append(m) or bits_of(m))
+        monkeypatch.setattr(structure, "bits_of", lambda m: scans.append(m) or bits_of(m))
         for seed in range(6):
             params = GenParams(seed=seed, max_class_size=3, p_nonempty=1.0,
                                a_components=(2, 3), z_components=(2, 3))
@@ -273,8 +274,8 @@ def test_verifiers_reject_members_that_are_not_vertices(where, bad):
 # ---------------------------------------------------------------------------
 # the clause tables
 
-TABLES = {"special": rec.SPECIAL_TABLE, "saucer": rec.SAUCER_TABLE,
-          "tent": rec.TENT_TABLE}
+TABLES = {"special": structure.SPECIAL_TABLE, "saucer": structure.SAUCER_TABLE,
+          "tent": structure.TENT_TABLE}
 PAIR_KINDS = ("complete", "anticomplete")
 
 
@@ -322,7 +323,7 @@ def _built(pairs, isolated=()):
                                      for s in "XYZ"), get("W"))
         comps = tuple((v,) for v in sets.get("A", ()))
         return g, SaucerPartition(special, get("A"), comps)
-    return g, TentPartition(**{name.lower(): get(name) for name in rec._TENT_NAMES},
+    return g, TentPartition(**{name.lower(): get(name) for name in structure._TENT_NAMES},
                             y_order=sets.get("Y", ()),
                             z_components=tuple((v,) for v in sets.get("Z", ())))
 
@@ -395,7 +396,7 @@ def _implied(table, row) -> bool:
     tent's clique row on Y is implied by the Y order, whose consecutive
     members are adjacent."""
     label, kind, names = row
-    if table is rec.TENT_TABLE and row == ("clique", "clique", ("Y",)):
+    if table is structure.TENT_TABLE and row == ("clique", "clique", ("Y",)):
         return True
     return any(
         olabel == label and okind == kind and onames != names
@@ -420,7 +421,7 @@ def _with_pair_flips(g, part):
 
 
 def _mutation_inputs():
-    for entry in catalog.dedup_family_index():
+    for entry in dedup_family_index():
         labels = entry.labels
         edges = [(labels[u], labels[v]) for u, v in entry.graph.edges()]
         pendant = "a" if "x1" in labels.values() else "z"
@@ -463,8 +464,8 @@ def test_every_clause_row_mutation_changes_some_verdict():
         verdicts.append("1" if found else "0")
         if len(found) > 1:
             continue
-        m = rec._require_partition(g, part.named_sets(), name)
-        c = rec._Clauses(g)
+        m = structure._require_partition(g, part.named_sets(), name)
+        c = structure._Clauses(g)
 
         def fails(row):
             before = len(c.out)
@@ -487,7 +488,7 @@ def test_every_clause_row_mutation_changes_some_verdict():
     assert 0 < verdicts.count("0") < len(verdicts)
     for found in (dropped, flipped):
         found["saucer"] = {_turned(row, r) for row in found["saucer"] for r in range(7)}
-    for name, table in (("saucer", rec.SAUCER_TABLE), ("tent", rec.TENT_TABLE)):
+    for name, table in (("saucer", structure.SAUCER_TABLE), ("tent", structure.TENT_TABLE)):
         drops, flips = dropped[name], flipped[name]
         assert [row for row in table if row[1] in PAIR_KINDS and row not in flips] == []
         assert [row for row in table if (row in drops) == _implied(table, row)] == []
@@ -545,15 +546,15 @@ def test_pendant_components_match_all_pairs_scan(g, data):
     vertices = st.lists(st.integers(0, g.n - 1), max_size=4)
     comps = tuple(tuple(c) for c in data.draw(st.lists(vertices, max_size=6)))
     union = _mask_of(v for c in comps for v in c)
-    got = rec._Clauses(g)
+    got = structure._Clauses(g)
     got.pendant_components("A", comps, union)
-    pairs = rec._Clauses(g)
+    pairs = structure._Clauses(g)
     for i, ca in enumerate(comps):
         for cb in comps[i + 1 :]:
             ref_anticomplete(pairs, "A-component", _mask_of(ca),
                              "A-component", _mask_of(cb))
     assert [v for v in got.out if v.clause == "anticomplete"] == pairs.out
-    ref = rec._Clauses(g)
+    ref = structure._Clauses(g)
     ref_pendant_components(ref, "A", comps, union)
     assert got.out == ref.out
 
@@ -638,7 +639,7 @@ def ref_nested_chain(self, label, ordered):
 def per_vertex_clauses():
     """Run the verifiers' clause lists with the per-vertex clause methods."""
     with mock.patch.multiple(
-        rec._Clauses,
+        structure._Clauses,
         clique=ref_clique,
         complete=ref_complete,
         meets=ref_meets,

@@ -18,9 +18,10 @@ import json
 import re
 
 from pentaseven import cli
-from pentaseven.catalog import dedup_family_index
 from pentaseven.core import Graph, _mask_of, build_graph
 from pentaseven.decompose import expand_thickening
+
+from conftest import dedup_family_index
 
 REPORT_DIGEST = "04b8ce9e09bb43c7229f48207561786fbaf079fd45898bace65046042a9cddb3"
 
