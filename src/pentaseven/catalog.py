@@ -10,9 +10,9 @@ the recognizer accepts on the 7-hole side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import Graph, build_graph, induced_subgraph
 
@@ -30,8 +30,7 @@ M0_OPTIONAL = ("y0", "y3", "z0", "z3", "z4")
 T0_LABELS = ("a0", "a1", "b0", "b1", "b2", "b3", "c1", "c2", "c3")
 
 
-@dataclass(frozen=True)
-class NamedGraph:
+class NamedGraph(NamedTuple):
     name: str
     graph: Graph
     labels: dict[int, str]  # vertex -> label, bijective

@@ -18,13 +18,11 @@ import time
 from functools import cache, partial
 from typing import TYPE_CHECKING
 
-from . import __version__, recognize
-from .catalog import pattern
+from . import __version__
 from .core import VERTEX_CAP, Graph, VertexCapError, build_graph, relation
-from .structure import TentPartition
 
 if TYPE_CHECKING:
-    from . import oracle
+    from . import oracle, recognize
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -171,6 +169,8 @@ def _sorted(s) -> list[int]:
 def partition_to_json(p) -> dict:
     """The named sets of a special, saucer or tent partition, plus a tent's
     Y order and the pendant components, each in its stored order."""
+    from .structure import TentPartition
+
     out = {name: _sorted(s) for name, s in p.named_sets()}
     if isinstance(p, TentPartition):
         out["Y_order"] = list(p.y_order)
@@ -262,6 +262,9 @@ def to_dot(g: Graph, rep: recognize.RecognitionReport | None) -> str:
 
 
 def _recognize(g: Graph, args) -> tuple[int, dict]:
+    from . import recognize
+
+    # through the module attribute, which perfbench/spans.py patches
     rep = recognize.recognize(g)
     body = {"verdict": report_to_json(rep)}
     if args.crosscheck:
@@ -285,7 +288,7 @@ def _recognize(g: Graph, args) -> tuple[int, dict]:
 
 
 def _color(g: Graph, args) -> tuple[int, dict]:
-    from . import color
+    from . import color, recognize
 
     try:
         result = color.color_in_class(g)
@@ -309,7 +312,7 @@ def _color(g: Graph, args) -> tuple[int, dict]:
 
 
 def _cwd(g: Graph, args) -> tuple[int, dict]:
-    from . import cwd
+    from . import cwd, recognize
 
     try:
         expr = cwd.expr_for_class_graph(g)
@@ -327,6 +330,7 @@ def _cwd(g: Graph, args) -> tuple[int, dict]:
 
 def _oracle(g: Graph, args) -> tuple[int, dict]:
     from . import oracle
+    from .catalog import pattern
 
     body: dict = {}
     try:

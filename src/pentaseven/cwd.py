@@ -4,7 +4,8 @@ certify the width-12 bound for accepted simplicial-free graphs.
 
 Expressions carry explicit vertex ids through their create leaves, so an
 evaluated expression can be compared to a target graph by equality rather
-than isomorphism.  Nodes are slotted value dataclasses: compared by value,
+than isomorphism.  Nodes are slotted value dataclasses: compared by value
+and type (as tuples, Join(1, 2, c) would equal Rename(1, 2, c)),
 unhashable, never mutated once built.  Every walk is a plain stack loop
 that dispatches on the exact node type and raises ExprError, with a path,
 on anything that is not a node; expressions for thickenings get deep (one

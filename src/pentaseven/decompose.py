@@ -8,15 +8,14 @@ relation so it can be matched against the catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import _kernels
 from .core import Graph, _iter_bits, _mask_of, induced_subgraph
 
 
-@dataclass(frozen=True)
-class SimplicialPrefix:
+class SimplicialPrefix(NamedTuple):
     """Maximal sequence order[0..t-1] with order[i] simplicial once
     order[0..i-1] are deleted; no remainder vertex is simplicial after that."""
 
@@ -24,13 +23,13 @@ class SimplicialPrefix:
     remainder_mask: int
 
 
-@dataclass(frozen=True)
 class TwinDecomposition:
     """Twin classes (cliques, pairwise complete or anticomplete) of a vertex
     mask of graph, and the quotient graph on one representative per class."""
 
-    classes: tuple[frozenset[int], ...]
-    graph: Graph = field(repr=False, compare=False)
+    def __init__(self, classes: tuple[frozenset[int], ...], graph: Graph):
+        self.classes = classes
+        self.graph = graph
 
     @cached_property
     def quotient(self) -> Graph:

@@ -10,9 +10,8 @@ run is the certificate that the input graph lies in the class.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import QUOTIENT_CAP, T0_LABELS, VERDICT_CAP, catalog_entry, match_catalog
 from .catalog import pattern
@@ -53,16 +52,14 @@ class NotInClassError(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Attachment:
+class Attachment(NamedTuple):
     """Outcome of attachment classification: which bucket a vertex lands in."""
 
     kind: str  # C7 side: anticomplete|x|y|z|complete; T0 side adds clone|f
     index: int | str | None = None
 
 
-@dataclass(frozen=True)
-class BuildFailure:
+class BuildFailure(NamedTuple):
     stage: str
     violations: tuple[Violation, ...]
 
@@ -70,8 +67,7 @@ class BuildFailure:
         return f"{self.stage}: " + "; ".join(str(v) for v in self.violations)
 
 
-@dataclass(frozen=True)
-class RecognitionReport:
+class _ReportFields(NamedTuple):
     kind: str
     reason: str | None = None
     saucer: SaucerPartition | None = None
@@ -83,7 +79,12 @@ class RecognitionReport:
     quotient: Graph | None = None
     class_ids: tuple[tuple[int, ...], ...] = ()
     catalog_name: str | None = None
-    refused: Graph | None = field(default=None, repr=False, compare=False)
+    refused: Graph | None = None
+
+
+class RecognitionReport(_ReportFields):
+    """The verdict with its evidence.  A subclass without __slots__, so it
+    has the __dict__ that cached_property keeps the witness in."""
 
     @property
     def in_class(self) -> bool:
@@ -111,8 +112,7 @@ class RecognitionReport:
 # attachment classifiers
 
 
-@dataclass(frozen=True)
-class _Anchor:
+class _Anchor(NamedTuple):
     """An induced pattern that every other vertex is bucketed against.
 
     Host vertex k of an anchor plays vertex k of graph, named names[k].  A

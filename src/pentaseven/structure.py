@@ -10,7 +10,7 @@ none of the pipeline that built it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Graph, _iter_bits, _mask_of, bits_of
 
@@ -21,8 +21,7 @@ _TENT_CORE = ("A0", "A1", "B0", "B1", "B2", "B3", "C1", "C2", "C3")
 _TENT_NAMES = _TENT_CORE + ("F2", "F3", "W", "Y", "Z")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     clause: str
     detail: str
     witness: tuple[int, ...] | None = None
@@ -32,8 +31,7 @@ class Violation:
         return f"[{self.clause}] {self.detail}{w}"
 
 
-@dataclass(frozen=True)
-class SpecialPartition:
+class SpecialPartition(NamedTuple):
     """The 22-clique decomposition (X0..X6, Y0..Y6, Z0..Z6, W)."""
 
     x: tuple[frozenset[int], ...]
@@ -45,8 +43,7 @@ class SpecialPartition:
         return list(zip(_SPECIAL_NAMES, self.x + self.y + self.z + (self.w,)))
 
 
-@dataclass(frozen=True)
-class SaucerPartition:
+class SaucerPartition(NamedTuple):
     """Special partition of g minus a, plus the pendant clique components of
     a in nested closed-neighborhood order."""
 
@@ -63,8 +60,7 @@ class SaucerPartition:
         return "A", self.a_components
 
 
-@dataclass(frozen=True)
-class TentPartition:
+class TentPartition(NamedTuple):
     a0: frozenset[int]
     a1: frozenset[int]
     b0: frozenset[int]

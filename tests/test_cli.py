@@ -290,6 +290,25 @@ class TestRecognizeCmd:
         assert reports[0]["verdict"]["kind"] == "not-in-class"
         assert reports[0]["verdict"]["witness"]["pattern"] == "C6"
 
+    def test_witness_searched_once_per_report(self, monkeypatch):
+        # report_to_json reads the witness three times; each read after the
+        # first must come from the report's cache, not a new search
+        from pentaseven import oracle
+        from pentaseven.recognize import recognize
+
+        searched = []
+        find = oracle.find_induced
+
+        def spy(g, named):
+            searched.append(named.name)
+            return find(g, named)
+
+        rep = recognize(pattern("C6").graph)
+        monkeypatch.setattr(oracle, "find_induced", spy)
+        body = cli.report_to_json(rep)
+        assert rep.witness.pattern.name == body["witness"]["pattern"] == "C6"
+        assert searched == ["2P3", "C4", "C6"]
+
     def test_dot_output(self, tmp_path, capsys):
         path = write_graph(tmp_path, "t1.json", pattern("T1").graph)
         dot = str(tmp_path / "out.dot")
@@ -407,29 +426,19 @@ class TestRecognizeCmd:
         assert len(lines) == 1
         assert "capped at 20" in json.loads(lines[0])["error"]
 
-    def test_import_path_stays_lean(self, tmp_path):
-        # each command imports what it runs, when it runs: the colorer's LP
-        # fractions, the graph matrix views numpy, --jobs > 1
-        # multiprocessing, cwd the expression module and a refusal's witness
-        # the oracle; recognize and cwd on an in-class file never reach numpy
-        from pentaseven.recognize import recognize
-
-        t1 = write_graph(tmp_path, "t1.json", pattern("T1").graph)
-        p3 = write_graph(tmp_path, "p3.json", pattern("P3").graph)
-        c6 = write_graph(tmp_path, "c6.json", pattern("C6").graph)
-        # refused, but past the cap of the witness search
-        p21 = write_graph(tmp_path, "p21.json",
-                          build_graph(21, [(i, i + 1) for i in range(20)]))
+    @staticmethod
+    def loaded_after(argvs, lazy):
+        """Run cli.main on each argv in one fresh interpreter; per call (and
+        once after importing cli, as None) the exit code and which of the
+        modules lazy are loaded, and the reports printed."""
         script = (
             "import sys\n"
             "from pentaseven import cli\n"
-            "lazy = ('fractions', 'numpy', 'multiprocessing', 'pentaseven.generate',\n"
-            "        'pentaseven.color', 'pentaseven.cwd', 'pentaseven.oracle')\n"
+            f"lazy = {tuple(lazy)!r}\n"
             "def loaded(code):\n"
             "    print(code, sorted(m for m in lazy if m in sys.modules), file=sys.stderr)\n"
             "loaded(None)\n"
-            f"for argv in [['recognize', {t1!r}], ['cwd', {p3!r}], ['cwd', {t1!r}],\n"
-            f"             ['recognize', {p21!r}], ['recognize', {c6!r}]]:\n"
+            f"for argv in {argvs!r}:\n"
             "    loaded(cli.main(argv))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -440,19 +449,59 @@ class TestRecognizeCmd:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines() == [
+        return proc.stderr.splitlines(), proc.stdout.splitlines()
+
+    def test_import_path_stays_lean(self, tmp_path):
+        # each command imports what it runs, when it runs: the colorer's LP
+        # fractions, the graph matrix views numpy, --jobs > 1
+        # multiprocessing, cwd the expression module and its dataclass
+        # nodes, and a refusal's witness the oracle; recognize and cwd on an
+        # in-class file never reach numpy, and recognize's records are
+        # NamedTuples, so it never loads dataclasses or inspect
+        from pentaseven.recognize import recognize
+
+        t1 = write_graph(tmp_path, "t1.json", pattern("T1").graph)
+        p3 = write_graph(tmp_path, "p3.json", pattern("P3").graph)
+        c6 = write_graph(tmp_path, "c6.json", pattern("C6").graph)
+        # refused, but past the cap of the witness search
+        p21 = write_graph(tmp_path, "p21.json",
+                          build_graph(21, [(i, i + 1) for i in range(20)]))
+        lazy = ("fractions", "numpy", "multiprocessing", "dataclasses", "inspect",
+                "pentaseven.generate", "pentaseven.color", "pentaseven.cwd",
+                "pentaseven.oracle")
+        argvs = [["recognize", t1], ["recognize", p21], ["cwd", p3], ["cwd", t1],
+                 ["recognize", c6]]
+        err, out = self.loaded_after(argvs, lazy)
+        cwd = "'dataclasses', 'inspect', 'pentaseven.cwd'"
+        assert err == [
             "None []",
             "0 []",
-            "3 ['pentaseven.cwd']",
-            "0 ['pentaseven.cwd']",
-            "0 ['pentaseven.cwd']",
-            "0 ['pentaseven.cwd', 'pentaseven.oracle']",
+            "0 []",
+            f"3 [{cwd}]",
+            f"0 [{cwd}]",
+            f"0 [{cwd}, 'pentaseven.oracle']",
         ]
-        large = json.loads(proc.stdout.splitlines()[-2])["verdict"]
+        large = json.loads(out[1])["verdict"]
         assert large["kind"] == "not-in-class" and "witness" not in large
-        refused = json.loads(proc.stdout.splitlines()[-1])["verdict"]
+        refused = json.loads(out[-1])["verdict"]
         want = cli.report_to_json(recognize(pattern("C6").graph))
         assert refused["witness"] == want["witness"]
+
+    def test_oracle_and_generate_load_no_recognition(self, tmp_path):
+        c6 = write_graph(tmp_path, "c6.json", pattern("C6").graph)
+        pipeline = ("pentaseven.recognize", "pentaseven.structure",
+                    "pentaseven.decompose", "pentaseven._kernels")
+        argvs = [["oracle", c6], ["generate", "tent", "--seed", "0",
+                                  "--out", str(tmp_path)]]
+        err, _ = self.loaded_after(argvs, pipeline)
+        # the generators build their certificate from the definitions and
+        # their graphs by expand_thickening, never by recognition
+        assert err == [
+            "None []",
+            "0 []",
+            "0 ['pentaseven._kernels', 'pentaseven.decompose', "
+            "'pentaseven.structure']",
+        ]
 
     def test_parser_reuse_leaks_no_state(self, tmp_path, capsys, monkeypatch):
         # one parser serves every main call in the process: an option given

@@ -210,14 +210,11 @@ class TestVerifyStructures:
         g, part = gen_tent(GenParams(seed=0, max_class_size=1))
         # graft a fake F2 label onto a W vertex (or vice versa) to break the
         # "at most one nonempty" clause structurally
-        from dataclasses import replace
-
         g2, part2 = gen_tent(
             GenParams(seed=4, p_nonempty=1.0, universal_count=(1, 1))
         )
         if part2.f2 or part2.f3:
-            broken = replace(
-                part2,
+            broken = part2._replace(
                 f2=part2.f2 | part2.w if part2.f3 else part2.f2,
                 f3=part2.f3 | part2.w if part2.f2 else part2.f3,
                 w=frozenset(),
@@ -249,8 +246,6 @@ NON_VERTICES = {"past-n": None, "negative": -1, "str": "x"}
 @pytest.mark.parametrize("bad", sorted(NON_VERTICES))
 @pytest.mark.parametrize("where", ["A-component", "W", "Z-component"])
 def test_verifiers_reject_members_that_are_not_vertices(where, bad):
-    from dataclasses import replace
-
     if where == "Z-component":
         g, part = gen_tent(GenParams(seed=3, z_components=(1, 2)))
         verify = verify_tent_partition
@@ -260,12 +255,12 @@ def test_verifiers_reject_members_that_are_not_vertices(where, bad):
     assert verify(g, part) == []
     v = NON_VERTICES[bad] if bad != "past-n" else g.n
     if where == "W":
-        broken = replace(part, special=replace(part.special, w=part.special.w | {v}))
+        broken = part._replace(special=part.special._replace(w=part.special.w | {v}))
         name = "7-saucer partition: set W"
     else:
         field = "a_components" if where == "A-component" else "z_components"
         comps = getattr(part, field)
-        broken = replace(part, **{field: ((*comps[0], v),) + comps[1:]})
+        broken = part._replace(**{field: ((*comps[0], v),) + comps[1:]})
         name = f"{where} 0"
     with pytest.raises(ValueError, match=f"^{name} has a member that is not a vertex$"):
         verify(g, broken)
@@ -521,8 +516,6 @@ PENDANT_BREAKS = {
 @pytest.mark.parametrize("label", ["A", "Z"])
 @pytest.mark.parametrize("brk", sorted(PENDANT_BREAKS))
 def test_pendant_component_clauses(label, brk):
-    from dataclasses import replace
-
     if label == "A":
         g, part = gen_saucer(GenParams(seed=1, a_components=(2, 2)))
         field, verify = "a_components", verify_saucer_partition
@@ -532,7 +525,7 @@ def test_pendant_component_clauses(label, brk):
     assert verify(g, part) == []
     mutate, clause, detail = PENDANT_BREAKS[brk]
     g2, comps = mutate(g, getattr(part, field))
-    found = verify(g2, replace(part, **{field: comps}))
+    found = verify(g2, part._replace(**{field: comps}))
     want = (clause.format(l=label.lower()), detail.format(L=label))
     assert want in [(v.clause, v.detail) for v in found]
 
