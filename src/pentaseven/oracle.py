@@ -8,8 +8,7 @@ Size caps are enforced, not advisory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .catalog import VERDICT_CAP, NamedGraph, connected_order, embed, pattern
 from .core import Graph, _iter_bits, bits_of, greedy_extend, is_connected, reach_mask
@@ -20,8 +19,7 @@ CHROMATIC_CAP = 18
 CUTSET_CAP = 18
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """Injective pattern->host map preserving adjacency and non-adjacency."""
 
     pattern: NamedGraph
@@ -214,8 +212,7 @@ def clique_cutset_bf(g: Graph) -> frozenset[int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
+class ClassVerdict(NamedTuple):
     """Exact membership flags for the target class, with witnesses."""
 
     is_2p3_free: bool

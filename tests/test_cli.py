@@ -290,25 +290,6 @@ class TestRecognizeCmd:
         assert reports[0]["verdict"]["kind"] == "not-in-class"
         assert reports[0]["verdict"]["witness"]["pattern"] == "C6"
 
-    def test_witness_searched_once_per_report(self, monkeypatch):
-        # report_to_json reads the witness three times; each read after the
-        # first must come from the report's cache, not a new search
-        from pentaseven import oracle
-        from pentaseven.recognize import recognize
-
-        searched = []
-        find = oracle.find_induced
-
-        def spy(g, named):
-            searched.append(named.name)
-            return find(g, named)
-
-        rep = recognize(pattern("C6").graph)
-        monkeypatch.setattr(oracle, "find_induced", spy)
-        body = cli.report_to_json(rep)
-        assert rep.witness.pattern.name == body["witness"]["pattern"] == "C6"
-        assert searched == ["2P3", "C4", "C6"]
-
     def test_dot_output(self, tmp_path, capsys):
         path = write_graph(tmp_path, "t1.json", pattern("T1").graph)
         dot = str(tmp_path / "out.dot")
@@ -456,8 +437,9 @@ class TestRecognizeCmd:
         # fractions, the graph matrix views numpy, --jobs > 1
         # multiprocessing, cwd the expression module and its dataclass
         # nodes, and a refusal's witness the oracle; recognize and cwd on an
-        # in-class file never reach numpy, and recognize's records are
-        # NamedTuples, so it never loads dataclasses or inspect
+        # in-class file never reach numpy, and recognize's records and the
+        # oracle's are NamedTuples, so recognize never loads dataclasses or
+        # inspect, not even for a witness
         from pentaseven.recognize import recognize
 
         t1 = write_graph(tmp_path, "t1.json", pattern("T1").graph)
@@ -469,21 +451,21 @@ class TestRecognizeCmd:
         lazy = ("fractions", "numpy", "multiprocessing", "dataclasses", "inspect",
                 "pentaseven.generate", "pentaseven.color", "pentaseven.cwd",
                 "pentaseven.oracle")
-        argvs = [["recognize", t1], ["recognize", p21], ["cwd", p3], ["cwd", t1],
-                 ["recognize", c6]]
+        argvs = [["recognize", t1], ["recognize", p21], ["recognize", c6],
+                 ["cwd", p3], ["cwd", t1]]
         err, out = self.loaded_after(argvs, lazy)
-        cwd = "'dataclasses', 'inspect', 'pentaseven.cwd'"
+        cwd = "'dataclasses', 'inspect', 'pentaseven.cwd', 'pentaseven.oracle'"
         assert err == [
             "None []",
             "0 []",
             "0 []",
+            "0 ['pentaseven.oracle']",
             f"3 [{cwd}]",
             f"0 [{cwd}]",
-            f"0 [{cwd}, 'pentaseven.oracle']",
         ]
         large = json.loads(out[1])["verdict"]
         assert large["kind"] == "not-in-class" and "witness" not in large
-        refused = json.loads(out[-1])["verdict"]
+        refused = json.loads(out[2])["verdict"]
         want = cli.report_to_json(recognize(pattern("C6").graph))
         assert refused["witness"] == want["witness"]
 

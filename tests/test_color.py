@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pentaseven import oracle
+from pentaseven import cli, oracle
 from pentaseven.catalog import pattern
 from pentaseven.color import (
     Coloring,
@@ -254,6 +254,8 @@ class TestColorInClass:
         assert calls == []
         assert rep.witness.pattern.name == "2P3" and calls == ["2P3"]
         assert rep.witness is rep.witness and calls == ["2P3"]
+        assert cli.report_to_json(rep)["witness"]["pattern"] == "2P3"
+        assert calls == ["2P3"]
         with pytest.raises(NotInClassError) as exc:
             color_in_class(pattern("C6").graph)
         assert exc.value.report.witness.pattern.name == "C6"
