@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .catalog import QUOTIENT_CAP
-from .core import Graph, bits_of, greedy_extend
+from .core import Graph, _iter_bits, greedy_extend
 from .oracle import max_weighted_clique
 from .recognize import NotInClassError, recognize
 
@@ -201,10 +201,10 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
             for v in support:
                 if not rows[v] & smask:
                     smask |= 1 << v
-            times = min(w[v] for v in bits_of(smask))
+            times = min(w[v] for v in _iter_bits(smask))
             chosen.append((smask, times))
             total += times
-            for v in bits_of(smask):
+            for v in _iter_bits(smask):
                 w[v] -= times
 
     exact: dict[tuple[int, ...], tuple[int, object]] = {}
@@ -230,7 +230,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
         if lb == ub:
             exact[wvec] = (ub, "greedy")
             return ub
-        pivot = max(bits_of(support), key=lambda v: (wvec[v], -v))
+        pivot = max(_iter_bits(support), key=lambda v: (wvec[v], -v))
         key = (support, pivot)
         sets = mis_cache.get(key)
         if sets is None:
@@ -286,18 +286,16 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
         # the floor of the LP primal plus an exact small residual
         residual = list(inst.weights)
         for smask, times in lp_base:
-            for v in bits_of(smask):
+            for v in _iter_bits(smask):
                 residual[v] = max(0, residual[v] - times)
         r = tuple(residual)
-        base_count = sum(times for _, times in lp_base)
+        classes = [smask for smask, times in lp_base for _ in range(times)]
+        k = len(classes)
         if any(r):
             fr = solve(r, greedy(r)[0])
             assert fr is not None
-            classes = [s for smask, t in lp_base for s in [smask] * t] + replay(r)
-        else:
-            fr = 0
-            classes = [s for smask, t in lp_base for s in [smask] * t]
-        k = base_count + fr
+            classes += replay(r)
+            k += fr
         lb_root = max(max_weighted_clique(rows, inst.weights, full)[0], lp_floor)
         if k > lb_root:
             got = solve(inst.weights, k - 1)
@@ -310,7 +308,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     color_sets: list[list[int]] = [[] for _ in range(q.n)]
     remaining = list(inst.weights)
     for color, smask in enumerate(classes, start=1):
-        for v in bits_of(smask):
+        for v in _iter_bits(smask):
             if remaining[v] > 0:
                 color_sets[v].append(color)
                 remaining[v] -= 1
@@ -336,7 +334,7 @@ def color_in_class(g: Graph) -> Coloring:
         for q, ids in enumerate(report.class_ids):
             for v, c in zip(ids, color_sets[q]):
                 assignment[v] = c
-        for nxt, v in enumerate(sorted(report.universal_w), k0 + 1):
+        for nxt, v in enumerate(report.universal_w, k0 + 1):
             assignment[v] = nxt
     greedy_extend(g, list(reversed(report.prefix.order)), assignment)
     return Coloring(assignment, max(assignment.values()))

@@ -48,6 +48,7 @@ def bits_of(mask: int) -> frozenset[int]:
 class Graph:
     """Immutable simple graph on vertices 0..n-1, stored as neighborhood rows."""
 
+    # _simplicial: the simplicial seed, memoized by decompose.simplicial_seed
     __slots__ = ("n", "rows", "_hash", "_simplicial")
 
     def __init__(self, adj):
@@ -306,57 +307,6 @@ def nonadjacent_pair(
             return w, miss.bit_length() - 1
         todo ^= bit
     return None
-
-
-def _seed_walk(g: Graph, stop: bool) -> int | None:
-    """Walk the closed-twin classes of g in order of their least member, one
-    clique walk per class: closed twins share N[v], so the walk from the
-    least member v decides the class, and the pair it finds in N(v) avoids
-    v's twins, which are complete to it.  With stop set, return v at the
-    first simplicial class; a walk that reaches the end memoizes the seed
-    on g and returns None."""
-    rows = g.rows
-    simplicial: list[int] = []
-    blocked = []
-    members_of: dict[int, list[int]] = {}  # N[v] -> its class's member list
-    for v, r in enumerate(rows):
-        closed = r | 1 << v
-        members = members_of.get(closed)
-        if members is None:
-            pair = nonadjacent_pair(rows, r)
-            if pair is None:
-                if stop:
-                    return v
-                members = simplicial  # every simplicial class lands in one list
-            else:
-                members = []
-                blocked.append((pair, members))
-            members_of[closed] = members
-        members.append(v)
-    g._simplicial = frozenset(simplicial), tuple(blocked)
-    return None
-
-
-def simplicial_seed(g: Graph) -> tuple[frozenset[int], tuple]:
-    """(simplicial, blocked): the simplicial vertices of g, and one
-    (pair, members) per other closed-twin class in order of least member,
-    pair nonadjacent inside the neighborhood of every member.  Built by the
-    class walk that least_simplicial may stop early; a walk that reaches the
-    end memoizes the seed on g, which is immutable, so cwd's refusal check
-    on a simplicial-free graph and the elimination in recognize share it."""
-    if g._simplicial is None:
-        _seed_walk(g, stop=False)
-    return g._simplicial
-
-
-def least_simplicial(g: Graph) -> int | None:
-    """The least simplicial vertex of g, or None.  The class walk stops at
-    the first simplicial class, so a graph with a simplicial vertex pays only
-    for the classes before it; one without pays for a full walk and leaves
-    the seed memoized, as simplicial_seed would."""
-    if g._simplicial is not None:
-        return min(g._simplicial[0], default=None)
-    return _seed_walk(g, stop=True)
 
 
 def greedy_extend(g: Graph, order: Iterable[int], assignment: dict[int, int]) -> None:

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import Graph, _iter_bits, least_simplicial
+from .core import Graph, _iter_bits
+from .decompose import least_simplicial
 from .recognize import NotInClassError, recognize
 
 
@@ -287,7 +289,7 @@ def _complete_expr(ids: list[int], acc_label: int, tmp_label: int) -> Expr:
 
 
 def thickening_expr(
-    quotient: Graph, class_ids: list[list[int]], universal_ids: list[int]
+    quotient: Graph, class_ids: Sequence[Sequence[int]], universal_ids: Sequence[int]
 ) -> Expr:
     """Expression for a thickening of the quotient plus universal vertices.
 
@@ -339,8 +341,7 @@ def expr_for_class_graph(g: Graph) -> Expr:
     report = recognize(g)
     if not report.in_class:
         raise NotInClassError(report)
-    classes = [list(ids) for ids in report.class_ids]
-    return thickening_expr(report.quotient, classes, sorted(report.universal_w))
+    return thickening_expr(report.quotient, report.class_ids, report.universal_w)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class _ReportFields(NamedTuple):
     failure: BuildFailure | None = None
     stages: tuple[tuple[str, str], ...] = ()
     prefix: SimplicialPrefix | None = None
-    universal_w: frozenset[int] = frozenset()
+    universal_w: tuple[int, ...] = ()
     quotient: Graph | None = None
     class_ids: tuple[tuple[int, ...], ...] = ()
     catalog_name: str | None = None
@@ -242,7 +242,7 @@ def _clique_components_ordered(g: Graph, members: int) -> tuple[tuple[int, ...],
     by decreasing closed degree.  Chain validity is left to the verifier."""
     rows = g.rows
     return tuple(
-        tuple(sorted(bits_of(m), key=lambda u: (-rows[u].bit_count(), u)))
+        tuple(sorted(_iter_bits(m), key=lambda u: (-rows[u].bit_count(), u)))
         for m in component_masks(rows, members)
     )
 
@@ -313,7 +313,7 @@ def build_tent_from_T0(
         return buckets
     y = buckets[Attachment("y")]
     z = buckets[Attachment("anticomplete")]
-    y_order = tuple(sorted(bits_of(y), key=lambda u: (-g.rows[u].bit_count(), u)))
+    y_order = tuple(sorted(_iter_bits(y), key=lambda u: (-g.rows[u].bit_count(), u)))
     part = TentPartition(
         **{lab: bits_of(buckets[Attachment("clone", lab)]) for lab in T0_LABELS},
         f2=bits_of(buckets[Attachment("f", 2)]),
@@ -378,7 +378,7 @@ def recognize(g: Graph) -> RecognitionReport:
             g, f"twin quotient has {k} classes (limit {QUOTIENT_CAP})",
             stages, pre,
         )
-    class_ids = tuple(tuple(sorted(cls)) for cls in twins.classes)
+    class_ids = twins.classes
     match = match_catalog(twins.quotient)
     if match is None:
         return _reject(

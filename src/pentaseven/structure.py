@@ -325,14 +325,17 @@ TENT_TABLE = tuple(
 
 
 def _vertex_mask(g: Graph, vertices) -> int | None:
-    """The mask of vertices, or None unless each is an int vertex of g."""
+    """The mask of vertices, or None unless each is a plain int vertex of g:
+    a bool or a numpy integer is not one."""
+    m = 0
     try:
-        if vertices and max(vertices) >= g.n:  # before a shift by a huge int
-            return None
-        m = _mask_of(vertices)  # a non-int or a negative int raises
-    except (TypeError, ValueError, OverflowError):
+        for v in vertices:
+            if type(v) is not int or not 0 <= v < g.n:
+                return None
+            m |= 1 << v
+    except TypeError:  # vertices is not iterable
         return None
-    return m if type(m) is int else None  # numpy integers give numpy masks
+    return m
 
 
 def _require_partition(g: Graph, named, what: str) -> dict[str, int]:

@@ -9,10 +9,9 @@ from pentaseven.core import (
     bits_of,
     build_graph,
     nonadjacent_pair,
-    simplicial_seed,
 )
 from pentaseven.cwd import Expr, _complete_expr
-from pentaseven.decompose import SimplicialPrefix
+from pentaseven.decompose import SimplicialPrefix, simplicial_seed
 from pentaseven.oracle import find_induced
 
 
@@ -70,7 +69,7 @@ def is_simplicial(g: Graph, v: int) -> bool:
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:
     """Vertices whose neighborhood is a clique (memoized with the pairs)."""
-    return simplicial_seed(g)[0]
+    return frozenset(simplicial_seed(g)[0])
 
 
 def remainder(pre: SimplicialPrefix) -> frozenset[int]:

@@ -481,8 +481,7 @@ class TestRecognizeCmd:
         assert err == [
             "None []",
             "0 []",
-            "0 ['pentaseven._kernels', 'pentaseven.decompose', "
-            "'pentaseven.structure']",
+            "0 ['pentaseven.decompose', 'pentaseven.structure']",
         ]
 
     def test_parser_reuse_leaks_no_state(self, tmp_path, capsys, monkeypatch):

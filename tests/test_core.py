@@ -20,12 +20,15 @@ from pentaseven.core import (
     components,
     greedy_extend,
     induced_subgraph,
-    least_simplicial,
     nonadjacent_pair,
     relation,
-    simplicial_seed,
 )
-from pentaseven.decompose import expand_thickening, strip_universals
+from pentaseven.decompose import (
+    expand_thickening,
+    least_simplicial,
+    simplicial_seed,
+    strip_universals,
+)
 from pentaseven.oracle import find_induced
 
 from conftest import is_clique, is_simplicial, random_graphs, simplicial_vertices
@@ -257,7 +260,7 @@ class TestPredicates:
     def test_least_simplicial_reads_the_memo(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         assert simplicial_vertices(g) == {0, 3}
-        with mock.patch("pentaseven.core.nonadjacent_pair") as walk:
+        with mock.patch("pentaseven.decompose.nonadjacent_pair") as walk:
             assert least_simplicial(g) == 0
         walk.assert_not_called()
 

@@ -10,7 +10,6 @@ from pentaseven.core import (
     _mask_of,
     build_graph,
     induced_subgraph,
-    least_simplicial,
 )
 from pentaseven.cwd import (
     Create,
@@ -28,7 +27,7 @@ from pentaseven.cwd import (
     to_sexpr,
     width,
 )
-from pentaseven.decompose import expand_thickening, simplicial_prefix
+from pentaseven.decompose import expand_thickening, least_simplicial, simplicial_prefix
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.recognize import NotInClassError, recognize
 
@@ -492,14 +491,14 @@ class TestClassExpression:
                 expr_for_class_graph(g)
 
     def test_simplicial_seed_computed_once(self, monkeypatch):
-        from pentaseven import core
+        from pentaseven import decompose
         from pentaseven.catalog import catalog_entry
 
         g, _ = expand_thickening(catalog_entry("M0").graph, [3] * 12)
         walks = []
-        nonadjacent_pair = core.nonadjacent_pair
+        nonadjacent_pair = decompose.nonadjacent_pair
         monkeypatch.setattr(
-            core, "nonadjacent_pair",
+            decompose, "nonadjacent_pair",
             lambda rows, mask, top=None: walks.append(mask)
             or nonadjacent_pair(rows, mask, top),
         )
@@ -507,7 +506,7 @@ class TestClassExpression:
         assert len(walks) == 12  # one clique walk per closed-twin class
 
     def test_refusal_stops_at_the_first_simplicial_class(self, monkeypatch):
-        from pentaseven import core
+        from pentaseven import decompose
 
         g, part = gen_saucer(GenParams(seed=0, a_components=(1, 2)))
         assert part.a_components
@@ -517,9 +516,9 @@ class TestClassExpression:
         new = {v: k for k, v in enumerate(order)}
         g = build_graph(g.n, [(new[u], new[v]) for u, v in g.edges()])
         walks = []
-        nonadjacent_pair = core.nonadjacent_pair
+        nonadjacent_pair = decompose.nonadjacent_pair
         monkeypatch.setattr(
-            core, "nonadjacent_pair",
+            decompose, "nonadjacent_pair",
             lambda rows, mask, top=None: walks.append(mask)
             or nonadjacent_pair(rows, mask, top),
         )

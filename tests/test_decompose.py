@@ -34,10 +34,10 @@ def universals(g):
 
 def strip_universals_by_graph(g):
     full = g.full_mask
-    w = frozenset(v for v in range(g.n) if g.closed_row(v) == full)
+    w = tuple(v for v in range(g.n) if g.closed_row(v) == full)
     if len(w) == g.n:
         return w, None, ()
-    rest = sorted(set(range(g.n)) - w)
+    rest = sorted(set(range(g.n)).difference(w))
     sub, _ = induced_subgraph(g, rest)
     return w, sub, tuple(rest)
 
@@ -48,7 +48,7 @@ def twin_classes_by_graph(g):
         groups.setdefault(g.closed_row(v), []).append(v)
     classes = sorted(groups.values(), key=lambda c: c[0])
     quotient, _ = induced_subgraph(g, [c[0] for c in classes])
-    return tuple(frozenset(c) for c in classes), quotient
+    return tuple(map(tuple, classes)), quotient
 
 
 class TestSimplicialPrefix:
@@ -159,7 +159,7 @@ class TestStripUniversals:
         adj[7, :7] = adj[:7, 7] = True
         g = Graph(adj)
         w, rest = strip_universals(g, g.full_mask)
-        assert w == {7} and rest == c7.full_mask
+        assert w == (7,) and rest == c7.full_mask
 
     def test_t0_has_none(self):
         t0 = pattern("T0").graph
@@ -170,7 +170,7 @@ class TestStripUniversals:
         # inside the 7-hole, vertices 0, 1, 2 induce a P3 whose middle is universal
         c7 = pattern("C7").graph
         w, rest = strip_universals(c7, 0b111)
-        assert w == {1} and rest == 0b101
+        assert w == (1,) and rest == 0b101
 
 
 @given(random_graphs(max_n=12), st.data())
@@ -181,11 +181,11 @@ def test_mask_steps_match_graph_building_reference(g, data):
     sub, _ = induced_subgraph(g, vs)
     w_ref, _, ids_ref = strip_universals_by_graph(sub)
     w, rest = strip_universals(g, within)
-    assert w == {vs[i] for i in w_ref}
+    assert w == tuple(vs[i] for i in w_ref)
     assert rest == _mask_of(vs[i] for i in ids_ref)
     classes_ref, quotient_ref = twin_classes_by_graph(sub)
     dec = twin_classes(g, within)
-    assert dec.classes == tuple(frozenset(vs[i] for i in c) for c in classes_ref)
+    assert dec.classes == tuple(tuple(vs[i] for i in c) for c in classes_ref)
     assert dec.quotient == quotient_ref
 
 
@@ -215,7 +215,7 @@ def test_adding_universals_preserves_simplicial_presence(g, k):
     w, rest = strip_universals(joined, joined.full_mask)
     assert bool(simplicial_vertices(joined)) == bool(simplicial_vertices(g))
     if not universals(g):
-        assert w == set(range(g.n, n))
+        assert w == tuple(range(g.n, n))
         assert rest == g.full_mask
 
 

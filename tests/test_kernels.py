@@ -1,5 +1,6 @@
-"""The bitset elimination kernel against two references: the definition, and
-the numpy nonedge-count elimination; and its row reads against 2n + 6m."""
+"""The simplicial elimination (`decompose.simplicial_prefix`) against two
+references: the definition, and the numpy nonedge-count elimination; and its
+row reads against 2n + 6m."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pentaseven import _kernels
 from pentaseven.core import Graph, bits_of, build_graph, induced_subgraph
+from pentaseven.decompose import simplicial_prefix
 from pentaseven.generate import GenParams, gen_saucer, gen_tent
 
 from conftest import is_simplicial, random_graphs
@@ -120,17 +122,17 @@ def row_reads(g):
     """Rows the elimination reads on a fresh copy of g (no memoized seed)."""
     g = Graph.from_rows(g.rows)
     g.rows = rows = CountingRows(g.rows)
-    _kernels.simplicial_elimination(g)
+    simplicial_prefix(g)
     return rows.reads
 
 
 def assert_matches_references(g, definition=True):
-    order, rest = _kernels.simplicial_elimination(g)
+    order, rest = simplicial_prefix(g)
     ref_order, ref_rest = elimination_by_counts(g)
-    assert order == ref_order
+    assert list(order) == ref_order
     assert bits_of(rest) == ref_rest
     if definition:
-        assert (order, bits_of(rest)) == elimination_by_definition(g)
+        assert (list(order), bits_of(rest)) == elimination_by_definition(g)
 
 
 @given(random_graphs(max_n=20))
@@ -144,14 +146,14 @@ def test_elimination_agrees_on_long_prefix(make):
     # 40 pendant components of up to 20 vertices each
     g, _ = make(GenParams(seed=0, a_components=(40, 40),
                           z_components=(40, 40), max_component_size=20))
-    assert len(_kernels.simplicial_elimination(g)[0]) >= 400
+    assert len(simplicial_prefix(g).order) >= 400
     assert_matches_references(g, definition=False)
 
 
 def test_elimination_agrees_on_split_graph():
     g = split_graph(150, 150, seed=3)
     assert_matches_references(g, definition=False)
-    order, rest = _kernels.simplicial_elimination(g)
+    order, rest = simplicial_prefix(g)
     assert len(order) == g.n and rest == 0
 
 
@@ -159,7 +161,7 @@ def test_elimination_agrees_on_complete_graph():
     n = 300
     g = Graph(~np.eye(n, dtype=np.bool_))
     assert_matches_references(g, definition=False)
-    assert _kernels.simplicial_elimination(g) == (list(range(n)), 0)
+    assert simplicial_prefix(g) == (tuple(range(n)), 0)
 
 
 def test_backend_reported():
@@ -170,7 +172,7 @@ def test_backend_reported():
 @settings(max_examples=60, deadline=None)
 def test_elimination_agrees_on_interval_graphs(g):
     assert_matches_references(g)
-    assert _kernels.simplicial_elimination(g)[1] == 0  # interval graphs are chordal
+    assert simplicial_prefix(g).remainder_mask == 0  # interval graphs are chordal
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
@@ -178,7 +180,7 @@ def test_elimination_agrees_on_descending_path(seed):
     k, t = 30, 40
     g = descending_path_under_clique(k, t)
     if seed is None:
-        order = _kernels.simplicial_elimination(g)[0]
+        order = list(simplicial_prefix(g).order)
         assert order[:t - 1] == list(range(t + 4, 5, -1))  # st down to s2
         assert order[t - 1:] == list(range(t + 5, t + k + 5)) + [5, t + k + 5]
     else:

@@ -1,6 +1,7 @@
 """The module layering: the structure definitions stand apart from the
 pipeline that builds partitions, so a reader who checks a partition trusts
-`core` and `structure` and nothing else.
+`core` and `structure` and nothing else; and the simplicial elimination lives
+in `decompose` alone.
 
 Imports are read with `ast` from each module's source, including imports
 inside functions and under `TYPE_CHECKING`.
@@ -86,3 +87,19 @@ def test_importing_structure_loads_no_pipeline_module():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(
         ["pentaseven", "pentaseven.core", "pentaseven.structure"])
+
+
+def test_decompose_alone_holds_the_simplicial_elimination():
+    assert "pentaseven._kernels" not in imports("decompose")
+    kernels = _tree("_kernels")
+    assert not imports("_kernels")
+    assigned = [
+        target.id for node in kernels.body if isinstance(node, ast.Assign)
+        for target in node.targets
+    ]
+    others = [node for node in kernels.body
+              if not isinstance(node, (ast.Assign, ast.Expr))]
+    assert assigned == ["BACKEND"] and not others
+    core_defs = {node.name for node in _tree("core").body
+                 if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert not core_defs & {"simplicial_seed", "least_simplicial", "_seed_walk"}

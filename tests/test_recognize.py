@@ -239,8 +239,20 @@ class TestVerifyStructures:
         raise AssertionError("no tent with nonempty Y generated")
 
 
-# members that are not vertices: one past the last vertex, negative, not an int
-NON_VERTICES = {"past-n": None, "negative": -1, "str": "x"}
+# members that are not vertices: one past the last vertex, negative, not an
+# int, and a bool
+NON_VERTICES = {"past-n": None, "negative": -1, "str": "x", "bool": True}
+
+
+def _swapped(g, part, a, b):
+    """g and part with vertices a and b exchanged."""
+    def move(x):
+        if isinstance(x, int):
+            return b if x == a else a if x == b else x
+        if isinstance(x, frozenset):
+            return frozenset(map(move, x))
+        return type(x)(*map(move, x)) if hasattr(x, "_fields") else tuple(map(move, x))
+    return build_graph(g.n, [(move(u), move(v)) for u, v in g.edges()]), move(part)
 
 
 @pytest.mark.parametrize("bad", sorted(NON_VERTICES))
@@ -252,15 +264,25 @@ def test_verifiers_reject_members_that_are_not_vertices(where, bad):
     else:
         g, part = gen_saucer(GenParams(seed=3, a_components=(1, 2)))
         verify = verify_saucer_partition
+    field = "a_components" if where == "A-component" else "z_components"
+
+    def members(p):
+        return p.special.w if where == "W" else getattr(p, field)[0]
+
+    if bad == "bool":  # True in place of vertex 1, swapped into the set first
+        g, part = _swapped(g, part, 1, min(members(part)))
+        s = members(part)
+        bad_set = type(s)(True if u == 1 else u for u in s)
+        assert len(bad_set) == len(s)
+    else:
+        v = NON_VERTICES[bad] if bad != "past-n" else g.n
+        bad_set = part.special.w | {v} if where == "W" else (*members(part), v)
     assert verify(g, part) == []
-    v = NON_VERTICES[bad] if bad != "past-n" else g.n
     if where == "W":
-        broken = part._replace(special=part.special._replace(w=part.special.w | {v}))
+        broken = part._replace(special=part.special._replace(w=bad_set))
         name = "7-saucer partition: set W"
     else:
-        field = "a_components" if where == "A-component" else "z_components"
-        comps = getattr(part, field)
-        broken = part._replace(**{field: ((*comps[0], v),) + comps[1:]})
+        broken = part._replace(**{field: (bad_set,) + getattr(part, field)[1:]})
         name = f"{where} 0"
     with pytest.raises(ValueError, match=f"^{name} has a member that is not a vertex$"):
         verify(g, broken)
