@@ -14,7 +14,7 @@ from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import Graph, build_graph, induced_subgraph
+from .core import CapError, Graph, build_graph, induced_subgraph
 
 ISO_SIZE_CAP = 16
 # Largest catalog entry (M0); also the cap on the twin quotients that
@@ -234,7 +234,7 @@ def embed(
 def is_isomorphic_small(g: Graph, h: Graph) -> dict[int, int] | None:
     """Backtracking isomorphism on <= 16 vertices; returns a g->h vertex map."""
     if g.n > ISO_SIZE_CAP or h.n > ISO_SIZE_CAP:
-        raise ValueError(f"isomorphism test capped at {ISO_SIZE_CAP} vertices")
+        raise CapError(f"isomorphism test capped at {ISO_SIZE_CAP} vertices")
     if g.n != h.n or g.num_edges != h.num_edges:
         return None
     degs_g = [g.degree(v) for v in range(g.n)]

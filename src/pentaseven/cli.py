@@ -19,7 +19,7 @@ from functools import cache, partial
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .core import VERTEX_CAP, Graph, VertexCapError, build_graph, relation
+from .core import VERTEX_CAP, CapError, Graph, VertexCapError, build_graph, relation
 
 if TYPE_CHECKING:
     from . import oracle, recognize
@@ -162,16 +162,12 @@ def graph_to_edge_json(g: Graph) -> dict:
 # serialization of results
 
 
-def _sorted(s) -> list[int]:
-    return sorted(int(v) for v in s)
-
-
 def partition_to_json(p) -> dict:
     """The named sets of a special, saucer or tent partition, plus a tent's
     Y order and the pendant components, each in its stored order."""
     from .structure import TentPartition
 
-    out = {name: _sorted(s) for name, s in p.named_sets()}
+    out = {name: sorted(s) for name, s in p.named_sets()}
     if isinstance(p, TentPartition):
         out["Y_order"] = list(p.y_order)
     if pendant := getattr(p, "pendant", None):  # a special partition has none
@@ -218,7 +214,7 @@ def _dot_parts(rep: recognize.RecognitionReport) -> list[tuple[str, list[int]]]:
     if not p:
         return []
     name, comps = p.pendant
-    parts = [(n, _sorted(s)) for n, s in p.named_sets() if s and n != name]
+    parts = [(n, sorted(s)) for n, s in p.named_sets() if s and n != name]
     parts += [(f"{name}{k + 1}", list(c)) for k, c in enumerate(comps)]
     return parts
 
@@ -352,13 +348,11 @@ def _oracle(g: Graph, args) -> tuple[int, dict]:
             body["coloring"] = {str(v): witness[v] for v in range(g.n)}
         elif args.clique_cutset:
             cut = oracle.clique_cutset_bf(g)
-            body["clique_cutset"] = None if cut is None else _sorted(cut)
+            body["clique_cutset"] = None if cut is None else sorted(cut)
         else:
             body.update(verdict_to_json(oracle.class_verdict(g)))
-    except ValueError as exc:
-        if "capped" in str(exc):
-            raise SizeCapError(str(exc)) from None
-        raise
+    except CapError as exc:
+        raise SizeCapError(str(exc)) from None
     return EXIT_OK, body
 
 

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .catalog import QUOTIENT_CAP
-from .core import Graph, _iter_bits, greedy_extend
+from .core import CapError, Graph, _iter_bits, greedy_extend
 from .oracle import max_weighted_clique
 from .recognize import NotInClassError, recognize
 
@@ -160,7 +160,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     """
     q = inst.quotient
     if q.n > QUOTIENT_CAP:
-        raise ValueError(f"weighted solver capped at {QUOTIENT_CAP} vertices")
+        raise CapError(f"weighted solver capped at {QUOTIENT_CAP} vertices")
     rows = q.rows
     full = q.full_mask
     co_rows = [full & ~q.closed_row(v) for v in range(q.n)]
@@ -339,12 +339,3 @@ def color_in_class(g: Graph) -> Coloring:
     greedy_extend(g, list(reversed(report.prefix.order)), assignment)
     return Coloring(assignment, max(assignment.values()))
 
-
-def verify_coloring(g: Graph, coloring: Coloring) -> bool:
-    """True iff the assignment is total and proper."""
-    if set(coloring.assignment) != set(range(g.n)):
-        raise ValueError("assignment must cover every vertex exactly")
-    for u, v in g.edges():
-        if coloring.assignment[u] == coloring.assignment[v]:
-            return False
-    return len(set(coloring.assignment.values())) == coloring.num_colors

@@ -9,7 +9,6 @@ and is imported only there: `Graph(adj)` packs a dense boolean matrix and
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, Iterator, Sequence
 
 COMPLETE = "complete"
@@ -20,7 +19,11 @@ MIXED = "mixed"
 VERTEX_CAP = 10_000
 
 
-class VertexCapError(ValueError):
+class CapError(ValueError):
+    """An input past one of the package's size caps."""
+
+
+class VertexCapError(CapError):
     """A graph of n > VERTEX_CAP vertices, refused before its rows exist."""
 
     def __init__(self, n: int):
@@ -140,27 +143,34 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def _is_int(x) -> bool:
-    if isinstance(x, int):
-        return not isinstance(x, bool)
-    np = sys.modules.get("numpy")  # no numpy integer exists before numpy loads
-    return np is not None and isinstance(x, np.integer)
+def vertex_mask(n: int, vertices) -> int | None:
+    """The mask of vertices, or None unless each is a vertex of a graph on n
+    vertices: a plain int in 0..n-1.  A bool, a numpy integer or any other
+    int subclass is not a vertex."""
+    m = 0
+    try:
+        for v in vertices:
+            if type(v) is not int or not 0 <= v < n:
+                return None
+            m |= 1 << v
+    except TypeError:  # vertices is not iterable
+        return None
+    return m
 
 
 def build_graph(n: int, edges: Sequence[Sequence[int]]) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates collapse.
 
-    Rejects non-integer counts and endpoints (bools included), loops and
+    Rejects a count or an endpoint that is not a plain int, loops and
     out-of-range endpoints, naming the first offending value or pair.
-    Valid input of plain ints is built in one pass whose only per-pair test
-    is the endpoint types; any other input is read again by the checker, so
-    edges must be a sequence, not a one-shot iterator.
+    Valid input is built in one pass whose only per-pair test is the
+    endpoint types; any other input is read again to name its first bad
+    pair, so edges must be a sequence, not a one-shot iterator.
     """
-    if not _is_int(n):
+    if type(n) is not int:
         raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("graphs are nonnull: need n >= 1")
-    n = int(n)
     bit: list[int | None] = [1 << v for v in range(n)]
     bit += [None] * n
     try:
@@ -168,7 +178,7 @@ def build_graph(n: int, edges: Sequence[Sequence[int]]) -> Graph:
     except (TypeError, ValueError, IndexError):
         rows = None
     if rows is None or any(r & b for r, b in zip(rows, bit)):  # bad pair or loop
-        rows = _or_rows(n, bit, _checked_pairs(n, edges))
+        raise _bad_pair_error(n, edges)
     return Graph.from_rows(rows)
 
 
@@ -189,41 +199,37 @@ def _or_rows(n: int, bit: list[int | None], edges: Iterable) -> list[int]:
     return rows
 
 
-def _checked_pairs(n: int, edges: Iterable) -> list[tuple[int, int]]:
-    """The pairs of edges as plain ints, after checking each in input order;
-    the first pair that is not two distinct integers in 0..n-1 raises a
-    ValueError naming it."""
-    out = []
+def _bad_pair_error(n: int, edges: Iterable) -> ValueError:
+    """The error naming the first pair of edges, in input order, that is not
+    two distinct vertices."""
     for pair in edges:
         try:
             u, v = pair
         except (TypeError, ValueError):
-            raise ValueError(f"edge {pair!r} is not a pair of vertices") from None
-        if type(u) is not int or type(v) is not int:  # plain ints skip the check
+            return ValueError(f"edge {pair!r} is not a pair of vertices")
+        m = vertex_mask(n, (u, v))
+        if m is None or m.bit_count() < 2:
             for x in (u, v):
-                if not _is_int(x):
-                    raise ValueError(f"edge endpoint {x!r} in {pair!r} is not an integer")
-            u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"loop edge {pair!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge endpoint out of range in {pair!r}")
-        out.append((u, v))
-    return out
+                if type(x) is not int:
+                    return ValueError(f"edge endpoint {x!r} in {pair!r} is not an integer")
+            if u == v:
+                return ValueError(f"loop edge {pair!r}")
+            return ValueError(f"edge endpoint out of range in {pair!r}")
+    return ValueError("edges read differently the second time; pass a sequence")
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced on s, plus the old->new index map.
+    """Subgraph induced on the vertices s, plus the old->new index map.
 
     New vertex i corresponds to the i-th smallest member of s.
     """
-    vs = sorted(set(s))
-    if not vs:
+    keep = vertex_mask(g.n, s)
+    if keep is None:
+        raise ValueError("induced subgraph of a set with a member that is not a vertex")
+    if not keep:
         raise ValueError("induced subgraph of the empty set (graphs are nonnull)")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise ValueError("vertex out of range")
+    vs = list(_iter_bits(keep))
     index = {old: new for new, old in enumerate(vs)}
-    keep = _mask_of(vs)
     rows = []
     for old in vs:
         r, m = 0, g.rows[old] & keep
@@ -236,24 +242,26 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
 
 
 def relation(g: Graph, a: Iterable[int], b: Iterable[int]) -> str:
-    """COMPLETE, ANTICOMPLETE, or MIXED between disjoint nonempty sets."""
-    sa, sb = set(a), set(b)
-    if not sa or not sb:
+    """COMPLETE, ANTICOMPLETE, or MIXED between disjoint nonempty vertex sets."""
+    ma, mb = vertex_mask(g.n, a), vertex_mask(g.n, b)
+    if ma is None or mb is None:
+        raise ValueError("relation needs sets of vertices")
+    if not ma or not mb:
         raise ValueError("relation needs nonempty sets")
-    if sa & sb:
-        raise ValueError(f"relation needs disjoint sets, both contain {min(sa & sb)}")
-    bmask = _mask_of(sb)
+    if both := ma & mb:
+        low = next(_iter_bits(both))
+        raise ValueError(f"relation needs disjoint sets, both contain {low}")
     rows = g.rows
     seen_edge = seen_nonedge = False
-    for u in sa:
-        hits = rows[u] & bmask
+    for u in _iter_bits(ma):
+        hits = rows[u] & mb
         if hits:
             seen_edge = True
-        if hits != bmask:
+        if hits != mb:
             seen_nonedge = True
         if seen_edge and seen_nonedge:
             return MIXED
-    return COMPLETE if seen_edge or not seen_nonedge else ANTICOMPLETE
+    return COMPLETE if seen_edge else ANTICOMPLETE
 
 
 def reach_mask(rows: list[int], start: int, within: int) -> int:
@@ -327,3 +335,16 @@ def greedy_extend(g: Graph, order: Iterable[int], assignment: dict[int, int]) ->
             c += 1
         classes[c] = classes.get(c, 0) | bit
         assignment[v] = c
+
+
+def verify_coloring(g: Graph, coloring) -> bool:
+    """True iff coloring (a color.Coloring) is proper and uses exactly
+    num_colors colors.  An assignment whose keys are not exactly the
+    vertices of g raises ValueError."""
+    a = coloring.assignment
+    if vertex_mask(g.n, a) != g.full_mask:
+        raise ValueError("assignment must cover every vertex exactly")
+    for u, v in g.edges():
+        if a[u] == a[v]:
+            return False
+    return len(set(a.values())) == coloring.num_colors

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 from .catalog import VERDICT_CAP, NamedGraph, connected_order, embed, pattern
-from .core import Graph, _iter_bits, bits_of, greedy_extend, is_connected, reach_mask
+from .core import CapError, Graph, _iter_bits, bits_of, greedy_extend, is_connected
+from .core import reach_mask, vertex_mask
 
 PATTERN_CAP = 10
 HOLE_CAP = 16
@@ -26,9 +27,13 @@ class Embedding(NamedTuple):
     image: dict[int, int]
 
     def is_valid(self, host: Graph) -> bool:
+        """True iff image maps the pattern's vertices to distinct vertices of
+        host that induce the pattern."""
         img = self.image
         p = self.pattern.graph
-        if len(set(img.values())) != p.n or set(img) != set(range(p.n)):
+        keys = vertex_mask(p.n, img)
+        hits = vertex_mask(host.n, img.values())
+        if keys != p.full_mask or hits is None or hits.bit_count() != p.n:
             return False
         return all(
             host.has_edge(img[u], img[v]) == p.has_edge(u, v)
@@ -41,7 +46,7 @@ def find_induced(g: Graph, h: NamedGraph) -> Embedding | None:
     """Exhaustive search for an induced copy of h in g."""
     p = h.graph
     if p.n > PATTERN_CAP:
-        raise ValueError(f"pattern {h.name} exceeds the {PATTERN_CAP}-vertex cap")
+        raise CapError(f"pattern {h.name} exceeds the {PATTERN_CAP}-vertex cap")
     if p.n > g.n:
         return None
     # highest degree first, so adjacency constraints bite as early as possible
@@ -84,7 +89,7 @@ def holes(g: Graph) -> Iterator[tuple[int, ...]]:
 def all_hole_lengths(g: Graph) -> set[int]:
     """Exact set of induced-cycle lengths >= 4."""
     if g.n > HOLE_CAP:
-        raise ValueError(f"hole enumeration capped at {HOLE_CAP} vertices")
+        raise CapError(f"hole enumeration capped at {HOLE_CAP} vertices")
     return {len(h) for h in holes(g)}
 
 
@@ -128,7 +133,7 @@ def max_clique_mask(g: Graph) -> int:
 def chromatic_number_bf(g: Graph) -> tuple[int, dict[int, int]]:
     """Exact chromatic number with a witness coloring."""
     if g.n > CHROMATIC_CAP:
-        raise ValueError(f"chromatic number capped at {CHROMATIC_CAP} vertices")
+        raise CapError(f"chromatic number capped at {CHROMATIC_CAP} vertices")
     clique = max_clique_mask(g)
     lb = clique.bit_count()
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
@@ -198,7 +203,7 @@ def clique_cutset_bf(g: Graph) -> frozenset[int] | None:
     Returns the empty set when g is already disconnected.
     """
     if g.n > CUTSET_CAP:
-        raise ValueError(f"clique-cutset search capped at {CUTSET_CAP} vertices")
+        raise CapError(f"clique-cutset search capped at {CUTSET_CAP} vertices")
     if not is_connected(g):
         return frozenset()
     if g.n <= 2:
@@ -238,7 +243,7 @@ class ClassVerdict(NamedTuple):
 
 def class_verdict(g: Graph) -> ClassVerdict:
     if g.n > VERDICT_CAP:
-        raise ValueError(f"class verdict capped at {VERDICT_CAP} vertices")
+        raise CapError(f"class verdict capped at {VERDICT_CAP} vertices")
     witnesses: dict[str, Embedding] = {}
     flags = {}
     for name in ("2P3", "C4", "C6", "C7", "T0"):

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import QUOTIENT_CAP, T0_LABELS, VERDICT_CAP, catalog_entry, match_catalog
 from .catalog import pattern
-from .core import Graph, _is_int, _iter_bits, _mask_of, bits_of, component_masks
+from .core import Graph, _iter_bits, _mask_of, bits_of, component_masks, vertex_mask
 # unused here, but perfbench/spans.py patches recognize.induced_subgraph
 from .core import induced_subgraph  # noqa: F401
 from .decompose import (
@@ -159,17 +159,17 @@ _T0 = _Anchor(
 
 
 def _validate_anchor(g: Graph, anchor: _Anchor, hosts) -> list[int]:
-    """hosts as ints once they are distinct vertices of g that induce
+    """hosts as a list once they are distinct vertices of g that induce
     anchor.graph in name order."""
     hosts = list(hosts)
-    if not all(map(_is_int, hosts)):
-        raise ValueError(f"{anchor.what} vertices must be integers")
-    hosts = [int(v) for v in hosts]
-    k = anchor.graph.n
-    if len(hosts) != k or len(set(hosts)) != k:
-        raise ValueError(f"{anchor.what} needs {k} distinct vertices")
-    if any(not 0 <= v < g.n for v in hosts):
+    mask = vertex_mask(g.n, hosts)
+    if mask is None:
+        if not all(type(v) is int for v in hosts):
+            raise ValueError(f"{anchor.what} vertices must be integers")
         raise ValueError(f"{anchor.what} has a vertex out of range")
+    k = anchor.graph.n
+    if len(hosts) != k or mask.bit_count() != k:
+        raise ValueError(f"{anchor.what} needs {k} distinct vertices")
     for i in range(k):
         for j in range(i + 1, k):
             if g.has_edge(hosts[i], hosts[j]) != anchor.graph.has_edge(i, j):
@@ -206,8 +206,8 @@ def _attachment(anchor: _Anchor, pat: int, v: int) -> Attachment | Violation:
 def _classify(
     g: Graph, anchor: _Anchor, hosts: list[int], v: int
 ) -> Attachment | Violation:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
+    if vertex_mask(g.n, (v,)) is None:
+        raise ValueError(f"{v!r} is not a vertex: out of range or not an int")
     if v in hosts:
         raise ValueError(f"vertex lies on {anchor.what}")
     row = g.rows[v]

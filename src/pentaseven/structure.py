@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Graph, _iter_bits, _mask_of, bits_of
+from .core import Graph, _iter_bits, _mask_of, bits_of, vertex_mask
 
 MOD7 = tuple(range(7))
 
@@ -187,7 +187,7 @@ class _Clauses:
         out = self.out
         clause = f"{label.lower()}-components"
         name = f"{label}-component"
-        masks = [_vertex_mask(self.g, comp) for comp in comps]
+        masks = [vertex_mask(self.g.n, comp) for comp in comps]
         if None in masks:
             k = masks.index(None)
             raise ValueError(f"{name} {k} has a member that is not a vertex")
@@ -324,27 +324,13 @@ TENT_TABLE = tuple(
 )
 
 
-def _vertex_mask(g: Graph, vertices) -> int | None:
-    """The mask of vertices, or None unless each is a plain int vertex of g:
-    a bool or a numpy integer is not one."""
-    m = 0
-    try:
-        for v in vertices:
-            if type(v) is not int or not 0 <= v < g.n:
-                return None
-            m |= 1 << v
-    except TypeError:  # vertices is not iterable
-        return None
-    return m
-
-
 def _require_partition(g: Graph, named, what: str) -> dict[str, int]:
     """The masks of the named sets, by name, once they partition the vertices
     of g."""
     masks = {}
     seen = 0
     for name, s in named:
-        m = _vertex_mask(g, s)
+        m = vertex_mask(g.n, s)
         if m is None:
             raise ValueError(f"{what}: set {name} has a member that is not a vertex")
         if m & seen:
@@ -379,7 +365,7 @@ def verify_tent_partition(g: Graph, p: TentPartition) -> list[Violation]:
     m = _require_partition(g, p.named_sets(), "tent partition")
     c = _Clauses(g)
     c.run(TENT_TABLE, m)
-    if frozenset(p.y_order) != p.y or len(p.y_order) != len(p.y):
+    if vertex_mask(g.n, p.y_order) != m["Y"] or len(p.y_order) != len(p.y):
         c.out.append(Violation("y-order", "ordering does not enumerate Y exactly"))
     else:
         c.nested_chain("Y", p.y_order)

@@ -50,6 +50,24 @@ def groetzsch() -> Graph:
     return build_graph(11, edges)
 
 
+class CountingRows(tuple):
+    """Neighborhood rows that count the reads made by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def counting_copy(g: Graph) -> tuple[Graph, CountingRows]:
+    """A fresh copy of g (no memoized seed) and its rows, which count the
+    reads made by index."""
+    g = Graph.from_rows(g.rows)
+    g.rows = rows = CountingRows(g.rows)
+    return g, rows
+
+
 # ---------------------------------------------------------------------------
 # views of the library that only the tests read
 

@@ -7,7 +7,8 @@ from contextlib import contextmanager
 
 from pentaseven.catalog import catalog_entry, pattern
 from pentaseven.core import build_graph
-from pentaseven.color import color_in_class, verify_coloring
+from pentaseven.color import color_in_class
+from pentaseven.core import verify_coloring
 from pentaseven.cwd import eval_to_graph, expr_for_class_graph, width
 from pentaseven.decompose import expand_thickening
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate

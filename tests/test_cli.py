@@ -655,6 +655,19 @@ class TestOracleCmd:
         code, _ = run(capsys, "oracle", path, "--chi")
         assert code == cli.EXIT_SIZE_CAP
 
+    @pytest.mark.parametrize("mode, n, message", [
+        ((), 21, "class verdict capped at 20 vertices"),
+        (("--holes",), 17, "hole enumeration capped at 16 vertices"),
+        (("--chi",), 19, "chromatic number capped at 18 vertices"),
+        (("--clique-cutset",), 19, "clique-cutset search capped at 18 vertices"),
+    ], ids=["verdict", "holes", "chi", "clique-cutset"])
+    def test_caps_exit_4_with_their_message(self, tmp_path, capsys, mode, n, message):
+        path = write_graph(tmp_path, "big.json", build_graph(n, []))
+        code = cli.main(["oracle", path, *mode])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_SIZE_CAP and out == ""
+        assert json.loads(err) == {"schema": cli.SCHEMA, "error": message}
+
 
 def test_reports_byte_identical_modulo_timing(tmp_path, capsys):
     path = write_graph(tmp_path, "t0.json", pattern("T0").graph)

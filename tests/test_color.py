@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from pentaseven import cli, oracle
+from pentaseven import cli, color, oracle
 from pentaseven.catalog import pattern
 from pentaseven.color import (
     Coloring,
@@ -12,9 +14,8 @@ from pentaseven.color import (
     _maximal_indep,
     color_in_class,
     solve_weighted,
-    verify_coloring,
 )
-from pentaseven.core import Graph, build_graph
+from pentaseven.core import Graph, build_graph, verify_coloring
 from pentaseven.decompose import expand_thickening
 from pentaseven.generate import GenParams, gen_saucer, gen_tent
 from pentaseven.oracle import chromatic_number_bf, max_clique_mask
@@ -205,6 +206,43 @@ class TestSolveWeighted:
         assert want[0] == 8
 
 
+# weightings of a quotient on n vertices, drawn from a numpy generator
+WEIGHTINGS = {
+    "1-3": lambda rng, n: rng.integers(1, 4, n),
+    "1-10": lambda rng, n: rng.integers(1, 11, n),
+    "1-1000": lambda rng, n: rng.integers(1, 1001, n),
+    "powers-of-two": lambda rng, n: 1 << rng.integers(0, 10, n),
+    "few-heavy": lambda rng, n: np.where(
+        np.arange(n) < rng.integers(1, 4), rng.integers(10, 1001, n), 1
+    )[rng.permutation(n)],
+}
+
+
+@pytest.mark.parametrize("dist", sorted(WEIGHTINGS))
+def test_root_branch_and_bound_never_runs_on_the_catalog_bases(dist):
+    """solve_weighted proves every k on the 22 bases by its root bounds: k is
+    max(max weighted clique, ceil(LP)) and the instance's own weights reach
+    max_weighted_clique once, for that bound, never for a root search."""
+    calls = []
+
+    def counted(rows, weights, support):
+        calls.append(weights)
+        return oracle.max_weighted_clique(rows, weights, support)
+
+    for entry in dedup_family_index():
+        q = entry.graph
+        rng = np.random.default_rng([sorted(WEIGHTINGS).index(dist), q.n, q.num_edges])
+        for _ in range(8):
+            weights = tuple(int(w) for w in WEIGHTINGS[dist](rng, q.n))
+            calls.clear()
+            with mock.patch.object(color, "max_weighted_clique", counted):
+                k, _ = solve_weighted(WeightedInstance(q, weights))
+            assert sum(w is weights for w in calls) == 1, (entry.name, weights)
+            omega = oracle.max_weighted_clique(q.rows, weights, q.full_mask)[0]
+            lp_value = _lp_cover(all_indep_sets(q), weights)[0]
+            assert k == max(omega, math.ceil(lp_value)), (entry.name, weights)
+
+
 class TestColorInClass:
     def test_complete_graph(self):
         c = color_in_class(complete(6))
@@ -294,3 +332,10 @@ class TestVerifyColoring:
     def test_partial_assignment_rejected(self):
         with pytest.raises(ValueError):
             verify_coloring(complete(3), Coloring({0: 1}, 1))
+
+    @pytest.mark.parametrize("key", [True, np.int64(1), 1.0, -1, 2])
+    def test_key_that_is_not_a_vertex_rejected(self, key):
+        # True == 1.0 == np.int64(1) == 1 as a dict key, so each would
+        # otherwise be read as vertex 1 of this proper coloring
+        with pytest.raises(ValueError, match="cover every vertex exactly"):
+            verify_coloring(complete(2), Coloring({0: 1, key: 2}, 2))

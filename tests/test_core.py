@@ -13,7 +13,6 @@ from pentaseven.core import (
     COMPLETE,
     MIXED,
     Graph,
-    _is_int,
     _mask_of,
     bits_of,
     build_graph,
@@ -67,9 +66,25 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(0, [])
 
-    def test_numpy_integers_accepted(self):
-        g = build_graph(np.int64(3), [(np.int32(0), np.int64(1)), (1, np.uint8(2))])
-        assert g == build_graph(3, [(0, 1), (1, 2)])
+    def test_numpy_integers_rejected(self):
+        for n, edges, bad in [
+            (np.int64(3), [(0, 1)], np.int64(3)),
+            (3, [(0, 1), (1, np.int32(2))], np.int32(2)),
+            (3, [(np.uint8(0), 1)], np.uint8(0)),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"{bad!r}")):
+                build_graph(n, edges)
+
+    def test_one_shot_iterator(self):
+        # valid pairs build in one read; a bad pair needs a second read,
+        # which an iterator cannot give, so nothing is built from the rest
+        assert build_graph(3, iter([(0, 1), (1, 2)])).num_edges == 2
+        with pytest.raises(ValueError, match="pass a sequence"):
+            build_graph(3, iter([(0, 1), (0, 5), (1, 2)]))
+
+    def test_bool_count_rejected(self):
+        with pytest.raises(ValueError, match="got True"):
+            build_graph(True, [])
 
     def test_bool_endpoint_rejected(self):
         for flag in (True, np.bool_(True)):
@@ -78,12 +93,12 @@ class TestBuildGraph:
 
 
 def build_graph_reference(n, edges):
-    """build_graph as one loop that checks every pair before adding it."""
-    if not _is_int(n):
+    """build_graph as one loop that checks every pair before adding it; a
+    count or endpoint is an integer only when it is a plain int."""
+    if type(n) is not int:
         raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("graphs are nonnull: need n >= 1")
-    n = int(n)
     rows = [0] * n
     bit = [1 << v for v in range(n)]
     for pair in edges:
@@ -91,11 +106,9 @@ def build_graph_reference(n, edges):
             u, v = pair
         except (TypeError, ValueError):
             raise ValueError(f"edge {pair!r} is not a pair of vertices") from None
-        if type(u) is not int or type(v) is not int:
-            for x in (u, v):
-                if not _is_int(x):
-                    raise ValueError(f"edge endpoint {x!r} in {pair!r} is not an integer")
-            u, v = int(u), int(v)
+        for x in (u, v):
+            if type(x) is not int:
+                raise ValueError(f"edge endpoint {x!r} in {pair!r} is not an integer")
         if u == v:
             raise ValueError(f"loop edge {pair!r}")
         if not (0 <= u < n and 0 <= v < n):
@@ -107,10 +120,10 @@ def build_graph_reference(n, edges):
 
 @st.composite
 def mixed_pair_lists(draw):
-    """(n, pairs): valid pairs, with or without a duplicate and a numpy
-    integer endpoint among them, and up to three bad ones inserted anywhere:
-    loops, endpoints out of range on both sides, bools, floats, strings,
-    None and things that are not pairs."""
+    """(n, pairs): valid pairs, with or without a duplicate among them and
+    a numpy integer in place of one endpoint, and up to three bad ones
+    inserted anywhere: loops, endpoints out of range on both sides, bools,
+    numpy integers, floats, strings, None and things that are not pairs."""
     n = draw(st.integers(1, 12))
     vertex = st.integers(0, n - 1)
     pairs = []
@@ -183,6 +196,11 @@ class TestInducedSubgraph:
         with pytest.raises(ValueError):
             induced_subgraph(c7(), set())
 
+    @pytest.mark.parametrize("bad", [True, np.int64(1), 1.0, -1, 7, "1"])
+    def test_member_that_is_not_a_vertex_rejected(self, bad):
+        with pytest.raises(ValueError, match="not a vertex"):
+            induced_subgraph(c7(), [0, bad, 2])
+
 
 class TestRelation:
     def test_cases_on_c7(self):
@@ -194,6 +212,11 @@ class TestRelation:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             relation(c7(), {0, 1}, {1, 2})
+
+    @pytest.mark.parametrize("bad", [True, np.int64(1), -1, 7])
+    def test_member_that_is_not_a_vertex_rejected(self, bad):
+        with pytest.raises(ValueError, match="sets of vertices"):
+            relation(c7(), {0}, {bad})
 
 
 class TestComponents:

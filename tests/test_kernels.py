@@ -12,7 +12,7 @@ from pentaseven.core import Graph, bits_of, build_graph, induced_subgraph
 from pentaseven.decompose import simplicial_prefix
 from pentaseven.generate import GenParams, gen_saucer, gen_tent
 
-from conftest import is_simplicial, random_graphs
+from conftest import counting_copy, is_simplicial, random_graphs
 
 
 def elimination_by_definition(g):
@@ -108,20 +108,9 @@ def relabeled(g, seed):
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-class CountingRows(tuple):
-    """Neighborhood rows that count the reads made by index."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return tuple.__getitem__(self, i)
-
-
 def row_reads(g):
     """Rows the elimination reads on a fresh copy of g (no memoized seed)."""
-    g = Graph.from_rows(g.rows)
-    g.rows = rows = CountingRows(g.rows)
+    g, rows = counting_copy(g)
     simplicial_prefix(g)
     return rows.reads
 

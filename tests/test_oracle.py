@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
@@ -8,6 +9,7 @@ from pentaseven.core import (
 )
 from pentaseven.catalog import is_isomorphic_small
 from pentaseven.oracle import (
+    Embedding,
     all_hole_lengths,
     chromatic_number_bf,
     class_verdict,
@@ -54,6 +56,25 @@ class TestFindInduced:
         over = NamedGraph("over", build_graph(11, []), {i: str(i) for i in range(11)})
         with pytest.raises(ValueError):
             find_induced(build_graph(12, []), over)
+
+
+class TestEmbeddingIsValid:
+    C4 = pattern("C4")
+
+    def test_identity_on_c4(self):
+        assert Embedding(self.C4, {0: 0, 1: 1, 2: 2, 3: 3}).is_valid(self.C4.graph)
+
+    @pytest.mark.parametrize("image", [
+        {0: -4, 1: 1, 2: 2, 3: 3},  # -4 would index rows[0]
+        {0: 0, 1: True, 2: 2, 3: 3},  # True would read as vertex 1
+        {0: 0, 1: np.int64(1), 2: 2, 3: 3},
+        {0: 7, 1: 1, 2: 2, 3: 3},  # past the host
+        {0: 0, True: 1, 2: 2, 3: 3},  # a key that is not a pattern vertex
+        {0: 0, 1: 1, 2: 2},
+        {0: 0, 1: 1, 2: 2, 3: 1},
+    ])
+    def test_image_of_non_vertices_is_invalid(self, image):
+        assert Embedding(self.C4, image).is_valid(self.C4.graph) is False
 
 
 class TestHoleLengths:

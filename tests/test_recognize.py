@@ -71,9 +71,10 @@ class TestClassifyC7:
         with pytest.raises(ValueError):
             classify_vs_C7(g, list(range(7)), 8)
 
-    @pytest.mark.parametrize("v", [-1, 8])
+    @pytest.mark.parametrize("v", [-1, 8, np.int64(7), 7.0])
     def test_vertex_out_of_range_rejected(self, v):
-        # vertex 7 meets x0, x1, x2, so -1 must not read as 7 (an X1 clone)
+        # vertex 7 meets x0, x1, x2, so neither -1 nor a 7 that is not a
+        # plain int may read as 7 (an X1 clone)
         g = build_graph(8, [(i, (i + 1) % 7) for i in range(7)]
                         + [(7, 0), (7, 1), (7, 2)])
         with pytest.raises(ValueError, match="out of range"):
@@ -127,6 +128,8 @@ def _t0_with(**changes):
     (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 5, -1], "out of range"),
     (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 6, 5], "do not induce"),
     (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 5, 6.5], "integers"),
+    (validate_hole, _C7_PLUS, [0, 1, 2, 3, 4, 5, np.int64(6)], "integers"),
+    (validate_hole, _C7_PLUS, [0, True, 2, 3, 4, 5, 6], "integers"),
     (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=None), "labels"),
     (validate_t0_embedding, pattern("T1").graph, _t0_with(f3=9), "labels"),
     (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=None, c4=8), "labels"),
@@ -135,10 +138,13 @@ def _t0_with(**changes):
     (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=-1), "out of range"),
     (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=9), "do not induce"),
     (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=8.0), "integers"),
+    (validate_t0_embedding, pattern("T1").graph, _t0_with(c3=np.int64(8)), "integers"),
+    (validate_t0_embedding, pattern("T1").graph, _t0_with(a1=True), "integers"),
 ], ids=[
     "c7-six", "c7-eight", "c7-repeat", "c7-high", "c7-negative", "c7-not-induced",
-    "c7-float", "t0-eight-labels", "t0-ten-labels", "t0-wrong-label", "t0-repeat",
-    "t0-high", "t0-negative", "t0-not-induced", "t0-float",
+    "c7-float", "c7-numpy", "c7-bool", "t0-eight-labels", "t0-ten-labels",
+    "t0-wrong-label", "t0-repeat", "t0-high", "t0-negative", "t0-not-induced",
+    "t0-float", "t0-numpy", "t0-bool",
 ])
 def test_anchor_validators_reject(validate, g, anchor, message):
     with pytest.raises(ValueError, match=message):
@@ -241,7 +247,8 @@ class TestVerifyStructures:
 
 # members that are not vertices: one past the last vertex, negative, not an
 # int, and a bool
-NON_VERTICES = {"past-n": None, "negative": -1, "str": "x", "bool": True}
+NON_VERTICES = {"past-n": None, "negative": -1, "str": "x", "bool": True,
+                "numpy": np.int64(1)}
 
 
 def _swapped(g, part, a, b):
@@ -269,10 +276,10 @@ def test_verifiers_reject_members_that_are_not_vertices(where, bad):
     def members(p):
         return p.special.w if where == "W" else getattr(p, field)[0]
 
-    if bad == "bool":  # True in place of vertex 1, swapped into the set first
-        g, part = _swapped(g, part, 1, min(members(part)))
+    if bad in ("bool", "numpy"):  # vertex 1 as True or np.int64(1), swapped
+        g, part = _swapped(g, part, 1, min(members(part)))  # into the set first
         s = members(part)
-        bad_set = type(s)(True if u == 1 else u for u in s)
+        bad_set = type(s)(NON_VERTICES[bad] if u == 1 else u for u in s)
         assert len(bad_set) == len(s)
     else:
         v = NON_VERTICES[bad] if bad != "past-n" else g.n
@@ -286,6 +293,16 @@ def test_verifiers_reject_members_that_are_not_vertices(where, bad):
         name = f"{where} 0"
     with pytest.raises(ValueError, match=f"^{name} has a member that is not a vertex$"):
         verify(g, broken)
+
+
+@pytest.mark.parametrize("twin", [True, np.int64(1)])
+def test_tent_y_order_of_non_vertices_is_a_violation(twin):
+    g, part = gen_tent(GenParams(seed=1))  # Y is 18, 19, 20
+    g, part = _swapped(g, part, 1, part.y_order[0])
+    assert verify_tent_partition(g, part) == []
+    y_order = tuple(twin if u == 1 else u for u in part.y_order)
+    got = verify_tent_partition(g, part._replace(y_order=y_order))
+    assert [v.clause for v in got] == ["y-order"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,104 @@
+"""Work bounds in row reads for the universal strip, the twin quotient and
+the attachment classifier.  A row read costs Θ(n/64) machine words, so a
+bound stated in row reads is a bound on time that timing noise cannot hide;
+a step that turned quadratic would read rows once per pair, not once per
+vertex."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pentaseven.catalog import T0_LABELS, catalog_entry
+from pentaseven.core import Graph, build_graph
+from pentaseven.decompose import (
+    expand_thickening,
+    simplicial_prefix,
+    strip_universals,
+    twin_classes,
+)
+from pentaseven.generate import GenParams, gen_saucer, gen_tent, mutate
+from pentaseven.recognize import _C7, _T0, BuildFailure, _attachment_classes
+
+from conftest import counting_copy, random_graphs
+
+STEPS = [strip_universals, twin_classes]
+
+
+def assert_one_read_per_vertex(g, within):
+    for step in STEPS:
+        h, rows = counting_copy(g)
+        step(h, within)
+        assert rows.reads <= within.bit_count(), step.__name__
+
+
+@given(random_graphs(max_n=30), st.data())
+@settings(max_examples=100, deadline=None)
+def test_strip_steps_read_each_row_of_within_once(g, data):
+    assert_one_read_per_vertex(g, data.draw(st.integers(0, g.full_mask)))
+
+
+def thickening(name, n, universals):
+    """The catalog graph name with its vertices thickened into cliques of
+    about n vertices in all, under a clique of universal vertices."""
+    base = catalog_entry(name).graph
+    sizes = [n // base.n + v % 3 for v in range(base.n)]
+    g, _ = expand_thickening(base, sizes)
+    rows = [r | ((1 << universals) - 1) << g.n for r in g.rows]
+    full = (1 << g.n + universals) - 1
+    rows += [full ^ 1 << v for v in range(g.n, g.n + universals)]
+    return Graph.from_rows(rows)
+
+
+@pytest.mark.parametrize("name, n", [("M0", 2000), ("T1", 2000), ("M0", 200)])
+def test_strip_steps_on_thickenings(name, n):
+    g = thickening(name, n, universals=20)
+    assert_one_read_per_vertex(g, g.full_mask)
+
+
+@pytest.mark.parametrize("make", [gen_saucer, gen_tent])
+def test_strip_steps_on_the_remainder_of_a_long_prefix(make):
+    g, _ = make(GenParams(seed=1, max_class_size=40, a_components=(30, 30),
+                          z_components=(30, 30), max_component_size=20))
+    assert_one_read_per_vertex(g, simplicial_prefix(g).remainder_mask)
+
+
+@pytest.mark.parametrize("n", [1, 300])
+def test_strip_steps_on_adversaries(n):
+    # K_n: every vertex universal and all one twin class; the edgeless
+    # graph and the path: no universal vertex and every class a singleton
+    complete = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    path = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    for g in (complete, build_graph(n, []), path):
+        assert_one_read_per_vertex(g, g.full_mask)
+
+
+def saucer_hole(part):
+    return _C7, [min(x) for x in part.special.x]
+
+
+def tent_t0(part):
+    return _T0, [min(getattr(part, lab)) for lab in T0_LABELS]
+
+
+@pytest.mark.parametrize("make, anchor_of", [(gen_saucer, saucer_hole),
+                                             (gen_tent, tent_t0)])
+@pytest.mark.parametrize("seed", range(4))
+def test_attachment_classes_reads_one_row_per_anchor_host(make, anchor_of, seed):
+    g, part = make(GenParams(seed=seed, max_class_size=60, a_components=(0, 20),
+                             z_components=(0, 20), max_component_size=10))
+    anchor, hosts = anchor_of(part)
+    # the mutant keeps the hosts; a flip that breaks the build still pays
+    # for the hosts' rows only
+    for h, in_class in ((g, True), (mutate(g, seed), False)):
+        h, rows = counting_copy(h)
+        got = _attachment_classes(h, anchor, hosts)
+        assert rows.reads == len(hosts)
+        if in_class:
+            assert not isinstance(got, BuildFailure)
+
+
+@pytest.mark.parametrize("anchor", [_C7, _T0], ids=["C7", "T0"])
+def test_attachment_classes_on_the_anchor_alone(anchor):
+    g, rows = counting_copy(anchor.graph)
+    got = _attachment_classes(g, anchor, list(range(g.n)))
+    assert not isinstance(got, BuildFailure) and rows.reads == g.n
