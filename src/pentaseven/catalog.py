@@ -180,24 +180,40 @@ def connected_order(g: Graph, key) -> list[int]:
     return order
 
 
-def embed(
-    p: Graph, host: Graph, order: list[int], cands: list[int]
-) -> list[int] | None:
-    """First induced embedding of p into host, as the list p vertex -> host
-    vertex, or None.
+class SearchPlan(NamedTuple):
+    """The pattern side of an embedding search, which depends only on the
+    pattern and its placing order: the vertices in that order, the degree
+    of each, and per level k the later levels j with whether order[j] is
+    adjacent to order[k]."""
 
-    Backtracking places order[k] on the lowest unused host vertex of the mask
-    cands[k] that keeps every adjacency and non-adjacency to the vertices
-    placed before it; each placement narrows the later masks, and a branch
-    stops as soon as one of them runs out.  The map found first therefore
-    depends on order, which the caller chooses.
+    order: tuple[int, ...]
+    degrees: tuple[int, ...]
+    later: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def search_plan(p: Graph, key) -> SearchPlan:
+    """The plan that places p's vertices in connected_order(p, key)."""
+    order = connected_order(p, key)
+    rows = p.rows
+    later = tuple(
+        tuple((j, rows[v] >> order[j] & 1) for j in range(k + 1, len(order)))
+        for k, v in enumerate(order)
+    )
+    return SearchPlan(tuple(order), tuple(rows[v].bit_count() for v in order), later)
+
+
+def embed(plan: SearchPlan, host: Graph, cands: list[int]) -> list[int] | None:
+    """First induced embedding of the plan's pattern into host, as the list
+    pattern vertex -> host vertex, or None.
+
+    Backtracking places plan.order[k] on the lowest unused host vertex of the
+    mask cands[k] that keeps every adjacency and non-adjacency to the
+    vertices placed before it; each placement narrows the later masks, and a
+    branch stops as soon as one of them runs out.  The map found first
+    therefore depends on the order, which the caller's plan chose.
     """
+    order, later = plan.order, plan.later
     size = len(order)
-    # later[k]: (j, order[j] adjacent to order[k]) for every later position j
-    later = [
-        [(j, p.rows[order[k]] >> order[j] & 1) for j in range(k + 1, size)]
-        for k in range(size)
-    ]
     rows = host.rows
     # miss[x]: the host vertices other than x that x is not adjacent to.
     # Neither rows[x] nor miss[x] holds x, so a placed vertex leaves every
@@ -205,7 +221,7 @@ def embed(
     miss = [~(r | 1 << x) for x, r in enumerate(rows)]
     # masks[k][j], j >= k: cands[j] narrowed by the placements before level k
     masks = [list(cands)] + [[0] * size for _ in range(size)]
-    image = [-1] * p.n
+    image = [-1] * size
 
     def extend(k: int) -> bool:
         if k == size:
@@ -231,23 +247,33 @@ def embed(
     return image if extend(0) else None
 
 
+def _iso_plan(g: Graph) -> SearchPlan:
+    """Lowest degree first."""
+    rows = g.rows
+    return search_plan(g, key=lambda u: (rows[u].bit_count(), u))
+
+
+def _isomorphism(plan: SearchPlan, h: Graph) -> dict[int, int] | None:
+    """The first map from the plan's pattern onto h, which has the same
+    degree sequence; each pattern vertex may only go to h's vertices of its
+    degree."""
+    by_degree: dict[int, int] = {}
+    for w, r in enumerate(h.rows):
+        d = r.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << w
+    image = embed(plan, h, [by_degree[d] for d in plan.degrees])
+    return None if image is None else dict(enumerate(image))
+
+
 def is_isomorphic_small(g: Graph, h: Graph) -> dict[int, int] | None:
     """Backtracking isomorphism on <= 16 vertices; returns a g->h vertex map."""
     if g.n > ISO_SIZE_CAP or h.n > ISO_SIZE_CAP:
         raise CapError(f"isomorphism test capped at {ISO_SIZE_CAP} vertices")
     if g.n != h.n or g.num_edges != h.num_edges:
         return None
-    degs_g = [g.degree(v) for v in range(g.n)]
-    degs_h = [h.degree(v) for v in range(h.n)]
-    if sorted(degs_g) != sorted(degs_h):
+    if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
         return None
-    # lowest degree first; g's vertex v may only go to h's vertices of its degree
-    by_degree: dict[int, int] = {}
-    for w, d in enumerate(degs_h):
-        by_degree[d] = by_degree.get(d, 0) | 1 << w
-    order = connected_order(g, key=lambda u: (degs_g[u], u))
-    image = embed(g, h, order, [by_degree[degs_g[v]] for v in order])
-    return None if image is None else dict(enumerate(image))
+    return _isomorphism(_iso_plan(g), h)
 
 
 @cache
@@ -272,11 +298,14 @@ def _invariant_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
 
 
 @cache
-def _targets_by_key() -> dict[tuple[int, int, tuple[int, ...]], NamedGraph]:
-    """The deduplicated targets by invariant key.  No two share a key, so a
-    graph has one candidate at most, and the isomorphic one when any is."""
+def _targets_by_key() -> dict[
+    tuple[int, int, tuple[int, ...]], tuple[NamedGraph, SearchPlan]
+]:
+    """The deduplicated targets, each with its isomorphism plan, by
+    invariant key.  No two share a key, so a graph has one candidate at
+    most, and the isomorphic one when any is."""
     targets = _dedup_targets()
-    by_key = {_invariant_key(e.graph): e for e in targets}
+    by_key = {_invariant_key(e.graph): (e, _iso_plan(e.graph)) for e in targets}
     assert len(by_key) == len(targets), "two catalog targets share a key"
     return by_key
 
@@ -288,10 +317,11 @@ def match_catalog(g: Graph) -> tuple[str, dict[int, int]] | None:
     """
     if g.n > QUOTIENT_CAP:
         return None
-    entry = _targets_by_key().get(_invariant_key(g))
-    if entry is None:
+    target = _targets_by_key().get(_invariant_key(g))
+    if target is None:
         return None
-    bij = is_isomorphic_small(entry.graph, g)
+    entry, plan = target
+    bij = _isomorphism(plan, g)  # the keys match, so do the degree sequences
     return None if bij is None else (entry.name, bij)
 
 

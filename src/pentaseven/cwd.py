@@ -154,6 +154,10 @@ def width(expr: Expr) -> int:
     return len(labels)
 
 
+def _is_label(x) -> bool:
+    return type(x) is int and x >= 1
+
+
 def eval_expr(expr: Expr) -> LabeledGraph:
     """Evaluate the four-operation semantics; joins are idempotent.
 
@@ -165,11 +169,14 @@ def eval_expr(expr: Expr) -> LabeledGraph:
     join ORs each side's members into the other side's pending mask.  One
     final pass pushes every parent's pending mask down to its leaves, so a
     join costs O(1) mask operations however many vertices it connects.
-    Errors come out in the order of a recursive evaluation.
+    Errors come out in the order of a recursive evaluation.  A vertex id
+    is a plain int >= 0 and a label a plain int >= 1; anything else, a bool
+    or a float among them, is an error at its node.
     """
     nodes = _nodes(expr)
     vertices = [node.vertex for node in reversed(nodes) if type(node) is Create]
-    order = sorted(set(vertices))
+    # only valid ids are sorted; the loop stops at the first invalid one
+    order = sorted({v for v in vertices if type(v) is int and v >= 0})
     index = {v: k for k, v in enumerate(order)}
     has_dups = len(order) != len(vertices)
 
@@ -192,20 +199,20 @@ def eval_expr(expr: Expr) -> LabeledGraph:
         node = nodes[pos]
         t = type(node)
         if t is Create:
-            if node.label < 1:
-                raise error(f"label must be >= 1, got {node.label}")
-            if node.vertex < 0:
-                raise error(f"vertex id must be >= 0, got {node.vertex}")
+            if not _is_label(node.label):
+                raise error(f"label must be an int >= 1, got {node.label!r}")
+            if type(node.vertex) is not int or node.vertex < 0:
+                raise error(f"vertex id must be an int >= 0, got {node.vertex!r}")
             member[size] = 1 << index[node.vertex]
             leaves.append(size)
             values.append({node.label: size})
             size += 1
             continue
         if t is Join:
-            if node.i == node.j:
+            if type(node.i) is type(node.j) is int and node.i == node.j:
                 raise error(f"join needs two distinct labels, got {node.i}")
-            if node.i < 1 or node.j < 1:
-                raise error("join labels must be >= 1")
+            if not (_is_label(node.i) and _is_label(node.j)):
+                raise error("join labels must be ints >= 1")
             value = values[-1]
             x, y = value.get(node.i), value.get(node.j)
             if x is not None and y is not None:
@@ -229,8 +236,8 @@ def eval_expr(expr: Expr) -> LabeledGraph:
                 values[-1] = value
             moved = right.items()
         elif t is Rename:
-            if node.old < 1 or node.new < 1:
-                raise error("rename labels must be >= 1")
+            if not (_is_label(node.old) and _is_label(node.new)):
+                raise error("rename labels must be ints >= 1")
             value = values[-1]
             if node.old == node.new or node.old not in value:
                 continue

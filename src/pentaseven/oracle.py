@@ -8,9 +8,11 @@ Size caps are enforced, not advisory.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .catalog import VERDICT_CAP, NamedGraph, connected_order, embed, pattern
+from .catalog import VERDICT_CAP, NamedGraph, SearchPlan, embed, fixed_graphs
+from .catalog import pattern, search_plan
 from .core import CapError, Graph, _iter_bits, bits_of, greedy_extend, is_connected
 from .core import reach_mask, vertex_mask
 
@@ -42,6 +44,18 @@ class Embedding(NamedTuple):
         )
 
 
+def _find_plan(p: Graph) -> SearchPlan:
+    # highest degree first, so adjacency constraints bite as early as possible
+    rows = p.rows
+    return search_plan(p, key=lambda u: (-rows[u].bit_count(), u))
+
+
+@cache
+def _fixed_plan(name: str) -> SearchPlan:
+    """The plan of the fixed pattern name, built once per process."""
+    return _find_plan(pattern(name).graph)
+
+
 def find_induced(g: Graph, h: NamedGraph) -> Embedding | None:
     """Exhaustive search for an induced copy of h in g."""
     p = h.graph
@@ -49,15 +63,15 @@ def find_induced(g: Graph, h: NamedGraph) -> Embedding | None:
         raise CapError(f"pattern {h.name} exceeds the {PATTERN_CAP}-vertex cap")
     if p.n > g.n:
         return None
-    # highest degree first, so adjacency constraints bite as early as possible
-    order = connected_order(p, key=lambda u: (-p.degree(u), u))
+    # a caller's pattern, even one named like a fixed one, gets its own plan
+    plan = _fixed_plan(h.name) if fixed_graphs().get(h.name) is h else _find_plan(p)
     # degs_ok[d]: the vertices of degree >= d (degrees above p.n count as p.n)
     degs_ok = [0] * (p.n + 1)
     for v, r in enumerate(g.rows):
         degs_ok[min(r.bit_count(), p.n)] |= 1 << v
     for d in range(p.n - 1, -1, -1):
         degs_ok[d] |= degs_ok[d + 1]
-    image = embed(p, g, order, [degs_ok[p.degree(v)] for v in order])
+    image = embed(plan, g, [degs_ok[d] for d in plan.degrees])
     return None if image is None else Embedding(h, dict(enumerate(image)))
 
 

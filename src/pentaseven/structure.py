@@ -2,14 +2,17 @@
 and the tent partition, and their verifiers.
 
 Each definition is a table of clause rows, one per clause of the paper's
-special, saucer and tent partitions, read by one interpreter.  A clean
-verifier run is the certificate that the input graph lies in the class.
+special, saucer and tent partitions, compiled once into grouped tests.  A
+clean verifier run is the certificate that the input graph lies in the
+class.
 This module imports only `core`, so a reader who checks a partition needs
 none of the pipeline that built it.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from .core import Graph, _iter_bits, _mask_of, bits_of, vertex_mask
@@ -92,15 +95,16 @@ class TentPartition(NamedTuple):
 
 
 class _Clauses:
-    """The clause walker of one top-level verify_* call.
+    """The clause checker of one top-level verify_* call.
 
     It holds the graph, the violations found so far and, per distinct set
     mask, two rows: the OR of the members' rows and the AND of their closed
-    rows.  Each clause is decided by one AND on the rows of its left-hand
-    set.  A clique is a set complete to itself on closed rows, and for
+    rows.  A clique is a set complete to itself on closed rows, and for
     disjoint sets A and B the closed AND meets B exactly where the open AND
-    does, so complete and clique are one test.  Only a failed clause walks
-    its left-hand set, to name the same witness as a per-vertex check would.
+    does, so complete and clique are one test.  Complete and anticomplete
+    are symmetric, so each is decided on the rows of the smaller side.  Only
+    a failed clause walks its left-hand set, to name the same witness as a
+    per-vertex check would.
     """
 
     def __init__(self, g: Graph):
@@ -120,6 +124,14 @@ class _Clauses:
                 closed &= r | 1 << v
             got = self._sets[mask] = (union, closed)
         return got
+
+    def holds(self, complete: bool, ma: int, mb: int) -> bool:
+        """Whether ma is complete (or anticomplete) to mb, read from the
+        rows of the smaller of the two."""
+        if ma.bit_count() > mb.bit_count():
+            ma, mb = mb, ma
+        union, closed = self.set_rows(ma)
+        return not (mb & ~closed if complete else mb & union)
 
     def _walk(self, ma: int, mb: int, meet: bool) -> tuple[int, int] | None:
         rows = self.g.rows
@@ -145,37 +157,34 @@ class _Clauses:
         if w := self.misses(mask, mask):
             self.out.append(Violation("clique", f"{name} is not a clique", w))
 
-    def complete(self, na: str, ma: int, nb: str, mb: int) -> None:
-        if w := self.misses(ma, mb):
-            self.out.append(Violation("complete", f"{na} not complete to {nb}", w))
-
     def anticomplete(self, na: str, ma: int, nb: str, mb: int) -> None:
         if w := self.meets(ma, mb):
             self.out.append(
                 Violation("anticomplete", f"{na} not anticomplete to {nb}", w)
             )
 
-    def nested_chain(self, label: str, ordered: tuple[int, ...]) -> None:
-        """N[b] within N[a] for each consecutive pair (a, b) of ordered; the
-        first pair that fails is the violation.  Each closed row is built
-        once and carried to the next pair."""
+    def chain(self, label: str, ordered: tuple[int, ...]) -> tuple[int, Violation | None]:
+        """(N[first of ordered], or 0 when it is empty; the violation of the
+        first consecutive pair (a, b) with N[b] not within N[a], or None).
+        Each closed row is read once and carried to the next pair."""
         if not ordered:
-            return
+            return 0, None
         rows = self.g.rows
         a = ordered[0]
-        closed_a = rows[a] | 1 << a
+        first = closed_a = rows[a] | 1 << a
         for b in ordered[1:]:
             closed_b = rows[b] | 1 << b
             if closed_b & ~closed_a:
-                self.out.append(
-                    Violation(
-                        "nested-order",
-                        f"{label}: N[{b}] is not contained in N[{a}]",
-                        (a, b),
-                    )
-                )
-                return
+                detail = f"{label}: N[{b}] is not contained in N[{a}]"
+                return first, Violation("nested-order", detail, (a, b))
             a, closed_a = b, closed_b
+        return first, None
+
+    def nested_chain(self, label: str, ordered: tuple[int, ...]) -> None:
+        """N[b] within N[a] for each consecutive pair (a, b) of ordered; the
+        first pair that fails is the violation."""
+        if broken := self.chain(label, ordered)[1]:
+            self.out.append(broken)
 
     def pendant_components(
         self, label: str, comps: tuple[tuple[int, ...], ...], union: int
@@ -183,7 +192,11 @@ class _Clauses:
         """The components of the pendant set label (A or Z, with vertex mask
         union): nonempty cliques, each listing its vertices once in nested
         closed-neighborhood order, pairwise anticomplete, covering union
-        exactly.  A component listing a non-vertex raises ValueError."""
+        exactly.  A component listing a non-vertex raises ValueError.
+
+        A component whose listed order is nested is a clique inside the
+        closed neighborhood of its first vertex, so the clique test and the
+        component's set rows are needed only when the order breaks."""
         out = self.out
         clause = f"{label.lower()}-components"
         name = f"{label}-component"
@@ -192,17 +205,23 @@ class _Clauses:
             k = masks.index(None)
             raise ValueError(f"{name} {k} has a member that is not a vertex")
         comp_union = 0
+        reach = []  # per component: a row holding every neighbor of it
         for comp, cmask in zip(comps, masks):
             if not comp:
                 out.append(Violation(clause, "empty component listed"))
+                reach.append(0)
                 continue
             if cmask & comp_union:
                 out.append(Violation(clause, "components overlap"))
             if cmask.bit_count() != len(comp):
                 out.append(Violation(clause, "component lists a vertex twice"))
             comp_union |= cmask
-            self.clique(name, cmask)
-            self.nested_chain(name, comp)
+            first, broken = self.chain(name, comp)
+            if broken:
+                self.clique(name, cmask)
+                out.append(broken)
+                first = self.set_rows(cmask)[0]
+            reach.append(first)
         if comp_union != union:
             out.append(Violation(clause, f"components do not cover {label} exactly"))
         later = [0] * (len(masks) + 1)  # later[i]: union of components i, i+1, ...
@@ -210,40 +229,58 @@ class _Clauses:
             later[i] = later[i + 1] | masks[i]
         for i, ma in enumerate(masks):
             # the pairs are checked only when some later component meets this one
-            if self.set_rows(ma)[0] & later[i + 1]:
+            if reach[i] & later[i + 1]:
                 for mb in masks[i + 1 :]:
                     self.anticomplete(name, ma, name, mb)
 
     def run(self, table: tuple, m: dict[str, int]) -> None:
-        """Check the rows of a clause table, in order, on the set masks m."""
-        out = self.out
-        for label, kind, names in table:
-            if kind == "complete" or kind == "anticomplete":
-                a, b = names
-                ma = m[a]
-                if ma and (mb := m[b]):  # a pair with an empty side holds
-                    getattr(self, kind)(a, ma, b, mb)
-            elif kind == "clique":
-                if ma := m[names[0]]:
-                    self.clique(names[0], ma)
-            elif kind == "exclusive":
-                if all(map(m.__getitem__, names)):
-                    a, *rest = names
-                    both = "both " if rest[1:] else ""
-                    detail = f"{a} nonempty but {both}{','.join(rest)} nonempty"
-                    out.append(Violation(label, detail))
-            elif kind == "nonempty":
-                if not m[names[0]]:
-                    out.append(Violation(label, f"{names[0]} is empty"))
-            elif kind == "at-most-one":
-                if sum(map(bool, map(m.__getitem__, names))) > 1:
-                    detail = f"more than one of {', '.join(names)} is nonempty"
-                    out.append(Violation(label, detail))
-            else:  # guarded-anticomplete
-                a, b, guard = names
-                if m[guard] and (w := self.meets(m[a], m[b])):
-                    detail = f"{a} has a neighbor in {b} while {guard} is nonempty"
-                    out.append(Violation(label, detail, w))
+        """Check the rows of a clause table on the set masks m and add their
+        violations in row order (see _Plan).  The module's tables keep their
+        plans; any other tuple of rows is compiled on the call."""
+        plan = table.plan if isinstance(table, _Table) else _compile(table)
+        nonempty = 0
+        for bit, name in plan.bits:
+            if m[name]:
+                nonempty |= bit
+        found: list[tuple[int, Violation]] = []
+        for complete, a, bs, indices in plan.pairs:
+            if not (ma := m[a]):  # a pair with an empty side holds
+                continue
+            mbs = list(map(m.__getitem__, bs))
+            mb = reduce(or_, mbs)
+            # one AND on the rows of a when it is the smaller side, else one
+            # per right-hand set, on that set's rows
+            if ma.bit_count() <= mb.bit_count():
+                union, closed = self.set_rows(ma)
+                if not (mb & ~closed if complete else mb & union):
+                    continue
+            elif all(self.holds(complete, ma, x) for x in mbs if x):
+                continue
+            walk = self.misses if complete else self.meets
+            for i, b, x in zip(indices, bs, mbs):
+                if x and (w := walk(ma, x)):
+                    found.append((i, _pair_violation(complete, a, b, w)))
+        for i, names, lo, hi, violation in plan.counts:
+            if not lo <= (names & nonempty).bit_count() <= hi:
+                found.append((i, violation))
+        for i, a, b, guard, violation in plan.guarded:
+            ma, mb = m[a], m[b]
+            if (
+                guard & nonempty
+                and not self.holds(False, ma, mb)
+                and (w := self.meets(ma, mb))
+            ):
+                found.append((i, violation._replace(witness=w)))
+        found.sort(key=itemgetter(0))
+        self.out += [v for _, v in found]
+
+
+def _pair_violation(complete: bool, a: str, b: str, w: tuple[int, int]) -> Violation:
+    if not complete:
+        return Violation("anticomplete", f"{a} not anticomplete to {b}", w)
+    if a == b:
+        return Violation("clique", f"{a} is not a clique", w)
+    return Violation("complete", f"{a} not complete to {b}", w)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +315,15 @@ def _cyclic(*rows) -> list:
     ]
 
 
-SPECIAL_TABLE = tuple(
+class _Table(tuple):
+    """A clause table, which compiles itself on first use (see _Plan)."""
+
+    @cached_property
+    def plan(self) -> _Plan:
+        return _compile(self)
+
+
+SPECIAL_TABLE = _Table(
     [("clique", "clique", (name,)) for name in _SPECIAL_NAMES]
     + _cyclic(("(a)", "nonempty", ("X0",)))
     + _cyclic(*_rel("X0", "X1", "X2 X3"))
@@ -297,12 +342,13 @@ SPECIAL_TABLE = tuple(
 )
 
 # A is a union of clique components: pendant_components checks them
-SAUCER_TABLE = SPECIAL_TABLE + tuple(
-    _rel("A", "", "X0 X1 X2 X3 X4 X5 X6")
-    + _cyclic(("saucer-YZ", "guarded-anticomplete", ("A", "Y0", "Z2")))
+SAUCER_TABLE = _Table(
+    SPECIAL_TABLE
+    + tuple(_rel("A", "", "X0 X1 X2 X3 X4 X5 X6"))
+    + tuple(_cyclic(("saucer-YZ", "guarded-anticomplete", ("A", "Y0", "Z2"))))
 )
 
-TENT_TABLE = tuple(
+TENT_TABLE = _Table(
     # Z is a union of clique components: pendant_components checks them.
     # The clique row on Y is implied by the nested Y order, whose
     # consecutive members are adjacent.
@@ -322,6 +368,68 @@ TENT_TABLE = tuple(
     + _rel("Y", "C2 C3", "A0 A1 B0 B1 B2 B3 C1")
     + _rel("Z", "", "A0 A1 B0 B1 B2 B3 C1 C2 C3 Y")
 )
+
+
+class _Plan(NamedTuple):
+    """A clause table compiled for `_Clauses.run`, which decides each group
+    of rows below on the rows of its smaller side, with one AND when that is
+    the left-hand set, and walks a group's rows one by one only when the
+    group fails.  Row indices name the table's rows, so the violations can
+    be put back in row order.
+
+    bits: (bit, set name) for every set the rows name.
+    pairs: (complete, S, right-hand sets, row indices) per left-hand set S
+      and kind, in row order: the complete rows of S with its clique row,
+      which reads as S complete to itself, or its anticomplete rows.
+    counts: (row index, sets as bits, lo, hi, violation) per nonempty,
+      exclusive and at-most-one row, which holds when the number of its sets
+      that are nonempty lies in lo..hi.
+    guarded: (row index, S, T, guard bit, violation) per guarded-anticomplete
+      row, whose violation takes the witness when it fails.
+    """
+
+    bits: tuple[tuple[int, str], ...]
+    pairs: tuple[tuple[bool, str, tuple[str, ...], tuple[int, ...]], ...]
+    counts: tuple[tuple[int, int, int, int, Violation], ...]
+    guarded: tuple[tuple[int, str, str, int, Violation], ...]
+
+
+def _compile(table: tuple) -> _Plan:
+    at = {}  # set name -> bit
+    for _, _, names in table:
+        for name in names:
+            at.setdefault(name, 1 << len(at))
+    pairs: dict[tuple[bool, str], tuple[list[str], list[int]]] = {}
+    counts = []
+    guarded = []
+    for i, (label, kind, names) in enumerate(table):
+        a = names[0]
+        if kind in ("clique", "complete", "anticomplete"):
+            bs, indices = pairs.setdefault((kind != "anticomplete", a), ([], []))
+            bs.append(names[-1])
+            indices.append(i)
+        elif kind == "guarded-anticomplete":
+            b, guard = names[1:]
+            detail = f"{a} has a neighbor in {b} while {guard} is nonempty"
+            guarded.append((i, a, b, at[guard], Violation(label, detail)))
+        else:
+            bits = sum(at[name] for name in names)
+            if kind == "nonempty":
+                counts.append((i, bits, 1, 1, Violation(label, f"{a} is empty")))
+            elif kind == "exclusive":
+                rest = names[1:]
+                both = "both " if rest[1:] else ""
+                detail = f"{a} nonempty but {both}{','.join(rest)} nonempty"
+                counts.append((i, bits, 0, len(names) - 1, Violation(label, detail)))
+            else:  # at-most-one
+                detail = f"more than one of {', '.join(names)} is nonempty"
+                counts.append((i, bits, 0, 1, Violation(label, detail)))
+    return _Plan(
+        tuple((bit, name) for name, bit in at.items()),
+        tuple((c, a, tuple(bs), tuple(ix)) for (c, a), (bs, ix) in pairs.items()),
+        tuple(counts),
+        tuple(guarded),
+    )
 
 
 def _require_partition(g: Graph, named, what: str) -> dict[str, int]:

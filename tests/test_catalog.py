@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from pentaseven import catalog, generate, oracle
 from pentaseven.catalog import (
+    NamedGraph,
     _dedup_targets,
     _invariant_key,
     _targets_by_key,
@@ -17,7 +20,7 @@ from pentaseven.core import (
     build_graph,
     components,
 )
-from pentaseven.decompose import strip_universals, twin_classes
+from pentaseven.decompose import expand_thickening, strip_universals, twin_classes
 from pentaseven.oracle import find_induced
 
 from conftest import dedup_family_index, is_free_of, random_graphs, simplicial_vertices
@@ -311,8 +314,14 @@ def walker_results(monkeypatch):
     results = []
     walker = catalog.embed
 
-    def checked(p, host, order, cands):
-        got = walker(p, host, order, cands)
+    def checked(plan, host, cands):
+        got = walker(plan, host, cands)
+        # the plan's later table names every pair of pattern vertices
+        order = plan.order
+        p = build_graph(len(order), [(order[k], order[j])
+                                     for k, pairs in enumerate(plan.later)
+                                     for j, adjacent in pairs if adjacent])
+        assert plan.degrees == tuple(p.degree(v) for v in order)
         assert got == embed_reference(p, host, order, cands)
         results.append(got)
         return got
@@ -358,6 +367,53 @@ class TestWalker:
             assert is_isomorphic_small(g, g) is not None
             assert is_isomorphic_small(g, h) is not None
         assert None in walker_results
+
+
+WITNESS_PATTERNS = ("2P3", "C4", "C6")
+
+
+def test_fixed_graphs_plan_their_searches_once(monkeypatch):
+    # the twin quotient of a thickening of every target, relabeled, and
+    # hosts for the witness patterns with and without a copy
+    rng = np.random.default_rng(3)
+    quotients = []
+    for entry in dedup_family_index():
+        h = entry.graph
+        thick, _ = expand_thickening(relabeled(h, rng), [1 + v % 3 for v in range(h.n)])
+        quotients.append(twin_classes(thick, thick.full_mask).quotient)
+    hosts = [random_graph(rng, 14) for _ in range(20)] + [pattern("C7").graph]
+
+    def run():
+        for q, entry in zip(quotients, dedup_family_index()):
+            assert match_catalog(q)[0] == entry.name
+        return [find_induced(g, pattern(nm)) for g in hosts for nm in WITNESS_PATTERNS]
+
+    warm = run()
+    calls = []
+    order = catalog.connected_order
+    monkeypatch.setattr(catalog, "connected_order",
+                        lambda *a, **k: calls.append(a) or order(*a, **k))
+    for _ in range(3):
+        assert run() == warm
+    assert calls == []
+    assert None in warm and sum(e is not None for e in warm) > 10
+
+
+def test_caller_built_patterns_are_planned_per_call():
+    # a caller's graph, even one named like a fixed pattern, is searched
+    # with its own plan, and nothing keeps a reference to it
+    p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    named = NamedGraph("C4", p4, {v: f"v{v}" for v in range(4)})
+    host = build_graph(6, [(v, v + 1) for v in range(5)])
+    before = sys.getrefcount(p4), sys.getrefcount(named), sys.getrefcount(host)
+    emb = find_induced(host, named)
+    assert emb is not None and emb.pattern is named and emb.is_valid(host)
+    assert find_induced(pattern("C6").graph, named) is not None
+    assert is_isomorphic_small(p4, relabeled(p4, np.random.default_rng(1))) is not None
+    assert is_isomorphic_small(host, p4) is None
+    del emb
+    assert (sys.getrefcount(p4), sys.getrefcount(named), sys.getrefcount(host)) == before
+    assert oracle._fixed_plan.cache_info().currsize <= len(fixed_graphs())
 
 
 class TestMatchCatalog:

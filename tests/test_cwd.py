@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,10 +120,10 @@ def eval_by_lists(expr):
                 work.append((kid, f"{path}.{name}" if path else name, False))
             continue
         if isinstance(node, Create):
-            if node.label < 1:
-                raise ExprError(path, f"label must be >= 1, got {node.label}")
-            if node.vertex < 0:
-                raise ExprError(path, f"vertex id must be >= 0, got {node.vertex}")
+            if type(node.label) is not int or node.label < 1:
+                raise ExprError(path, f"label must be an int >= 1, got {node.label!r}")
+            if type(node.vertex) is not int or node.vertex < 0:
+                raise ExprError(path, f"vertex id must be an int >= 0, got {node.vertex!r}")
             results.append(([node.vertex], {node.vertex: node.label}, []))
         elif isinstance(node, Union):
             rids, rlab, rjoins = results.pop()
@@ -133,10 +135,10 @@ def eval_by_lists(expr):
             ljoins.extend(rjoins)
             results.append((lids + rids, llab, ljoins))
         elif isinstance(node, Join):
-            if node.i == node.j:
+            if type(node.i) is type(node.j) is int and node.i == node.j:
                 raise ExprError(path, f"join needs two distinct labels, got {node.i}")
-            if node.i < 1 or node.j < 1:
-                raise ExprError(path, "join labels must be >= 1")
+            if any(type(x) is not int or x < 1 for x in (node.i, node.j)):
+                raise ExprError(path, "join labels must be ints >= 1")
             ids, lab, joins = results.pop()
             side_i = [v for v in ids if lab[v] == node.i]
             side_j = [v for v in ids if lab[v] == node.j]
@@ -144,8 +146,8 @@ def eval_by_lists(expr):
                 joins.append((side_i, side_j))
             results.append((ids, lab, joins))
         else:
-            if node.old < 1 or node.new < 1:
-                raise ExprError(path, "rename labels must be >= 1")
+            if any(type(x) is not int or x < 1 for x in (node.old, node.new)):
+                raise ExprError(path, "rename labels must be ints >= 1")
             ids, lab, joins = results.pop()
             for v in ids:
                 if lab[v] == node.old:
@@ -248,6 +250,32 @@ class TestMergeForestMatchesListEvaluator:
         e = Union(chain_with(Join(3, 3, Create(2, 501)), 40), chain_with(bad, 0))
         assert assert_same_error(e).path.startswith("left.")
         assert assert_same_error(Union(Create(1, 7), e)).path.startswith("right.left.")
+
+
+# a vertex id is a plain int >= 0 and a label a plain int >= 1: a bool, a
+# float or a str in their place is an error at its node, not a value that
+# hashes like an int
+NOT_INTS = [
+    (Join(1, 2, Union(Create(1, False), Create(2, 1))), "child.left",
+     "vertex id must be an int >= 0, got False"),
+    (Union(Create(1, 0.0), Create(2, 1.0)), "left",
+     "vertex id must be an int >= 0, got 0.0"),
+    (Create(True, 0), "", "label must be an int >= 1, got True"),
+    (Union(Create(1, 0), Create(2, "1")), "right",
+     "vertex id must be an int >= 0, got '1'"),
+    (Join(True, 2, Create(2, 0)), "", "join labels must be ints >= 1"),
+    (Join(1.0, 1.0, Create(1, 0)), "", "join labels must be ints >= 1"),
+    (Join(1, True, Create(1, 0)), "", "join labels must be ints >= 1"),
+    (Rename(2, "3", Create(2, 0)), "", "rename labels must be ints >= 1"),
+]
+
+
+@pytest.mark.parametrize("expr, path, message", NOT_INTS)
+def test_ids_and_labels_must_be_plain_ints(expr, path, message):
+    err = assert_same_error(expr)
+    assert err.path == path and str(err).endswith(message)
+    with pytest.raises(ExprError, match=re.escape(message)):
+        eval_to_graph(expr)
 
 
 def random_expr(rng, ids, labels=3):

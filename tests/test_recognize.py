@@ -569,6 +569,76 @@ def test_pendant_component_clauses(label, brk):
     assert want in [(v.clause, v.detail) for v in found]
 
 
+def _first_and_third_apart(built):
+    """A generated saucer whose first pendant component of three or more
+    vertices has its first and third vertices made nonadjacent: not a
+    clique, and its listed order breaks at its first pair."""
+    g, part = built
+    comp = next(c for c in part.a_components if len(c) >= 3)
+    return _flip(g, [(comp[0], comp[2])]), part
+
+
+def _pairs_cut(built, *pairs):
+    """A generated graph with each pair flipped; a pair names a vertex as
+    the least member of a set, or as "y", the first of the Y order, or "z",
+    the last of the last Z-component."""
+    g, part = built
+    sets = dict(part.named_sets())
+
+    def vertex(name):
+        if name == "y":
+            return part.y_order[0]
+        if name == "z":
+            return part.z_components[-1][-1]
+        return min(sets[name])
+
+    return _flip(g, [(vertex(a), vertex(b)) for a, b in pairs]), part
+
+
+# failing verifications and their violations, as the verifiers reported
+# them when each clause was its own test: in table row order, with the same
+# witnesses
+PINNED_VIOLATIONS = {
+    # the clique violation comes before the nested-order one
+    "pendant": (
+        lambda: _first_and_third_apart(
+            gen_saucer(GenParams(seed=2, a_components=(3, 3), max_component_size=4))),
+        [Violation("clique", "A-component is not a clique", (26, 28)),
+         Violation("nested-order", "A-component: N[27] is not contained in N[26]",
+                   (26, 27))],
+    ),
+    # X0's complete rows are split by X1's in table order
+    "saucer": (
+        lambda: _pairs_cut(gen_saucer(GenParams(seed=3, p_nonempty=1.0)),
+                           ("X0", "X1"), ("X1", "X2"), ("X0", "W")),
+        [Violation("complete", "X0 not complete to X1", (0, 3)),
+         Violation("complete", "X1 not complete to X2", (3, 4)),
+         Violation("complete", "X0 not complete to W", (0, 16))],
+    ),
+    # Z, the larger side of Z-Y, still names its own vertex first
+    "tent": (
+        lambda: _pairs_cut(
+            gen_tent(GenParams(seed=1, p_nonempty=1.0, z_components=(6, 6),
+                               max_component_size=5)),
+            ("y", "C2"), ("y", "A0"), ("z", "y")),
+        [Violation("complete", "Y not complete to C2", (18, 14)),
+         Violation("anticomplete", "Y not anticomplete to A0", (18, 0)),
+         Violation("anticomplete", "Z not anticomplete to Y", (40, 18)),
+         Violation("nested-order", "Y: N[19] is not contained in N[18]", (18, 19)),
+         Violation("nested-order", "Z-component: N[40] is not contained in N[39]",
+                   (39, 40))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_VIOLATIONS))
+def test_failing_verifications_name_pinned_violations(case):
+    make, want = PINNED_VIOLATIONS[case]
+    g, part = make()
+    verify = verify_tent_partition if case == "tent" else verify_saucer_partition
+    assert verify(g, part) == want
+
+
 @given(random_graphs(max_n=12), st.data())
 @settings(max_examples=60, deadline=None)
 def test_pendant_components_match_all_pairs_scan(g, data):
@@ -594,7 +664,7 @@ def test_pendant_components_match_all_pairs_scan(g, data):
 # ---------------------------------------------------------------------------
 # per-vertex references: the clause walker's methods as they were before
 # clauses were decided on set masks, each scanning the vertices of its
-# left-hand set on open rows
+# left-hand set on open rows, and the table read one row at a time
 
 
 def ref_clique(self, name, mask):
@@ -667,15 +737,43 @@ def ref_nested_chain(self, label, ordered):
             return
 
 
+def ref_run(self, table, m):
+    """The clause table read one row at a time, in order."""
+    out = self.out
+    for label, kind, names in table:
+        if kind == "complete" or kind == "anticomplete":
+            a, b = names
+            check = ref_complete if kind == "complete" else ref_anticomplete
+            check(self, a, m[a], b, m[b])
+        elif kind == "clique":
+            ref_clique(self, names[0], m[names[0]])
+        elif kind == "exclusive":
+            if all(map(m.__getitem__, names)):
+                a, *rest = names
+                both = "both " if rest[1:] else ""
+                detail = f"{a} nonempty but {both}{','.join(rest)} nonempty"
+                out.append(Violation(label, detail))
+        elif kind == "nonempty":
+            if not m[names[0]]:
+                out.append(Violation(label, f"{names[0]} is empty"))
+        elif kind == "at-most-one":
+            if sum(map(bool, map(m.__getitem__, names))) > 1:
+                detail = f"more than one of {', '.join(names)} is nonempty"
+                out.append(Violation(label, detail))
+        else:  # guarded-anticomplete
+            a, b, guard = names
+            if m[guard] and (w := ref_meets(self, m[a], m[b])):
+                detail = f"{a} has a neighbor in {b} while {guard} is nonempty"
+                out.append(Violation(label, detail, w))
+
+
 @contextmanager
 def per_vertex_clauses():
-    """Run the verifiers' clause lists with the per-vertex clause methods."""
+    """Run the verifiers with the row-at-a-time table reader and the
+    per-vertex clause methods."""
     with mock.patch.multiple(
         structure._Clauses,
-        clique=ref_clique,
-        complete=ref_complete,
-        meets=ref_meets,
-        anticomplete=ref_anticomplete,
+        run=ref_run,
         nested_chain=ref_nested_chain,
         pendant_components=ref_pendant_components,
     ):

@@ -1,5 +1,5 @@
-"""Work bounds in row reads for the universal strip, the twin quotient and
-the attachment classifier.  A row read costs Θ(n/64) machine words, so a
+"""Work bounds in row reads for the universal strip, the twin quotient, the
+attachment classifier and the partition verifiers.  A row read costs Θ(n/64) machine words, so a
 bound stated in row reads is a bound on time that timing noise cannot hide;
 a step that turned quadratic would read rows once per pair, not once per
 vertex."""
@@ -17,7 +17,15 @@ from pentaseven.decompose import (
     twin_classes,
 )
 from pentaseven.generate import GenParams, gen_saucer, gen_tent, mutate
-from pentaseven.recognize import _C7, _T0, BuildFailure, _attachment_classes
+from pentaseven.recognize import (
+    _C7,
+    _T0,
+    BuildFailure,
+    _attachment_classes,
+    recognize,
+    verify_saucer_partition,
+    verify_tent_partition,
+)
 
 from conftest import counting_copy, random_graphs
 
@@ -102,3 +110,37 @@ def test_attachment_classes_on_the_anchor_alone(anchor):
     g, rows = counting_copy(anchor.graph)
     got = _attachment_classes(g, anchor, list(range(g.n)))
     assert not isinstance(got, BuildFailure) and rows.reads == g.n
+
+
+def assert_verification_reads_at_most_two_rows_per_vertex(g, part):
+    # a passing verification reads each row of the pendant set (A or Z) once,
+    # its nested chain being its clique certificate, and every other row at
+    # most twice (a set's rows once, the Y order once more): at most 2n - |P|
+    # rows, so at most 2n, and one more pass over P breaks the bound
+    label, _ = part.pendant
+    verify = verify_tent_partition if label == "Z" else verify_saucer_partition
+    h, rows = counting_copy(g)
+    assert verify(h, part) == []
+    reads, pendant = rows.reads, len(dict(part.named_sets())[label])
+    assert reads <= 2 * g.n - pendant, (reads, g.n, pendant)
+
+
+@pytest.mark.parametrize("make", [gen_saucer, gen_tent])
+@pytest.mark.parametrize("seed", range(3))
+def test_passing_verification_on_long_pendant_parts(make, seed):
+    # the benchmark's pendant graphs: about n / 8 components of up to 20
+    # vertices, most of the graph; the generator's partition and the one
+    # recognition builds
+    g, part = make(GenParams(seed=seed, max_class_size=3, a_components=(50, 50),
+                             z_components=(50, 50), max_component_size=20,
+                             universal_count=(1, 3)))
+    report = recognize(g)
+    for p in (part, report.saucer or report.tent):
+        assert_verification_reads_at_most_two_rows_per_vertex(g, p)
+
+
+@pytest.mark.parametrize("name, n", [("M0", 2000), ("T1", 2000), ("M0", 200), ("T0", 200)])
+def test_passing_verification_on_thickenings(name, n):
+    g = thickening(name, n, universals=20)
+    report = recognize(g)
+    assert_verification_reads_at_most_two_rows_per_vertex(g, report.saucer or report.tent)
