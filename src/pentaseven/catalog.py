@@ -276,21 +276,6 @@ def is_isomorphic_small(g: Graph, h: Graph) -> dict[int, int] | None:
     return _isomorphism(_iso_plan(g), h)
 
 
-@cache
-def _dedup_targets() -> list[NamedGraph]:
-    """Family plus T0/T1, one representative per isomorphism class, in
-    catalog order.  Isomorphic graphs share an invariant key, so an entry is
-    tested only against the earlier representatives with its key."""
-    reps: list[NamedGraph] = []
-    reps_by_key: dict[tuple[int, int, tuple[int, ...]], list[NamedGraph]] = {}
-    for entry in family_M() + [pattern("T0"), pattern("T1")]:
-        same_key = reps_by_key.setdefault(_invariant_key(entry.graph), [])
-        if all(is_isomorphic_small(rep.graph, entry.graph) is None for rep in same_key):
-            same_key.append(entry)
-            reps.append(entry)
-    return reps
-
-
 def _invariant_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
     """(n, m, sorted degree sequence): equal for isomorphic graphs."""
     degrees = sorted(r.bit_count() for r in g.rows)
@@ -301,12 +286,15 @@ def _invariant_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
 def _targets_by_key() -> dict[
     tuple[int, int, tuple[int, ...]], tuple[NamedGraph, SearchPlan]
 ]:
-    """The deduplicated targets, each with its isomorphism plan, by
-    invariant key.  No two share a key, so a graph has one candidate at
-    most, and the isomorphic one when any is."""
-    targets = _dedup_targets()
-    by_key = {_invariant_key(e.graph): (e, _iso_plan(e.graph)) for e in targets}
-    assert len(by_key) == len(targets), "two catalog targets share a key"
+    """Family plus T0/T1 by invariant key, the first entry of each key in
+    catalog order, each with its isomorphism plan.  Catalog entries that
+    share a key are isomorphic (a test checks it), so no isomorphism test
+    is needed, and a graph has one candidate at most."""
+    by_key = {}
+    for entry in family_M() + [pattern("T0"), pattern("T1")]:
+        key = _invariant_key(entry.graph)
+        if key not in by_key:
+            by_key[key] = entry, _iso_plan(entry.graph)
     return by_key
 
 

@@ -2,8 +2,8 @@
 reports and DOT visualizations.
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 out-of-class
-refusal, 4 size-cap violation.  Reports from identical inputs are
-byte-identical except for the timing field.
+refusal, 4 a size cap or running out of memory.  Reports from identical
+inputs are byte-identical except for the timing field.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cache, partial
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .core import VERTEX_CAP, CapError, Graph, VertexCapError, build_graph, relation
+from .core import CapError, Graph, build_graph, check_vertex_cap, relation
 
 if TYPE_CHECKING:
     from . import oracle, recognize
@@ -32,19 +32,20 @@ EXIT_SIZE_CAP = 4
 SCHEMA = 1
 
 
-class CliError(Exception):
-    """An error that ends the run of one input, or of the whole call, with
-    the exit code of its class."""
-
-    code = EXIT_INPUT
+class InputError(Exception):
+    """Input the CLI cannot read, parse or write."""
 
 
-class InputError(CliError):
-    pass
+# what ends the run of one input, or of the whole call: an InputError, a
+# size cap (the CapError its own check raised) or running out of memory
+_ERRORS = (InputError, CapError, MemoryError)
 
 
-class SizeCapError(CliError):
-    code = EXIT_SIZE_CAP
+def _exit_for(exc: BaseException) -> tuple[int, str]:
+    """(exit code, message) of one of _ERRORS."""
+    if isinstance(exc, InputError):
+        return EXIT_INPUT, str(exc)
+    return EXIT_SIZE_CAP, "out of memory" if isinstance(exc, MemoryError) else str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +54,8 @@ class SizeCapError(CliError):
 
 def _build(n, edges) -> Graph:
     """build_graph behind the vertex cap, which is checked before the n
-    neighborhood rows are allocated (a VertexCapError, which load_graph
-    turns into a SizeCapError); malformed input becomes an InputError."""
-    if isinstance(n, int) and n > VERTEX_CAP:
-        raise VertexCapError(n)
+    neighborhood rows are allocated; malformed input becomes an InputError."""
+    check_vertex_cap(n)
     try:
         return build_graph(n, edges)
     except ValueError as exc:
@@ -122,18 +121,7 @@ def parse_edge_json(text: str) -> Graph:
 
 
 def load_graph(path: str) -> tuple[Graph, str]:
-    """(graph, sha256 of the bytes) of the file at path.  A graph past
-    VERTEX_CAP, or running out of memory anywhere from the read to the
-    build, is a size-cap error."""
-    try:
-        return _load(path)
-    except VertexCapError as exc:
-        raise SizeCapError(str(exc)) from None
-    except MemoryError:
-        raise SizeCapError(f"{path}: input is too large to load") from None
-
-
-def _load(path: str) -> tuple[Graph, str]:
+    """(graph, sha256 of the bytes) of the file at path."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -266,10 +254,6 @@ def _recognize(g: Graph, args) -> tuple[int, dict]:
     if args.crosscheck:
         from . import oracle
 
-        if g.n > oracle.VERDICT_CAP:
-            raise SizeCapError(
-                f"oracle crosscheck capped at {oracle.VERDICT_CAP} vertices"
-            )
         verdict = oracle.class_verdict(g)
         body["oracle"] = verdict_to_json(verdict)
         body["agreement"] = verdict.in_class == rep.in_class
@@ -297,10 +281,6 @@ def _color(g: Graph, args) -> tuple[int, dict]:
     if args.crosscheck:
         from . import oracle
 
-        if g.n > oracle.CHROMATIC_CAP:
-            raise SizeCapError(
-                f"chromatic crosscheck capped at {oracle.CHROMATIC_CAP} vertices"
-            )
         chi, _ = oracle.chromatic_number_bf(g)
         body["oracle_chi"] = chi
         body["agreement"] = chi == result.num_colors
@@ -329,30 +309,27 @@ def _oracle(g: Graph, args) -> tuple[int, dict]:
     from .catalog import pattern
 
     body: dict = {}
-    try:
-        if args.pattern:
-            try:
-                named = pattern(args.pattern)
-            except KeyError:
-                raise InputError(f"unknown pattern {args.pattern!r}") from None
-            emb = oracle.find_induced(g, named)
-            body["pattern"] = args.pattern
-            body["found"] = emb is not None
-            if emb:
-                body["image"] = {str(k): v for k, v in sorted(emb.image.items())}
-        elif args.holes:
-            body["hole_lengths"] = sorted(oracle.all_hole_lengths(g))
-        elif args.chi:
-            chi, witness = oracle.chromatic_number_bf(g)
-            body["chi"] = chi
-            body["coloring"] = {str(v): witness[v] for v in range(g.n)}
-        elif args.clique_cutset:
-            cut = oracle.clique_cutset_bf(g)
-            body["clique_cutset"] = None if cut is None else sorted(cut)
-        else:
-            body.update(verdict_to_json(oracle.class_verdict(g)))
-    except CapError as exc:
-        raise SizeCapError(str(exc)) from None
+    if args.pattern:
+        try:
+            named = pattern(args.pattern)
+        except KeyError:
+            raise InputError(f"unknown pattern {args.pattern!r}") from None
+        emb = oracle.find_induced(g, named)
+        body["pattern"] = args.pattern
+        body["found"] = emb is not None
+        if emb:
+            body["image"] = {str(k): v for k, v in sorted(emb.image.items())}
+    elif args.holes:
+        body["hole_lengths"] = sorted(oracle.all_hole_lengths(g))
+    elif args.chi:
+        chi, witness = oracle.chromatic_number_bf(g)
+        body["chi"] = chi
+        body["coloring"] = {str(v): witness[v] for v in range(g.n)}
+    elif args.clique_cutset:
+        cut = oracle.clique_cutset_bf(g)
+        body["clique_cutset"] = None if cut is None else sorted(cut)
+    else:
+        body.update(verdict_to_json(oracle.class_verdict(g)))
     return EXIT_OK, body
 
 
@@ -381,24 +358,22 @@ def run_generate(args) -> tuple[int, dict]:
             universal_count=tuple(args.universals),
         )
         g, part = getattr(generate, f"gen_{args.kind}")(params)
-        stem = os.path.join(args.out, f"{args.kind}-{args.seed}")
-        files = [stem + ".json", stem + ".cert.json"]
-        cert = {"schema": SCHEMA, "kind": args.kind, "seed": args.seed,
-                "certificate": partition_to_json(part)}
-        try:
-            os.makedirs(args.out, exist_ok=True)
-            for path, data in zip(files, (graph_to_edge_json(g), cert)):
-                with open(path, "w") as fh:
-                    json.dump(data, fh, sort_keys=True, indent=None)
-                    fh.write("\n")
-        except OSError as exc:
-            raise InputError(f"cannot write to {args.out}: {exc}") from None
-    except VertexCapError as exc:  # checked before any row is allocated
-        raise SizeCapError(str(exc)) from None
+    except CapError:  # a ValueError too, but a size cap: exit 4
+        raise
     except ValueError as exc:  # parameters the generators refuse
         raise InputError(str(exc)) from None
-    except MemoryError:
-        raise SizeCapError(f"{args.kind} graph is too large to generate") from None
+    stem = os.path.join(args.out, f"{args.kind}-{args.seed}")
+    files = [stem + ".json", stem + ".cert.json"]
+    cert = {"schema": SCHEMA, "kind": args.kind, "seed": args.seed,
+            "certificate": partition_to_json(part)}
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for path, data in zip(files, (graph_to_edge_json(g), cert)):
+            with open(path, "w") as fh:
+                json.dump(data, fh, sort_keys=True, indent=None)
+                fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write to {args.out}: {exc}") from None
     return EXIT_OK, {
         "schema": SCHEMA,
         "command": "generate",
@@ -415,8 +390,8 @@ def run_generate(args) -> tuple[int, dict]:
 
 def run_file(args, path: str) -> tuple[int, dict]:
     """Load the graph at path, run args.command on it and wrap its body in
-    the report envelope; timing_ms covers loading and the command.  A
-    CliError propagates to the caller."""
+    the report envelope; timing_ms covers loading and the command.  An
+    InputError, a CapError or a MemoryError propagates to the caller."""
     t0 = time.perf_counter()
     g, digest = load_graph(path)
     code, body = COMMANDS[args.command](g, args)
@@ -435,9 +410,10 @@ def _one_file(args, path: str) -> tuple[int, dict]:
     """run_file for one input of a batch: an error becomes its report."""
     try:
         return run_file(args, path)
-    except CliError as exc:
-        return exc.code, {"schema": SCHEMA, "command": args.command,
-                          "input": path, "error": str(exc)}
+    except _ERRORS as exc:
+        code, message = _exit_for(exc)
+        return code, {"schema": SCHEMA, "command": args.command,
+                      "input": path, "error": message}
 
 
 def positive_int(text: str) -> int:
@@ -521,9 +497,10 @@ def main(argv: list[str] | None = None) -> int:
                     results = pool.map(one, args.paths)
             else:
                 results = [one(p) for p in args.paths]
-    except CliError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return exc.code
+    except _ERRORS as exc:
+        code, message = _exit_for(exc)
+        print(json.dumps({"schema": SCHEMA, "error": message}), file=sys.stderr)
+        return code
     for _, report in results:
         print(json.dumps(report, sort_keys=True))
     return max(code for code, _ in results)

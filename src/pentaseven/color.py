@@ -42,8 +42,8 @@ class WeightedInstance:
     def __post_init__(self):
         if self.quotient.n != len(self.weights):
             raise ValueError("one weight per quotient vertex")
-        if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be >= 1")
+        if any(type(w) is not int or w < 1 for w in self.weights):
+            raise ValueError("weights must be plain ints >= 1")
 
 
 def _maximal_indep(co_rows: list[int], r: int, p: int) -> list[int]:

@@ -30,6 +30,13 @@ class VertexCapError(CapError):
         super().__init__(f"graphs are capped at {VERTEX_CAP} vertices, got {n}")
 
 
+def check_vertex_cap(n) -> None:
+    """Refuse a graph of n vertices past VERTEX_CAP before its rows exist.
+    An n that is not an int is left to build_graph to refuse."""
+    if isinstance(n, int) and n > VERTEX_CAP:
+        raise VertexCapError(n)
+
+
 def _mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:

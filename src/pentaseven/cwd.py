@@ -8,7 +8,8 @@ than isomorphism.  Nodes are slotted value dataclasses: compared by value
 and type (as tuples, Join(1, 2, c) would equal Rename(1, 2, c)),
 unhashable, never mutated once built.  Every walk is a plain stack loop
 that dispatches on the exact node type and raises ExprError, with a path,
-on anything that is not a node; expressions for thickenings get deep (one
+on anything that is not a node or breaks the id and label rule
+(_rule_break); expressions for thickenings get deep (one
 chain link per vertex), so nothing recurses.
 """
 
@@ -62,7 +63,6 @@ class Rename:
 
 
 Expr = Create | Union | Join | Rename
-_NODE_TYPES = frozenset((Create, Union, Join, Rename))
 
 
 @dataclass(frozen=True)
@@ -111,19 +111,50 @@ def _path(expr: Expr, pos: int) -> str:
     return ".".join(reversed(names))
 
 
-def _not_a_node(expr: object) -> ExprError:
-    """The error naming the leftmost part of expr that is not a node."""
-    nodes = _nodes(expr)
-    pos = max(k for k, node in enumerate(nodes) if type(node) not in _NODE_TYPES)
-    named = reprlib.repr(nodes[pos])  # a str or a container may be long
-    return ExprError(_path(expr, pos), f"not an expression node: {named}")
+def _rule_break(node: object) -> str | None:
+    """Why node breaks the node rule, or None.  The rule: a node is a
+    Create, Union, Join or Rename; a label is a plain int >= 1 and a vertex
+    id a plain int >= 0, so a bool or a float is neither; a join's two
+    labels are distinct.  The walkers check it inline, in their own loops."""
+    t = type(node)
+    if t is Create:
+        if type(node.label) is not int or node.label < 1:
+            return f"label must be an int >= 1, got {node.label!r}"
+        if type(node.vertex) is not int or node.vertex < 0:
+            return f"vertex id must be an int >= 0, got {node.vertex!r}"
+    elif t is Join:
+        i, j = node.i, node.j
+        if type(i) is type(j) is int and i == j:
+            return f"join needs two distinct labels, got {i}"
+        if type(i) is not int or type(j) is not int or i < 1 or j < 1:
+            return "join labels must be ints >= 1"
+    elif t is Rename:
+        old, new = node.old, node.new
+        if type(old) is not int or type(new) is not int or old < 1 or new < 1:
+            return "rename labels must be ints >= 1"
+    elif t is not Union:
+        named = reprlib.repr(node)  # a str or a container may be long
+        return f"not an expression node: {named}"
+    return None
+
+
+def _bad_node(expr: object, nodes: list | None = None) -> ExprError | None:
+    """The error naming the first node of expr, in the order of a recursive
+    evaluation, that breaks the node rule, or None when none does; nodes is
+    _nodes(expr) when the caller has it."""
+    if nodes is None:
+        nodes = _nodes(expr)
+    for pos in range(len(nodes) - 1, -1, -1):
+        if broken := _rule_break(nodes[pos]):
+            return ExprError(_path(expr, pos), broken)
+    return None
 
 
 def iter_nodes(expr: Expr):
     """Iterator over the nodes of expr, in pre-order, right child first."""
     nodes = _nodes(expr)
-    if not _NODE_TYPES.issuperset(map(type, nodes)):
-        raise _not_a_node(expr)
+    if error := _bad_node(expr, nodes):
+        raise error
     return iter(nodes)
 
 
@@ -136,26 +167,31 @@ def width(expr: Expr) -> int:
         while True:
             t = type(node)
             if t is Create:
-                labels.add(node.label)
+                label, v = node.label, node.vertex
+                if type(label) is not int or label < 1 or type(v) is not int or v < 0:
+                    raise _bad_node(expr)
+                labels.add(label)
                 break
             if t is Union:
                 stack.append(node.right)
                 node = node.left
             elif t is Join:
-                labels.add(node.i)
-                labels.add(node.j)
+                i, j = node.i, node.j
+                if type(i) is not int or type(j) is not int or i < 1 or j < 1 or i == j:
+                    raise _bad_node(expr)
+                labels.add(i)
+                labels.add(j)
                 node = node.child
             elif t is Rename:
-                labels.add(node.old)
-                labels.add(node.new)
+                i, j = node.old, node.new
+                if type(i) is not int or type(j) is not int or i < 1 or j < 1:
+                    raise _bad_node(expr)
+                labels.add(i)
+                labels.add(j)
                 node = node.child
             else:
-                raise _not_a_node(expr)
+                raise _bad_node(expr)
     return len(labels)
-
-
-def _is_label(x) -> bool:
-    return type(x) is int and x >= 1
 
 
 def eval_expr(expr: Expr) -> LabeledGraph:
@@ -169,9 +205,9 @@ def eval_expr(expr: Expr) -> LabeledGraph:
     join ORs each side's members into the other side's pending mask.  One
     final pass pushes every parent's pending mask down to its leaves, so a
     join costs O(1) mask operations however many vertices it connects.
-    Errors come out in the order of a recursive evaluation.  A vertex id
-    is a plain int >= 0 and a label a plain int >= 1; anything else, a bool
-    or a float among them, is an error at its node.
+    Errors come out in the order of a recursive evaluation: a node that
+    breaks the node rule (see _rule_break) is an error at that node, and so
+    is a union whose sides share a vertex id.
     """
     nodes = _nodes(expr)
     vertices = [node.vertex for node in reversed(nodes) if type(node) is Create]
@@ -199,20 +235,18 @@ def eval_expr(expr: Expr) -> LabeledGraph:
         node = nodes[pos]
         t = type(node)
         if t is Create:
-            if not _is_label(node.label):
-                raise error(f"label must be an int >= 1, got {node.label!r}")
-            if type(node.vertex) is not int or node.vertex < 0:
-                raise error(f"vertex id must be an int >= 0, got {node.vertex!r}")
+            label, v = node.label, node.vertex
+            if type(label) is not int or label < 1 or type(v) is not int or v < 0:
+                raise error(_rule_break(node))
             member[size] = 1 << index[node.vertex]
             leaves.append(size)
             values.append({node.label: size})
             size += 1
             continue
         if t is Join:
-            if type(node.i) is type(node.j) is int and node.i == node.j:
-                raise error(f"join needs two distinct labels, got {node.i}")
-            if not (_is_label(node.i) and _is_label(node.j)):
-                raise error("join labels must be ints >= 1")
+            i, j = node.i, node.j
+            if type(i) is not int or type(j) is not int or i < 1 or j < 1 or i == j:
+                raise error(_rule_break(node))
             value = values[-1]
             x, y = value.get(node.i), value.get(node.j)
             if x is not None and y is not None:
@@ -236,14 +270,15 @@ def eval_expr(expr: Expr) -> LabeledGraph:
                 values[-1] = value
             moved = right.items()
         elif t is Rename:
-            if not (_is_label(node.old) and _is_label(node.new)):
-                raise error("rename labels must be ints >= 1")
+            i, j = node.old, node.new
+            if type(i) is not int or type(j) is not int or i < 1 or j < 1:
+                raise error(_rule_break(node))
             value = values[-1]
             if node.old == node.new or node.old not in value:
                 continue
             moved = ((node.new, value.pop(node.old)),)
         else:
-            raise _not_a_node(expr)
+            raise error(_rule_break(node))
         # move the classes of moved into value; a class meeting one already
         # on its label merges with it under a new parent
         for label, y in moved:
@@ -373,7 +408,10 @@ def to_sexpr(expr: Expr) -> str:
         while True:
             t = type(node)
             if t is Create:
-                out.append(f"(create {node.label} {node.vertex})")
+                label, v = node.label, node.vertex
+                if type(label) is not int or label < 1 or type(v) is not int or v < 0:
+                    raise _bad_node(expr)
+                out.append(f"(create {label} {v})")
                 break
             work.append(_CLOSE)
             if t is Union:
@@ -381,13 +419,19 @@ def to_sexpr(expr: Expr) -> str:
                 work.append(node.right)
                 node = node.left
             elif t is Join:
-                out.append(f"(join {node.i} {node.j} ")
+                i, j = node.i, node.j
+                if type(i) is not int or type(j) is not int or i < 1 or j < 1 or i == j:
+                    raise _bad_node(expr)
+                out.append(f"(join {i} {j} ")
                 node = node.child
             elif t is Rename:
-                out.append(f"(rename {node.old} {node.new} ")
+                i, j = node.old, node.new
+                if type(i) is not int or type(j) is not int or i < 1 or j < 1:
+                    raise _bad_node(expr)
+                out.append(f"(rename {i} {j} ")
                 node = node.child
             else:
-                raise _not_a_node(expr)
+                raise _bad_node(expr)
     return "".join(out)
 
 

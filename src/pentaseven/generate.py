@@ -15,7 +15,7 @@ from typing import Collection
 import numpy as np
 
 from .catalog import T0_LABELS, NamedGraph, family_M, pattern
-from .core import VERTEX_CAP, Graph, VertexCapError, _mask_of
+from .core import Graph, _mask_of, check_vertex_cap
 from .decompose import expand_thickening
 from .structure import (
     MOD7,
@@ -69,19 +69,13 @@ def _chain(rng, pool: list[int], r: int, p: float) -> list[set[int]]:
     return sets
 
 
-def _check_cap(n: int) -> None:
-    """Refuse a graph of n vertices past VERTEX_CAP before its rows exist."""
-    if n > VERTEX_CAP:
-        raise VertexCapError(n)
-
-
 @dataclass
 class _Builder:
     rows: list[int]  # new vertices take the next ids
 
     def clique(self, size: int) -> list[int]:
         start = len(self.rows)
-        _check_cap(start + size)
+        check_vertex_cap(start + size)
         mask = ((1 << size) - 1) << start
         self.rows.extend(mask ^ 1 << v for v in range(start, start + size))
         return list(range(start, start + size))
@@ -100,7 +94,7 @@ class _Builder:
 def _thicken_named(rng, base: NamedGraph, params: GenParams):
     """A builder holding base thickened by drawn class sizes, and the class ids."""
     sizes = [_rand_range(rng, 1, params.max_class_size) for _ in range(base.graph.n)]
-    _check_cap(sum(sizes))
+    check_vertex_cap(sum(sizes))
     g, ids = expand_thickening(base.graph, sizes)
     return _Builder(list(g.rows)), ids
 
@@ -110,7 +104,7 @@ def _pendant_cliques(
 ) -> list[tuple[int, ...]]:
     """count new cliques, each vertex joined to one set of a nested chain
     drawn from pool: closed neighborhoods nest, the first id's largest."""
-    _check_cap(len(b.rows) + count)  # each component has a vertex
+    check_vertex_cap(len(b.rows) + count)  # each component has a vertex
     comps = []
     for _ in range(count):
         size = _rand_range(rng, 1, params.max_component_size)

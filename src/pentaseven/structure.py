@@ -153,16 +153,6 @@ class _Clauses:
             return self._walk(ma, mb, True)
         return None
 
-    def clique(self, name: str, mask: int) -> None:
-        if w := self.misses(mask, mask):
-            self.out.append(Violation("clique", f"{name} is not a clique", w))
-
-    def anticomplete(self, na: str, ma: int, nb: str, mb: int) -> None:
-        if w := self.meets(ma, mb):
-            self.out.append(
-                Violation("anticomplete", f"{na} not anticomplete to {nb}", w)
-            )
-
     def chain(self, label: str, ordered: tuple[int, ...]) -> tuple[int, Violation | None]:
         """(N[first of ordered], or 0 when it is empty; the violation of the
         first consecutive pair (a, b) with N[b] not within N[a], or None).
@@ -218,7 +208,8 @@ class _Clauses:
             comp_union |= cmask
             first, broken = self.chain(name, comp)
             if broken:
-                self.clique(name, cmask)
+                if w := self.misses(cmask, cmask):
+                    out.append(_pair_violation(True, name, name, w))
                 out.append(broken)
                 first = self.set_rows(cmask)[0]
             reach.append(first)
@@ -231,13 +222,13 @@ class _Clauses:
             # the pairs are checked only when some later component meets this one
             if reach[i] & later[i + 1]:
                 for mb in masks[i + 1 :]:
-                    self.anticomplete(name, ma, name, mb)
+                    if w := self.meets(ma, mb):
+                        out.append(_pair_violation(False, name, name, w))
 
-    def run(self, table: tuple, m: dict[str, int]) -> None:
+    def run(self, table: _Table, m: dict[str, int]) -> None:
         """Check the rows of a clause table on the set masks m and add their
-        violations in row order (see _Plan).  The module's tables keep their
-        plans; any other tuple of rows is compiled on the call."""
-        plan = table.plan if isinstance(table, _Table) else _compile(table)
+        violations in row order (see _Plan)."""
+        plan = table.plan
         nonempty = 0
         for bit, name in plan.bits:
             if m[name]:
@@ -320,7 +311,41 @@ class _Table(tuple):
 
     @cached_property
     def plan(self) -> _Plan:
-        return _compile(self)
+        at = {}  # set name -> bit
+        for _, _, names in self:
+            for name in names:
+                at.setdefault(name, 1 << len(at))
+        pairs: dict[tuple[bool, str], tuple[list[str], list[int]]] = {}
+        counts = []
+        guarded = []
+        for i, (label, kind, names) in enumerate(self):
+            a = names[0]
+            if kind in ("clique", "complete", "anticomplete"):
+                bs, indices = pairs.setdefault((kind != "anticomplete", a), ([], []))
+                bs.append(names[-1])
+                indices.append(i)
+            elif kind == "guarded-anticomplete":
+                b, guard = names[1:]
+                detail = f"{a} has a neighbor in {b} while {guard} is nonempty"
+                guarded.append((i, a, b, at[guard], Violation(label, detail)))
+            else:
+                bits = sum(at[name] for name in names)
+                if kind == "nonempty":
+                    counts.append((i, bits, 1, 1, Violation(label, f"{a} is empty")))
+                elif kind == "exclusive":
+                    rest = names[1:]
+                    both = "both " if rest[1:] else ""
+                    detail = f"{a} nonempty but {both}{','.join(rest)} nonempty"
+                    counts.append((i, bits, 0, len(names) - 1, Violation(label, detail)))
+                else:  # at-most-one
+                    detail = f"more than one of {', '.join(names)} is nonempty"
+                    counts.append((i, bits, 0, 1, Violation(label, detail)))
+        return _Plan(
+            tuple((bit, name) for name, bit in at.items()),
+            tuple((c, a, tuple(bs), tuple(ix)) for (c, a), (bs, ix) in pairs.items()),
+            tuple(counts),
+            tuple(guarded),
+        )
 
 
 SPECIAL_TABLE = _Table(
@@ -392,44 +417,6 @@ class _Plan(NamedTuple):
     pairs: tuple[tuple[bool, str, tuple[str, ...], tuple[int, ...]], ...]
     counts: tuple[tuple[int, int, int, int, Violation], ...]
     guarded: tuple[tuple[int, str, str, int, Violation], ...]
-
-
-def _compile(table: tuple) -> _Plan:
-    at = {}  # set name -> bit
-    for _, _, names in table:
-        for name in names:
-            at.setdefault(name, 1 << len(at))
-    pairs: dict[tuple[bool, str], tuple[list[str], list[int]]] = {}
-    counts = []
-    guarded = []
-    for i, (label, kind, names) in enumerate(table):
-        a = names[0]
-        if kind in ("clique", "complete", "anticomplete"):
-            bs, indices = pairs.setdefault((kind != "anticomplete", a), ([], []))
-            bs.append(names[-1])
-            indices.append(i)
-        elif kind == "guarded-anticomplete":
-            b, guard = names[1:]
-            detail = f"{a} has a neighbor in {b} while {guard} is nonempty"
-            guarded.append((i, a, b, at[guard], Violation(label, detail)))
-        else:
-            bits = sum(at[name] for name in names)
-            if kind == "nonempty":
-                counts.append((i, bits, 1, 1, Violation(label, f"{a} is empty")))
-            elif kind == "exclusive":
-                rest = names[1:]
-                both = "both " if rest[1:] else ""
-                detail = f"{a} nonempty but {both}{','.join(rest)} nonempty"
-                counts.append((i, bits, 0, len(names) - 1, Violation(label, detail)))
-            else:  # at-most-one
-                detail = f"more than one of {', '.join(names)} is nonempty"
-                counts.append((i, bits, 0, 1, Violation(label, detail)))
-    return _Plan(
-        tuple((bit, name) for name, bit in at.items()),
-        tuple((c, a, tuple(bs), tuple(ix)) for (c, a), (bs, ix) in pairs.items()),
-        tuple(counts),
-        tuple(guarded),
-    )
 
 
 def _require_partition(g: Graph, named, what: str) -> dict[str, int]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pentaseven.catalog import _dedup_targets, pattern
+from pentaseven.catalog import _targets_by_key, pattern
 from pentaseven.core import (
     Graph,
     _mask_of,
@@ -103,4 +103,5 @@ def expr_complete(k: int) -> Expr:
 
 
 def dedup_family_index():
-    return list(_dedup_targets())
+    """Family plus T0/T1, one entry per isomorphism class, in catalog order."""
+    return [entry for entry, _ in _targets_by_key().values()]

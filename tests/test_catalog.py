@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from pentaseven import catalog, generate, oracle
 from pentaseven.catalog import (
     NamedGraph,
-    _dedup_targets,
     _invariant_key,
     _targets_by_key,
     catalog_entry,
@@ -111,7 +111,7 @@ def match_reference(g):
     """The earlier catalog match: every deduplicated target in turn."""
     if g.n > catalog.QUOTIENT_CAP:
         return None
-    for entry in _dedup_targets():
+    for entry in dedup_family_index():
         if entry.graph.n == g.n:
             bij = is_isomorphic_small(entry.graph, g)
             if bij is not None:
@@ -187,24 +187,40 @@ class TestFamily:
         print(f"\ndedup index: {len(reps)} isomorphism classes (incl. T0, T1)")
 
     def test_dedup_keeps_the_first_of_each_class_in_order(self, monkeypatch):
-        # an entry is tested only against the representatives that share its
-        # invariant key, so the index costs 15 isomorphism tests, not 99
+        # the index keeps the first entry of each invariant key and runs no
+        # isomorphism test
         tests = []
-        iso = catalog.is_isomorphic_small
         monkeypatch.setattr(catalog, "is_isomorphic_small",
-                            lambda g, h: tests.append(1) or iso(g, h))
-        _dedup_targets.cache_clear()
+                            lambda g, h: tests.append(1))
+        monkeypatch.setattr(catalog, "_isomorphism", lambda plan, h: tests.append(1))
+        # build the index cold: clear the module's private caches
+        indexes = [f for name, f in vars(catalog).items()
+                   if name.startswith("_") and hasattr(f, "cache_clear")]
+        for f in indexes:
+            f.cache_clear()
         try:
-            names = [e.name for e in _dedup_targets()]
+            names = [e.name for e in dedup_family_index()]
         finally:
-            _dedup_targets.cache_clear()
+            for f in indexes:
+                f.cache_clear()
         subsets = ["{y0}", "{y0,y3}", "{z0}", "{y0,z0}", "{y0,y3,z0}", "{z3}",
                    "{y0,z3}", "{y3,z3}", "{y0,y3,z3}", "{z0,z3}", "{y0,z0,z3}",
                    "{y3,z0,z3}", "{y0,y3,z0,z3}", "{z3,z4}", "{z0,z3,z4}",
                    "{y0,z0,z3,z4}", "{y0,y3,z0,z3,z4}"]
         assert names == ["M0", *(f"M0-minus-{s}" for s in subsets),
                          "M1", "M2", "T0", "T1"]
-        assert len(tests) == 15
+        assert tests == []
+
+    def test_entries_sharing_a_key_are_isomorphic(self):
+        # what lets the index keep the first entry of each key untested
+        entries = family_M() + [pattern("T0"), pattern("T1")]
+        assert len(entries) == 37
+        shared = 0
+        for a, b in combinations(entries, 2):
+            if _invariant_key(a.graph) == _invariant_key(b.graph):
+                shared += 1
+                assert is_isomorphic_small(a.graph, b.graph) is not None, (a.name, b.name)
+        assert shared > 0
 
 
 class TestFixedGraphs:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pentaseven import cli
 from pentaseven.catalog import pattern
-from pentaseven.core import build_graph
+from pentaseven.core import VERTEX_CAP, VertexCapError, build_graph
 
 
 def write_graph(tmp_path, name, g):
@@ -122,7 +122,7 @@ class TestFormats:
         code, reports = run(capsys, "recognize", str(path))
         assert code == cli.EXIT_SIZE_CAP
         assert len(reports) == 1
-        assert f"capped at {cli.VERTEX_CAP}" in reports[0]["error"]
+        assert f"capped at {VERTEX_CAP}" in reports[0]["error"]
 
     def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
         good = write_graph(tmp_path, "t1.json", pattern("T1").graph)
@@ -143,7 +143,34 @@ class TestFormats:
             assert code == cli.EXIT_SIZE_CAP and err == ""
             assert len(others) == len(paths) - 1
             assert all("error" not in r for r in others)
-            assert last["error"] == f"{big}: input is too large to load"
+            assert last["error"] == "out of memory" and last["input"] == str(big)
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("recognize", "recognize", "recognize"),
+    ("color", "color", "color_in_class"),
+    ("cwd", "cwd", "expr_for_class_graph"),
+])
+def test_out_of_memory_in_a_command_ends_only_its_input(
+    tmp_path, capsys, monkeypatch, command, module, name
+):
+    import importlib
+
+    mod = importlib.import_module(f"pentaseven.{module}")
+    original = getattr(mod, name)
+
+    def short_of_memory(g):
+        if g.n == 7:
+            raise MemoryError
+        return original(g)
+
+    monkeypatch.setattr(mod, name, short_of_memory)
+    c7 = write_graph(tmp_path, "c7.json", pattern("C7").graph)
+    t1 = write_graph(tmp_path, "t1.json", pattern("T1").graph)
+    code, (first, second) = run(capsys, command, c7, t1)
+    assert code == cli.EXIT_SIZE_CAP
+    assert first["input"] == c7 and first["error"] == "out of memory"
+    assert second["input"] == t1 and "error" not in second
 
 
 class TestParsePausesCollector:
@@ -153,7 +180,7 @@ class TestParsePausesCollector:
     CASES = {
         "good.json": ('{"n": 3, "edges": [[0, 1]]}', None),
         "bad.json": ('{"n": 3, "edges": [[0, 9]]}', cli.InputError),
-        "big.col": ("p edge 100000000 1\ne 1 2\n", cli.SizeCapError),
+        "big.col": ("p edge 100000000 1\ne 1 2\n", VertexCapError),
     }
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -207,18 +234,25 @@ dimacs_lines = st.one_of(
 dimacs = st.lists(dimacs_lines, max_size=30).map("\n".join).map(str.encode)
 
 
+# every per-file command, with and without its brute-force crosscheck
+PER_FILE_COMMANDS = [["recognize"], ["recognize", "--oracle-crosscheck"],
+                     ["color"], ["color", "--crosscheck"], ["cwd"]]
+
+
 @given(raw=st.one_of(st.binary(max_size=200), edge_json, dimacs))
 @settings(max_examples=300, deadline=None)
 def test_recognize_exit_codes_on_any_input(tmp_path_factory, raw):
     path = tmp_path_factory.getbasetemp() / "fuzz-input"
     path.write_bytes(raw)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["recognize", str(path)])
-    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_REFUSED, cli.EXIT_SIZE_CAP)
-    lines = out.getvalue().splitlines()
-    assert len(lines) == 1
-    assert isinstance(json.loads(lines[0]), dict)
+    for command in PER_FILE_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([*command, str(path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_REFUSED,
+                        cli.EXIT_SIZE_CAP), command
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0]), dict)
 
 
 # generate's numeric options: small values, which build small graphs fast,
@@ -323,8 +357,9 @@ class TestRecognizeCmd:
     def test_crosscheck_cap_exit_4(self, tmp_path, capsys):
         g = build_graph(25, [(i, i + 1) for i in range(24)])
         path = write_graph(tmp_path, "big.json", g)
-        code, _ = run(capsys, "recognize", path, "--oracle-crosscheck")
+        code, reports = run(capsys, "recognize", path, "--oracle-crosscheck")
         assert code == cli.EXIT_SIZE_CAP
+        assert reports[0]["error"] == "class verdict capped at 20 vertices"
 
     def test_jobs_multiple_files(self, tmp_path, capsys):
         paths = [
@@ -534,6 +569,12 @@ class TestColorCwdCmd:
         assert code == cli.EXIT_REFUSED
         assert "refusal" in reports[0]
 
+    def test_crosscheck_cap_exit_4(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "big.json", build_graph(19, []))
+        code, reports = run(capsys, "color", path, "--crosscheck")
+        assert code == cli.EXIT_SIZE_CAP
+        assert reports[0]["error"] == "chromatic number capped at 18 vertices"
+
     def test_cwd_t1(self, tmp_path, capsys):
         path = write_graph(tmp_path, "t1.json", pattern("T1").graph)
         code, reports = run(capsys, "cwd", path)
@@ -564,6 +605,15 @@ class TestGenerateCmd:
         assert code == cli.EXIT_INPUT and captured.out == ""
         error = json.loads(captured.err)["error"]
         assert error.startswith(f"cannot write to {out}")
+
+    def test_draw_past_int64_exit_2(self, tmp_path, capsys):
+        # numpy refuses the draw bound with a ValueError that is no size cap
+        code = cli.main(["generate", "special", "--seed", "1", "--out", str(tmp_path),
+                         "--max-class-size", "1000000000000000000000"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT and captured.out == ""
+        assert "out of bounds for int64" in json.loads(captured.err)["error"]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, seed):
@@ -599,7 +649,7 @@ class TestGenerateCmd:
         captured = capsys.readouterr()
         assert code == cli.EXIT_SIZE_CAP and captured.out == ""
         error = json.loads(captured.err)["error"]
-        assert error.startswith(f"graphs are capped at {cli.VERTEX_CAP} vertices, got ")
+        assert error.startswith(f"graphs are capped at {VERTEX_CAP} vertices, got ")
         assert peak < 1 << 20
         assert not list(tmp_path.iterdir())
 
@@ -613,7 +663,7 @@ class TestGenerateCmd:
         code = cli.main(["generate", "special", "--seed", "0", "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == cli.EXIT_SIZE_CAP and captured.out == ""
-        assert "too large" in json.loads(captured.err)["error"]
+        assert json.loads(captured.err)["error"] == "out of memory"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("seed", [0, 2**128 - 1])

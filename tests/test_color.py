@@ -162,6 +162,12 @@ class TestSolveWeighted:
         with pytest.raises(ValueError):
             WeightedInstance(complete(2), (1, 0))
 
+    @pytest.mark.parametrize("weight", [1.5, 2.0, True, "2"])
+    def test_weights_must_be_plain_ints(self, weight):
+        # a float reached the LP and failed there; True passed as weight 1
+        with pytest.raises(ValueError, match="plain ints >= 1"):
+            WeightedInstance(pattern("C7").graph, (weight,) * 7)
+
     def test_exact_on_random_quotients(self, rng):
         done = 0
         for trial in range(60):

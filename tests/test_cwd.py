@@ -278,6 +278,78 @@ def test_ids_and_labels_must_be_plain_ints(expr, path, message):
         eval_to_graph(expr)
 
 
+# breaks of the node rule that the walkers which do not evaluate used to
+# pass over: each walker raises eval_expr's error for the first node, in the
+# order of a recursive evaluation, that breaks the rule
+RULE_BREAKS = NOT_INTS + [
+    (Union(Create(1, 0), Create(True, 1)), "right", "label must be an int >= 1, got True"),
+    (Join(2, 2, Create(2, 0)), "", "join needs two distinct labels, got 2"),
+    (Create(0, -1), "", "label must be an int >= 1, got 0"),
+    (Create(1, -1), "", "vertex id must be an int >= 0, got -1"),
+    (Rename(0, 1, Create(1, 0)), "", "rename labels must be ints >= 1"),
+    (Join(2, 2, Create(True, 0)), "child", "label must be an int >= 1, got True"),
+    (Union(Join(2, 2, Create(1, 0)), Create(1.0, 1)), "left",
+     "join needs two distinct labels, got 2"),
+    (Rename(1, 2, Union(Create(1, 0), Union(Create(1, 1), "x"))), "child.right.right",
+     "not an expression node: 'x'"),
+]
+
+
+@pytest.mark.parametrize("walk", [width, to_sexpr, eval_expr, iter_nodes])
+@pytest.mark.parametrize("expr, path, message", RULE_BREAKS)
+def test_every_walker_applies_the_node_rule(walk, expr, path, message):
+    with pytest.raises(ExprError) as err:
+        walk(expr)
+    assert err.value.path == path
+    assert str(err.value) == f"at {path or 'root'}: {message}"
+
+
+# values that are no label, and values that are no vertex id; none of
+# them is a vertex id, so no union meets a duplicate
+BAD_LABELS = [0, -1, True, False, 1.0, "1", None]
+BAD_IDS = [-1, True, False, 0.0, "1", None]
+
+
+def spoiled(rng, expr):
+    """expr rebuilt with, now and then, a label, a vertex id or a whole
+    subtree replaced by something that breaks the node rule."""
+    def pick(values):
+        return values[int(rng.integers(len(values)))]
+
+    def bad(x, values):
+        return pick(values) if rng.random() < 0.05 else x
+
+    if rng.random() < 0.02:
+        return pick([7, "x", None, (Create(1, 0),)])
+    if isinstance(expr, Create):
+        return Create(bad(expr.label, BAD_LABELS), bad(expr.vertex, BAD_IDS))
+    if isinstance(expr, Union):
+        return Union(spoiled(rng, expr.left), spoiled(rng, expr.right))
+    cls = type(expr)
+    a, b = (expr.i, expr.j) if cls is Join else (expr.old, expr.new)
+    return cls(bad(a, BAD_LABELS), bad(b, BAD_LABELS), spoiled(rng, expr.child))
+
+
+def test_walkers_raise_the_evaluators_error_on_random_breaks():
+    broken = 0
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(200, size=int(rng.integers(1, 30)), replace=False)
+        e = spoiled(rng, random_expr(rng, ids.tolist(), labels=6))
+        try:
+            eval_expr(e)
+        except ExprError as want:
+            broken += 1
+            for walk in (width, to_sexpr, iter_nodes):
+                with pytest.raises(ExprError) as got:
+                    walk(e)
+                assert (got.value.path, str(got.value)) == (want.path, str(want))
+        else:
+            assert to_sexpr(e) == sexpr_by_recursion(e)
+            assert width(e) == len(labels_by_recursion(e))
+    assert broken > 200
+
+
 def random_expr(rng, ids, labels=3):
     """Random expression over the vertex ids with labels 1..labels: unions
     whose sides share labels, renames that often land on a present label,

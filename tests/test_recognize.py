@@ -503,7 +503,7 @@ def test_every_clause_row_mutation_changes_some_verdict():
 
         def fails(row):
             before = len(c.out)
-            c.run((row,), m)
+            c.run(structure._Table((row,)), m)
             return len(c.out) > before
 
         for row in TABLES[name]:
