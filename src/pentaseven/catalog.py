@@ -183,23 +183,71 @@ def connected_order(g: Graph, key) -> list[int]:
 class SearchPlan(NamedTuple):
     """The pattern side of an embedding search, which depends only on the
     pattern and its placing order: the vertices in that order, the degree
-    of each, and per level k the later levels j with whether order[j] is
-    adjacent to order[k]."""
+    of each, per level k the later levels j with whether order[j] is
+    adjacent to order[k], and the pattern's symmetry.
+
+    ties[k] lists the later levels j such that some automorphism of the
+    pattern fixes order[0..k-1] and maps order[k] to order[j].  orbits
+    pairs each level k that is not the first of its orbit under all the
+    automorphisms with that first level."""
 
     order: tuple[int, ...]
     degrees: tuple[int, ...]
     later: tuple[tuple[tuple[int, int], ...], ...]
+    ties: tuple[tuple[int, ...], ...]
+    orbits: tuple[tuple[int, int], ...]
 
 
 def search_plan(p: Graph, key) -> SearchPlan:
-    """The plan that places p's vertices in connected_order(p, key)."""
-    order = connected_order(p, key)
+    """The plan that places p's vertices in connected_order(p, key), with
+    its ties and orbits found by embedding p into itself."""
+    order = tuple(connected_order(p, key))
     rows = p.rows
+    size = len(order)
     later = tuple(
-        tuple((j, rows[v] >> order[j] & 1) for j in range(k + 1, len(order)))
+        tuple((j, rows[v] >> order[j] & 1) for j in range(k + 1, size))
         for k, v in enumerate(order)
     )
-    return SearchPlan(tuple(order), tuple(rows[v].bit_count() for v in order), later)
+    degrees = tuple(rows[v].bit_count() for v in order)
+    plan = SearchPlan(order, degrees, later, ((),) * size, ())
+    # For each level k and later level j of k's degree, the first
+    # automorphism that fixes order[0..k-1] and maps order[k] to order[j],
+    # if any.  Those found over every k make a strong generating set along
+    # the order (Schreier-Sims), so their cycles join the levels into the
+    # orbits of the whole group.
+    level = {v: k for k, v in enumerate(order)}
+    orbit = list(range(size))
+    ties = []
+    for k in range(size):
+        fixed = [1 << v for v in order[:k]]
+        rest = [p.full_mask] * (size - k - 1)
+        tied = []
+        for j in range(k + 1, size):
+            if degrees[j] != degrees[k]:
+                continue
+            sigma = embed(plan, p, [*fixed, 1 << order[j], *rest])
+            if sigma is None:
+                continue
+            tied.append(j)
+            for v, w in enumerate(sigma):
+                a, b = sorted((orbit[level[v]], orbit[level[w]]))
+                if a != b:
+                    orbit = [a if o == b else o for o in orbit]
+        ties.append(tuple(tied))
+    orbits = tuple((k, o) for k, o in enumerate(orbit) if o != k)
+    return plan._replace(ties=tuple(ties), orbits=orbits)
+
+
+def _cut_above(masks: list[int], levels: tuple[int, ...], low: int) -> bool:
+    """Cut masks[j] for each j in levels to the vertices above low's bit;
+    False as soon as one runs out."""
+    above = -(low << 1)
+    for j in levels:
+        m = masks[j] & above
+        if not m:
+            return False
+        masks[j] = m
+    return True
 
 
 def embed(plan: SearchPlan, host: Graph, cands: list[int]) -> list[int] | None:
@@ -209,10 +257,23 @@ def embed(plan: SearchPlan, host: Graph, cands: list[int]) -> list[int] | None:
     Backtracking places plan.order[k] on the lowest unused host vertex of the
     mask cands[k] that keeps every adjacency and non-adjacency to the
     vertices placed before it; each placement narrows the later masks, and a
-    branch stops as soon as one of them runs out.  The map found first
-    therefore depends on the order, which the caller's plan chose.
+    branch stops as soon as one of them runs out.  The map found first is
+    therefore the least in level order among those the masks admit, and
+    depends on the order, which the caller's plan chose.
+
+    That least map puts order[k] below every level in plan.ties[k]: an
+    automorphism that fixes the levels before k and moves order[k] to a
+    tied level would otherwise give a lesser map.  So placing x at level k
+    also cuts each tied level's mask to the vertices above x, which skips
+    branches that only mirror another one and keeps the same first map.
+    That holds only when cands gives every level of one orbit the same
+    mask, as masks by degree do; any other cands raises ValueError.
     """
-    order, later = plan.order, plan.later
+    order, later, ties = plan.order, plan.later, plan.ties
+    for k, o in plan.orbits:
+        if cands[k] != cands[o]:
+            raise ValueError("cands must give the levels of each orbit of "
+                             "the pattern's automorphisms one mask")
     size = len(order)
     rows = host.rows
     # miss[x]: the host vertices other than x that x is not adjacent to.
@@ -227,6 +288,7 @@ def embed(plan: SearchPlan, host: Graph, cands: list[int]) -> list[int] | None:
         if k == size:
             return True
         cur, nxt, pairs = masks[k], masks[k + 1], later[k]
+        tied = ties[k]
         pool = cur[k]
         while pool:
             low = pool & -pool
@@ -239,6 +301,8 @@ def embed(plan: SearchPlan, host: Graph, cands: list[int]) -> list[int] | None:
                     break
                 nxt[j] = m
             else:
+                if tied and not _cut_above(nxt, tied, low):
+                    continue
                 if extend(k + 1):
                     image[order[k]] = x
                     return True
@@ -283,19 +347,22 @@ def _invariant_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
 
 
 @cache
-def _targets_by_key() -> dict[
-    tuple[int, int, tuple[int, ...]], tuple[NamedGraph, SearchPlan]
-]:
+def _targets_by_key() -> dict[tuple[int, int, tuple[int, ...]], NamedGraph]:
     """Family plus T0/T1 by invariant key, the first entry of each key in
-    catalog order, each with its isomorphism plan.  Catalog entries that
-    share a key are isomorphic (a test checks it), so no isomorphism test
-    is needed, and a graph has one candidate at most."""
+    catalog order.  Catalog entries that share a key are isomorphic (a test
+    checks it), so no isomorphism test is needed, and a graph has one
+    candidate at most."""
     by_key = {}
     for entry in family_M() + [pattern("T0"), pattern("T1")]:
-        key = _invariant_key(entry.graph)
-        if key not in by_key:
-            by_key[key] = entry, _iso_plan(entry.graph)
+        by_key.setdefault(_invariant_key(entry.graph), entry)
     return by_key
+
+
+@cache
+def _target_plan(name: str) -> SearchPlan:
+    """The isomorphism plan of the target entry name, built the first time
+    a graph matches its key."""
+    return _iso_plan(catalog_entry(name).graph)
 
 
 def match_catalog(g: Graph) -> tuple[str, dict[int, int]] | None:
@@ -305,11 +372,11 @@ def match_catalog(g: Graph) -> tuple[str, dict[int, int]] | None:
     """
     if g.n > QUOTIENT_CAP:
         return None
-    target = _targets_by_key().get(_invariant_key(g))
-    if target is None:
+    entry = _targets_by_key().get(_invariant_key(g))
+    if entry is None:
         return None
-    entry, plan = target
-    bij = _isomorphism(plan, g)  # the keys match, so do the degree sequences
+    # the keys match, so do the degree sequences
+    bij = _isomorphism(_target_plan(entry.name), g)
     return None if bij is None else (entry.name, bij)
 
 

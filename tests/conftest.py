@@ -104,4 +104,4 @@ def expr_complete(k: int) -> Expr:
 
 def dedup_family_index():
     """Family plus T0/T1, one entry per isomorphism class, in catalog order."""
-    return [entry for entry, _ in _targets_by_key().values()]
+    return list(_targets_by_key().values())

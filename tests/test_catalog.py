@@ -1,8 +1,13 @@
+import os
+import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from pentaseven import catalog, generate, oracle
 from pentaseven.catalog import (
@@ -10,6 +15,7 @@ from pentaseven.catalog import (
     _invariant_key,
     _targets_by_key,
     catalog_entry,
+    embed,
     family_M,
     fixed_graphs,
     is_isomorphic_small,
@@ -318,7 +324,18 @@ class TestIsomorphism:
                 assert is_isomorphic_small(g, h) == iso_reference(g, h), seed
 
 
-WALKER_PATTERNS = ("2P3", "C4", "C6", "P3", "4K1", "T0")
+def single_flip_mutants():
+    """Single-flip mutants of generated in-class graphs with n <= 20."""
+    gens = (generate.gen_special, generate.gen_saucer, generate.gen_tent)
+    hosts = []
+    for seed in range(60):
+        g, _ = gens[seed % 3](generate.GenParams(seed=seed, max_class_size=2))
+        if g.n <= 20:
+            hosts.append(generate.mutate(g, seed))
+    return hosts
+
+
+WALKER_PATTERNS = ("2P3", "C4", "C6", "C7", "P3", "4K1", "T0", "T1", "3-pentagon")
 
 
 @pytest.fixture
@@ -362,14 +379,10 @@ class TestWalker:
 
     def test_single_flip_mutants(self, walker_results):
         # in-class graphs with one pair flipped, as desk_mix's mutants
-        gens = (generate.gen_special, generate.gen_saucer, generate.gen_tent)
-        hosts = 0
-        for seed in range(60):
-            g, _ = gens[seed % 3](generate.GenParams(seed=seed, max_class_size=2))
-            if g.n <= 20:
-                _search_patterns(generate.mutate(g, seed))
-                hosts += 1
-        assert hosts >= 20
+        hosts = single_flip_mutants()
+        for h in hosts:
+            _search_patterns(h)
+        assert len(hosts) >= 20
         assert None in walker_results
         assert sum(r is not None for r in walker_results) > 20
 
@@ -386,6 +399,112 @@ class TestWalker:
 
 
 WITNESS_PATTERNS = ("2P3", "C4", "C6")
+
+
+def degree_masks(plan, host):
+    """find_induced's masks: per level, the host vertices of at least that
+    level's degree."""
+    return [sum(1 << x for x, r in enumerate(host.rows) if r.bit_count() >= d)
+            for d in plan.degrees]
+
+
+def untied(plan):
+    """The plan with its ties and orbits removed: the same search without
+    symmetry breaking."""
+    return plan._replace(ties=((),) * len(plan.order), orbits=())
+
+
+def walker_nodes(plan, host, cands):
+    """(image, number of calls of embed's extend) of one search."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "extend":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        image = embed(plan, host, cands)
+    finally:
+        sys.setprofile(None)
+    return image, calls
+
+
+def automorphisms(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return list(GraphMatcher(nxg, nxg).isomorphisms_iter())
+
+
+class TestSymmetryBreaking:
+    def test_ties_and_orbits_are_the_automorphisms(self):
+        # every plan the library keeps: the fixed patterns' and the targets'
+        plans = [(name, pattern(name).graph, oracle._fixed_plan(name))
+                 for name in fixed_graphs()]
+        plans += [(entry.name, entry.graph, catalog._target_plan(entry.name))
+                  for entry in dedup_family_index()]
+        assert len(plans) == 10 + 22
+        tied = 0
+        for name, g, plan in plans:
+            auts = automorphisms(g)
+            order = plan.order
+            level = {v: k for k, v in enumerate(order)}
+            for k, v in enumerate(order):
+                fixing = [s for s in auts if all(s[u] == u for u in order[:k])]
+                tied_levels = sorted({level[s[v]] for s in fixing} - {k})
+                assert plan.ties[k] == tuple(tied_levels), (name, k)
+                tied += len(tied_levels)
+            first = [min(level[s[v]] for s in auts) for v in order]
+            assert plan.orbits == tuple((k, o) for k, o in enumerate(first) if o != k)
+        assert tied > 30
+
+    def test_failing_witness_searches_visit_half_the_nodes(self):
+        hosts = single_flip_mutants()
+        assert len(hosts) >= 20
+        for name in WITNESS_PATTERNS:
+            plan = oracle._fixed_plan(name)
+            bare = untied(plan)
+            failed = tied_nodes = bare_nodes = 0
+            for h in hosts:
+                cands = degree_masks(plan, h)
+                image, nodes = walker_nodes(plan, h, cands)
+                bare_image, more = walker_nodes(bare, h, cands)
+                assert image == bare_image
+                if image is None:
+                    failed += 1
+                    tied_nodes += nodes
+                    bare_nodes += more
+            assert failed >= 10, name
+            assert 2 * tied_nodes <= bare_nodes, (name, tied_nodes, bare_nodes)
+
+    def test_masks_must_agree_across_an_orbit(self):
+        plan = oracle._fixed_plan("C4")
+        host = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        cands = degree_masks(plan, host)
+        assert embed(plan, host, cands) is not None
+        cands[1] = 1 << 0  # pin one level of C4
+        with pytest.raises(ValueError, match="orbit"):
+            embed(plan, host, cands)
+
+    def test_tied_pairs_alone_are_not_enough(self):
+        # 2P3 is a0-a1-a2 and b0-b1-b2.  The tie of a1 to b1 comes from
+        # swapping the two paths, which also moves a0 onto b0, yet no tie
+        # pairs a0 with b0.  Masks that agree on every tied pair but keep a0
+        # from b0's vertices would let that tie cut the only embedding.
+        plan = oracle._fixed_plan("2P3")
+        host = pattern("2P3").graph
+        # a1 and b1 may go to 1 or 4, a0 and a2 to 3 or 5, b0 and b2 to 0 or 2
+        by_vertex = [0b101000, 0b010010, 0b101000, 0b000101, 0b010010, 0b000101]
+        cands = [by_vertex[v] for v in plan.order]
+        assert all(cands[k] == cands[j]
+                   for k, js in enumerate(plan.ties) for j in js)
+        with pytest.raises(ValueError, match="orbit"):
+            embed(plan, host, cands)
+        bare = untied(plan)
+        assert embed(bare, host, cands) is not None
+        assert embed(bare._replace(ties=plan.ties), host, cands) is None
 
 
 def test_fixed_graphs_plan_their_searches_once(monkeypatch):
@@ -463,3 +582,24 @@ class TestMatchCatalog:
                 assert entry.graph.has_edge(u, v) == pattern("T1").graph.has_edge(
                     bij[u], bij[v]
                 )
+
+
+def test_fresh_recognize_builds_one_target_plan():
+    # a target's plan, ties included, is built when a quotient first
+    # matches its key, not with the index
+    script = (
+        "from pentaseven import catalog, recognize\n"
+        "built = []\n"
+        "plan = catalog.search_plan\n"
+        "catalog.search_plan = lambda *a, **k: built.append(a) or plan(*a, **k)\n"
+        "assert recognize.recognize(catalog.catalog_entry('M2').graph).in_class\n"
+        "print(len(built), catalog._target_plan.cache_info().currsize,\n"
+        "      len(catalog._targets_by_key()))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "22"]
