@@ -19,7 +19,7 @@ from functools import cache, partial
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .core import CapError, Graph, build_graph, check_vertex_cap, relation
+from .core import CapError, Graph, build_graph, check_vertex_cap, parse_int, relation
 
 if TYPE_CHECKING:
     from . import oracle, recognize
@@ -76,8 +76,8 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise InputError(f"line {lineno}: malformed header {line!r}")
             try:
-                n = int(parts[2])
-                m = int(parts[3])
+                n = parse_int(parts[2])
+                m = parse_int(parts[3])
             except ValueError:
                 raise InputError(f"line {lineno}: malformed header {line!r}") from None
         elif parts[0] == "e":
@@ -86,7 +86,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: malformed edge {line!r}")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = parse_int(parts[1]), parse_int(parts[2])
             except ValueError:
                 raise InputError(f"line {lineno}: malformed edge {line!r}") from None
             if not (1 <= u <= n and 1 <= v <= n):

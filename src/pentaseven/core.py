@@ -9,6 +9,7 @@ and is imported only there: `Graph(adj)` packs a dense boolean matrix and
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Sequence
 
 COMPLETE = "complete"
@@ -35,6 +36,18 @@ def check_vertex_cap(n) -> None:
     An n that is not an int is left to build_graph to refuse."""
     if isinstance(n, int) and n > VERTEX_CAP:
         raise VertexCapError(n)
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """The integer text spells in ASCII digits, with an optional leading
+    minus sign; ValueError for anything else.  int() would also take '1_0',
+    '+1', surrounding blanks and non-ASCII digits."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def _mask_of(vertices: Iterable[int]) -> int:

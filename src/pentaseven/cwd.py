@@ -6,10 +6,11 @@ Expressions carry explicit vertex ids through their create leaves, so an
 evaluated expression can be compared to a target graph by equality rather
 than isomorphism.  Nodes are slotted value dataclasses: compared by value
 and type (as tuples, Join(1, 2, c) would equal Rename(1, 2, c)),
-unhashable, never mutated once built.  Every walk is a plain stack loop
-that dispatches on the exact node type and raises ExprError, with a path,
-on anything that is not a node or breaks the id and label rule
-(_rule_break); expressions for thickenings get deep (one
+unhashable, never mutated once built.  One walk, _nodes, lists the nodes
+and tests each against the id and label rule (_rule_break); every walker
+reads that walk and raises ExprError, with a path, for the first node that
+is not a node or breaks the rule.  Walks are plain stack loops that
+dispatch on the exact node type: expressions for thickenings get deep (one
 chain link per vertex), so nothing recurses.
 """
 
@@ -19,7 +20,7 @@ import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Graph, _iter_bits
+from .core import Graph, _iter_bits, parse_int
 from .decompose import least_simplicial
 from .recognize import NotInClassError, recognize
 
@@ -72,15 +73,22 @@ class LabeledGraph:
     labeling: dict[int, int]  # expression vertex id -> label
 
 
-def _nodes(expr: Expr) -> list:
+def _nodes(expr: Expr) -> tuple[list, int, ExprError | None]:
     """The nodes of expr in pre-order, right child first, with anything that
-    is not a node listed as a leaf.  Reversed, it is the left-to-right
-    post-order of a recursive evaluation."""
+    is not a node listed as a leaf; the position in that list of the last
+    node that breaks the node rule (see _rule_break), or -1; and the error
+    naming that node, or None.  Reversed, the list is the left-to-right
+    post-order of a recursive evaluation, so the last break in the list is
+    the first break the evaluation meets.  This is the one walk that tests
+    the rule: every other walker reads it."""
     nodes = []
+    last, message = -1, None
     stack = [expr]
     while stack:
         node = stack.pop()
         while True:
+            if why := _rule_break(node):
+                last, message = len(nodes), why
             nodes.append(node)
             t = type(node)
             if t is Union:
@@ -90,7 +98,7 @@ def _nodes(expr: Expr) -> list:
                 node = node.child
             else:
                 break
-    return nodes
+    return nodes, last, ExprError(_path(expr, last), message) if message else None
 
 
 def _path(expr: Expr, pos: int) -> str:
@@ -115,7 +123,8 @@ def _rule_break(node: object) -> str | None:
     """Why node breaks the node rule, or None.  The rule: a node is a
     Create, Union, Join or Rename; a label is a plain int >= 1 and a vertex
     id a plain int >= 0, so a bool or a float is neither; a join's two
-    labels are distinct.  The walkers check it inline, in their own loops."""
+    labels are distinct.  This is the rule's only statement; _nodes applies
+    it to every node."""
     t = type(node)
     if t is Create:
         if type(node.label) is not int or node.label < 1:
@@ -138,59 +147,29 @@ def _rule_break(node: object) -> str | None:
     return None
 
 
-def _bad_node(expr: object, nodes: list | None = None) -> ExprError | None:
-    """The error naming the first node of expr, in the order of a recursive
-    evaluation, that breaks the node rule, or None when none does; nodes is
-    _nodes(expr) when the caller has it."""
-    if nodes is None:
-        nodes = _nodes(expr)
-    for pos in range(len(nodes) - 1, -1, -1):
-        if broken := _rule_break(nodes[pos]):
-            return ExprError(_path(expr, pos), broken)
-    return None
-
-
 def iter_nodes(expr: Expr):
-    """Iterator over the nodes of expr, in pre-order, right child first."""
-    nodes = _nodes(expr)
-    if error := _bad_node(expr, nodes):
-        raise error
+    """Iterator over the nodes of expr, in pre-order, right child first.
+    Raises ExprError for the first node, in the order of a recursive
+    evaluation, that breaks the node rule."""
+    nodes, _, broken = _nodes(expr)
+    if broken:
+        raise broken
     return iter(nodes)
 
 
 def width(expr: Expr) -> int:
     """Number of distinct labels mentioned anywhere in the expression."""
     labels: set[int] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        while True:
-            t = type(node)
-            if t is Create:
-                label, v = node.label, node.vertex
-                if type(label) is not int or label < 1 or type(v) is not int or v < 0:
-                    raise _bad_node(expr)
-                labels.add(label)
-                break
-            if t is Union:
-                stack.append(node.right)
-                node = node.left
-            elif t is Join:
-                i, j = node.i, node.j
-                if type(i) is not int or type(j) is not int or i < 1 or j < 1 or i == j:
-                    raise _bad_node(expr)
-                labels.add(i)
-                labels.add(j)
-                node = node.child
-            elif t is Rename:
-                i, j = node.old, node.new
-                if type(i) is not int or type(j) is not int or i < 1 or j < 1:
-                    raise _bad_node(expr)
-                labels.add(i)
-                labels.add(j)
-                node = node.child
-            else:
-                raise _bad_node(expr)
+    for node in iter_nodes(expr):
+        t = type(node)
+        if t is Create:
+            labels.add(node.label)
+        elif t is Join:
+            labels.add(node.i)
+            labels.add(node.j)
+        elif t is Rename:
+            labels.add(node.old)
+            labels.add(node.new)
     return len(labels)
 
 
@@ -205,14 +184,16 @@ def eval_expr(expr: Expr) -> LabeledGraph:
     join ORs each side's members into the other side's pending mask.  One
     final pass pushes every parent's pending mask down to its leaves, so a
     join costs O(1) mask operations however many vertices it connects.
-    Errors come out in the order of a recursive evaluation: a node that
-    breaks the node rule (see _rule_break) is an error at that node, and so
-    is a union whose sides share a vertex id.
+    Errors come out in the order of a recursive evaluation: the evaluation
+    runs up to the first node that breaks the node rule (see _rule_break),
+    so a union before it whose sides share a vertex id is the error, and
+    otherwise that node is.
     """
-    nodes = _nodes(expr)
-    vertices = [node.vertex for node in reversed(nodes) if type(node) is Create]
-    # only valid ids are sorted; the loop stops at the first invalid one
-    order = sorted({v for v in vertices if type(v) is int and v >= 0})
+    nodes, last, broken = _nodes(expr)
+    # nodes[last + 1:] is the part evaluated before the first break, and
+    # holds only valid nodes
+    vertices = [node.vertex for node in reversed(nodes[last + 1:]) if type(node) is Create]
+    order = sorted(set(vertices))
     index = {v: k for k, v in enumerate(order)}
     has_dups = len(order) != len(vertices)
 
@@ -226,27 +207,18 @@ def eval_expr(expr: Expr) -> LabeledGraph:
     parent_of = [-1] * cap
     size = 0
 
-    def error(message: str) -> ExprError:
-        return ExprError(_path(expr, pos), message)
-
     leaves: list[int] = []  # forest node of each create, left to right
     values: list[dict[int, int]] = []  # per evaluated subtree: label -> class node
-    for pos in range(len(nodes) - 1, -1, -1):
+    for pos in range(len(nodes) - 1, last, -1):
         node = nodes[pos]
         t = type(node)
         if t is Create:
-            label, v = node.label, node.vertex
-            if type(label) is not int or label < 1 or type(v) is not int or v < 0:
-                raise error(_rule_break(node))
             member[size] = 1 << index[node.vertex]
             leaves.append(size)
             values.append({node.label: size})
             size += 1
             continue
         if t is Join:
-            i, j = node.i, node.j
-            if type(i) is not int or type(j) is not int or i < 1 or j < 1 or i == j:
-                raise error(_rule_break(node))
             value = values[-1]
             x, y = value.get(node.i), value.get(node.j)
             if x is not None and y is not None:
@@ -264,21 +236,17 @@ def eval_expr(expr: Expr) -> LabeledGraph:
                     rmask |= member[y]
                 if lmask & rmask:
                     dup = [order[k] for k in _iter_bits(lmask & rmask)]
-                    raise error(f"duplicate vertex ids across union: {dup}")
+                    message = f"duplicate vertex ids across union: {dup}"
+                    raise ExprError(_path(expr, pos), message)
             if len(value) < len(right):
                 value, right = right, value
                 values[-1] = value
             moved = right.items()
-        elif t is Rename:
-            i, j = node.old, node.new
-            if type(i) is not int or type(j) is not int or i < 1 or j < 1:
-                raise error(_rule_break(node))
+        else:  # Rename
             value = values[-1]
             if node.old == node.new or node.old not in value:
                 continue
             moved = ((node.new, value.pop(node.old)),)
-        else:
-            raise error(_rule_break(node))
         # move the classes of moved into value; a class meeting one already
         # on its label merges with it under a new parent
         for label, y in moved:
@@ -292,6 +260,8 @@ def eval_expr(expr: Expr) -> LabeledGraph:
                 member[x] = member[y] = 0
                 parent_of[x] = parent_of[y] = z
 
+    if broken:
+        raise broken
     # parents are newer than their children: push pending masks and final
     # labels down from the newest node
     label_of = [0] * size
@@ -395,7 +365,9 @@ _CLOSE = object()  # a closing parenthesis on to_sexpr's work stack
 
 def to_sexpr(expr: Expr) -> str:
     """The expression in the grammar from_sexpr reads, written in one
-    pre-order walk: an operator's text is written when the walk reaches it."""
+    pre-order walk: an operator's text is written when the walk reaches it.
+    Raises iter_nodes's error for an expression that breaks the node rule."""
+    iter_nodes(expr)  # the check; the writer below tests nothing
     out: list[str] = []
     work: list[object] = [expr]  # right children and closers
     while work:
@@ -408,10 +380,7 @@ def to_sexpr(expr: Expr) -> str:
         while True:
             t = type(node)
             if t is Create:
-                label, v = node.label, node.vertex
-                if type(label) is not int or label < 1 or type(v) is not int or v < 0:
-                    raise _bad_node(expr)
-                out.append(f"(create {label} {v})")
+                out.append(f"(create {node.label} {node.vertex})")
                 break
             work.append(_CLOSE)
             if t is Union:
@@ -419,19 +388,11 @@ def to_sexpr(expr: Expr) -> str:
                 work.append(node.right)
                 node = node.left
             elif t is Join:
-                i, j = node.i, node.j
-                if type(i) is not int or type(j) is not int or i < 1 or j < 1 or i == j:
-                    raise _bad_node(expr)
-                out.append(f"(join {i} {j} ")
+                out.append(f"(join {node.i} {node.j} ")
                 node = node.child
-            elif t is Rename:
-                i, j = node.old, node.new
-                if type(i) is not int or type(j) is not int or i < 1 or j < 1:
-                    raise _bad_node(expr)
-                out.append(f"(rename {i} {j} ")
+            else:  # Rename
+                out.append(f"(rename {node.old} {node.new} ")
                 node = node.child
-            else:
-                raise _bad_node(expr)
     return "".join(out)
 
 
@@ -463,7 +424,7 @@ def from_sexpr(text: str) -> Expr:
                 if not toks:
                     raise ExprError("", "unexpected end of input")
                 try:
-                    numbers.append(int(toks[-1]))
+                    numbers.append(parse_int(toks[-1]))
                 except ValueError:
                     raise ExprError("", f"expected integer, got {toks[-1]!r}") from None
                 toks.pop()

@@ -111,6 +111,27 @@ class TestFormats:
         assert code == cli.EXIT_INPUT
         assert len(reports) == 1 and named in reports[0]["error"]
 
+    # int() takes each of these spellings; DIMACS numbers are ASCII digits
+    # with an optional minus sign
+    @pytest.mark.parametrize("number", ["1_0", "+1", "٢", "１"])
+    @pytest.mark.parametrize("template, kind", [
+        ("p edge {} 0\n", "header"),
+        ("p edge 3 1\ne 1 {}\n", "edge"),
+    ])
+    def test_only_ascii_decimal_numbers(self, tmp_path, capsys, number, template, kind):
+        path = tmp_path / "bad.col"
+        path.write_text(template.format(number), encoding="utf-8")
+        code, reports = run(capsys, "recognize", str(path))
+        assert code == cli.EXIT_INPUT
+        assert f"malformed {kind}" in reports[0]["error"]
+
+    def test_negative_numbers_reach_the_range_checks(self, tmp_path, capsys):
+        path = tmp_path / "neg.col"
+        path.write_text("p edge 3 1\ne -1 2\n")
+        code, reports = run(capsys, "recognize", str(path))
+        assert code == cli.EXIT_INPUT
+        assert "edge endpoint out of range 1..3 in 'e -1 2'" in reports[0]["error"]
+
     @pytest.mark.parametrize("name, text", [
         ("big.col", "p edge 100000000 1\ne 1 2\n"),
         ("big.json", '{"n": 100000000, "edges": []}'),

@@ -2,12 +2,14 @@
 attachment classifier and the partition verifiers.  A row read costs Θ(n/64) machine words, so a
 bound stated in row reads is a bound on time that timing noise cannot hide;
 a step that turned quadratic would read rows once per pair, not once per
-vertex."""
+vertex.  The clique-width expression walkers are bounded in node-rule
+checks: one per node."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentaseven import cwd
 from pentaseven.catalog import T0_LABELS, catalog_entry
 from pentaseven.core import Graph, build_graph
 from pentaseven.decompose import (
@@ -144,3 +146,24 @@ def test_passing_verification_on_thickenings(name, n):
     g = thickening(name, n, universals=20)
     report = recognize(g)
     assert_verification_reads_at_most_two_rows_per_vertex(g, report.saucer or report.tent)
+
+
+@pytest.mark.parametrize("walk", [cwd.width, cwd.to_sexpr, cwd.eval_expr,
+                                  lambda e: list(cwd.iter_nodes(e))],
+                         ids=["width", "to_sexpr", "eval_expr", "iter_nodes"])
+def test_cwd_walkers_check_each_node_once(monkeypatch, walk):
+    # a passing expression of about 3 000 nodes: every walker reads the one
+    # checked walk, so a walker that checked the rule again, or walked the
+    # expression on its own, would make 2 or 0 checks per node
+    expr = cwd.expr_for_class_graph(thickening("M0", 750, universals=10))
+    size = sum(1 for _ in cwd.iter_nodes(expr))
+    assert size > 3000
+    rule_break, calls = cwd._rule_break, []
+
+    def counting(node):
+        calls.append(node)
+        return rule_break(node)
+
+    monkeypatch.setattr(cwd, "_rule_break", counting)
+    walk(expr)
+    assert len(calls) == size
