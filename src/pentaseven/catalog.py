@@ -14,9 +14,8 @@ from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import CapError, Graph, build_graph, induced_subgraph
+from .core import Graph, build_graph, induced_subgraph
 
-ISO_SIZE_CAP = 16
 # Largest catalog entry (M0); also the cap on the twin quotients that
 # recognition matches, the weighted colorer solves and cwd thickens.
 QUOTIENT_CAP = 12
@@ -311,35 +310,6 @@ def embed(plan: SearchPlan, host: Graph, cands: list[int]) -> list[int] | None:
     return image if extend(0) else None
 
 
-def _iso_plan(g: Graph) -> SearchPlan:
-    """Lowest degree first."""
-    rows = g.rows
-    return search_plan(g, key=lambda u: (rows[u].bit_count(), u))
-
-
-def _isomorphism(plan: SearchPlan, h: Graph) -> dict[int, int] | None:
-    """The first map from the plan's pattern onto h, which has the same
-    degree sequence; each pattern vertex may only go to h's vertices of its
-    degree."""
-    by_degree: dict[int, int] = {}
-    for w, r in enumerate(h.rows):
-        d = r.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << w
-    image = embed(plan, h, [by_degree[d] for d in plan.degrees])
-    return None if image is None else dict(enumerate(image))
-
-
-def is_isomorphic_small(g: Graph, h: Graph) -> dict[int, int] | None:
-    """Backtracking isomorphism on <= 16 vertices; returns a g->h vertex map."""
-    if g.n > ISO_SIZE_CAP or h.n > ISO_SIZE_CAP:
-        raise CapError(f"isomorphism test capped at {ISO_SIZE_CAP} vertices")
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return None
-    if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
-        return None
-    return _isomorphism(_iso_plan(g), h)
-
-
 def _invariant_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
     """(n, m, sorted degree sequence): equal for isomorphic graphs."""
     degrees = sorted(r.bit_count() for r in g.rows)
@@ -360,9 +330,11 @@ def _targets_by_key() -> dict[tuple[int, int, tuple[int, ...]], NamedGraph]:
 
 @cache
 def _target_plan(name: str) -> SearchPlan:
-    """The isomorphism plan of the target entry name, built the first time
-    a graph matches its key."""
-    return _iso_plan(catalog_entry(name).graph)
+    """The search plan of the target entry name, lowest degree first, built
+    the first time a graph matches its key."""
+    g = catalog_entry(name).graph
+    rows = g.rows
+    return search_plan(g, key=lambda u: (rows[u].bit_count(), u))
 
 
 def match_catalog(g: Graph) -> tuple[str, dict[int, int]] | None:
@@ -375,9 +347,15 @@ def match_catalog(g: Graph) -> tuple[str, dict[int, int]] | None:
     entry = _targets_by_key().get(_invariant_key(g))
     if entry is None:
         return None
-    # the keys match, so do the degree sequences
-    bij = _isomorphism(_target_plan(entry.name), g)
-    return None if bij is None else (entry.name, bij)
+    # the keys match, so do the degree sequences: each entry vertex may only
+    # go to g's vertices of its degree
+    by_degree: dict[int, int] = {}
+    for w, r in enumerate(g.rows):
+        d = r.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << w
+    plan = _target_plan(entry.name)
+    image = embed(plan, g, [by_degree[d] for d in plan.degrees])
+    return None if image is None else (entry.name, dict(enumerate(image)))
 
 
 def catalog_entry(name: str) -> NamedGraph:

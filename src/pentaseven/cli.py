@@ -416,9 +416,17 @@ def _one_file(args, path: str) -> tuple[int, dict]:
                       "input": path, "error": message}
 
 
+def decimal(text: str) -> int:
+    """argparse type of the integer options: core.parse_int's spelling."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def positive_int(text: str) -> int:
     """argparse type of --jobs: a pool has at least one worker."""
-    n = int(text)
+    n = decimal(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
@@ -455,15 +463,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="seeded structure generators")
     gen.add_argument("kind", choices=["special", "saucer", "tent"])
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=decimal, required=True)
     gen.add_argument("--out", default=".")
-    gen.add_argument("--max-class-size", type=int, default=3)
+    gen.add_argument("--max-class-size", type=decimal, default=3)
     gen.add_argument("--p-nonempty", type=float, default=0.5)
     gen.add_argument("--p-attach", type=float, default=0.5)
-    gen.add_argument("--a-components", type=int, nargs=2, default=(0, 2))
-    gen.add_argument("--z-components", type=int, nargs=2, default=(0, 2))
-    gen.add_argument("--max-component-size", type=int, default=3)
-    gen.add_argument("--universals", type=int, nargs=2, default=(0, 2))
+    gen.add_argument("--a-components", type=decimal, nargs=2, default=(0, 2))
+    gen.add_argument("--z-components", type=decimal, nargs=2, default=(0, 2))
+    gen.add_argument("--max-component-size", type=decimal, default=3)
+    gen.add_argument("--universals", type=decimal, nargs=2, default=(0, 2))
 
     orc = sub.add_parser("oracle", help="brute-force checks at desk scale")
     orc.add_argument("path")

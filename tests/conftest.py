@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -10,8 +11,8 @@ from pentaseven.core import (
     build_graph,
     nonadjacent_pair,
 )
-from pentaseven.cwd import Expr, _complete_expr
 from pentaseven.decompose import SimplicialPrefix, simplicial_seed
+from pentaseven.expr import Expr, _complete_expr
 from pentaseven.oracle import find_induced
 
 
@@ -100,6 +101,17 @@ def expr_complete(k: int) -> Expr:
     if k < 1:
         raise ValueError("complete graphs need k >= 1")
     return _complete_expr(list(range(k)), 1, 2)
+
+
+def to_nx(g: Graph) -> nx.Graph:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return nxg
+
+
+def isomorphic(g: Graph, h: Graph) -> bool:
+    return nx.is_isomorphic(to_nx(g), to_nx(h))
 
 
 def dedup_family_index():

@@ -9,8 +9,9 @@ from pentaseven.catalog import catalog_entry, pattern
 from pentaseven.core import build_graph
 from pentaseven.color import color_in_class
 from pentaseven.core import verify_coloring
-from pentaseven.cwd import eval_to_graph, expr_for_class_graph, width
+from pentaseven.cwd import expr_for_class_graph
 from pentaseven.decompose import expand_thickening
+from pentaseven.expr import eval_to_graph, width
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.oracle import (
     chromatic_number_bf,

@@ -4,7 +4,6 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
@@ -18,7 +17,6 @@ from pentaseven.catalog import (
     embed,
     family_M,
     fixed_graphs,
-    is_isomorphic_small,
     match_catalog,
     pattern,
 )
@@ -29,12 +27,20 @@ from pentaseven.core import (
 from pentaseven.decompose import expand_thickening, strip_universals, twin_classes
 from pentaseven.oracle import find_induced
 
-from conftest import dedup_family_index, is_free_of, random_graphs, simplicial_vertices
+from conftest import (
+    dedup_family_index,
+    is_free_of,
+    isomorphic,
+    random_graphs,
+    simplicial_vertices,
+    to_nx,
+)
 
 
 def iso_reference(g, h):
-    """The earlier standalone isomorphism walker: same degree checks and
-    vertex order, each candidate tested against every placed vertex."""
+    """The earlier standalone isomorphism walker: g's vertices lowest degree
+    first in connected-extension order, each candidate tested against every
+    placed vertex; the first g -> h map, or None."""
     if g.n != h.n or g.num_edges != h.num_edges:
         return None
     degs_g = [g.degree(v) for v in range(g.n)]
@@ -119,7 +125,7 @@ def match_reference(g):
         return None
     for entry in dedup_family_index():
         if entry.graph.n == g.n:
-            bij = is_isomorphic_small(entry.graph, g)
+            bij = iso_reference(entry.graph, g)
             if bij is not None:
                 return entry.name, bij
     return None
@@ -167,7 +173,7 @@ class TestFamily:
     def test_m0_minus_all_is_c7(self):
         name = "M0-minus-{y0,y3,z0,z3,z4}"
         entry = next(e for e in family_M() if e.name == name)
-        assert is_isomorphic_small(entry.graph, pattern("C7").graph) is not None
+        assert isomorphic(entry.graph, pattern("C7").graph)
 
     def test_every_member_contains_c7(self):
         for entry in family_M():
@@ -194,11 +200,9 @@ class TestFamily:
 
     def test_dedup_keeps_the_first_of_each_class_in_order(self, monkeypatch):
         # the index keeps the first entry of each invariant key and runs no
-        # isomorphism test
+        # isomorphism search
         tests = []
-        monkeypatch.setattr(catalog, "is_isomorphic_small",
-                            lambda g, h: tests.append(1))
-        monkeypatch.setattr(catalog, "_isomorphism", lambda plan, h: tests.append(1))
+        monkeypatch.setattr(catalog, "embed", lambda *a: tests.append(1))
         # build the index cold: clear the module's private caches
         indexes = [f for name, f in vars(catalog).items()
                    if name.startswith("_") and hasattr(f, "cache_clear")]
@@ -225,7 +229,7 @@ class TestFamily:
         for a, b in combinations(entries, 2):
             if _invariant_key(a.graph) == _invariant_key(b.graph):
                 shared += 1
-                assert is_isomorphic_small(a.graph, b.graph) is not None, (a.name, b.name)
+                assert isomorphic(a.graph, b.graph), (a.name, b.name)
         assert shared > 0
 
 
@@ -266,41 +270,48 @@ class TestFixedGraphs:
         assert all(g.degree(v) == 2 for v in range(7))
 
 
+def assert_maps_onto(name, bij, h):
+    """bij maps the catalog entry name onto h, edge for edge."""
+    g = catalog_entry(name).graph
+    assert sorted(bij) == list(range(g.n)) and sorted(bij.values()) == list(range(h.n))
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert g.has_edge(u, v) == h.has_edge(bij[u], bij[v])
+
+
 class TestIsomorphism:
+    """Catalog matching is an isomorphism search against one target."""
+
     def test_rotated_c7(self):
-        g = pattern("C7").graph
         h = build_graph(7, [((i + 3) % 7, (i + 4) % 7) for i in range(7)])
-        assert is_isomorphic_small(g, h) is not None
+        name, bij = match_catalog(h)
+        assert name == "M0-minus-{y0,y3,z0,z3,z4}"
+        assert_maps_onto(name, bij, h)
 
     def test_t0_t1_not_isomorphic(self):
-        assert is_isomorphic_small(pattern("T0").graph, pattern("T1").graph) is None
+        assert not isomorphic(pattern("T0").graph, pattern("T1").graph)
 
     def test_reflexive_on_catalog(self):
-        for entry in family_M()[:8] + [pattern("T0")]:
-            assert is_isomorphic_small(entry.graph, entry.graph) is not None
+        for entry in family_M() + [pattern("T0"), pattern("T1")]:
+            name, bij = match_catalog(entry.graph)
+            assert isomorphic(catalog_entry(name).graph, entry.graph)
+            assert_maps_onto(name, bij, entry.graph)
 
-    def test_symmetric(self):
-        a = catalog_entry("M1").graph
-        b = catalog_entry("M2").graph
-        assert (is_isomorphic_small(a, b) is None) == (
-            is_isomorphic_small(b, a) is None
-        )
-
-    def test_size_cap(self):
-        big = build_graph(17, [])
-        with pytest.raises(ValueError):
-            is_isomorphic_small(big, big)
+    def test_relabeling_keeps_the_match(self):
+        rng = np.random.default_rng(2)
+        for name in ("M1", "M2", "T1"):
+            g = catalog_entry(name).graph
+            h = relabeled(g, rng)
+            got, bij = match_catalog(h)
+            assert got == match_catalog(g)[0] == name
+            assert_maps_onto(name, bij, h)
 
     def test_mapping_preserves_adjacency(self):
         a = catalog_entry("M3").graph
         perm = list(reversed(range(a.n)))
         b = build_graph(a.n, [(perm[u], perm[v]) for u, v in a.edges()])
-        bij = is_isomorphic_small(a, b)
-        assert bij is not None
-        for u in range(a.n):
-            for v in range(u + 1, a.n):
-                assert a.has_edge(u, v) == b.has_edge(bij[u], bij[v])
-
+        name, bij = match_catalog(b)
+        assert_maps_onto(name, bij, b)
 
     def test_same_map_as_reference_on_catalog(self):
         rng = np.random.default_rng(7)
@@ -309,9 +320,6 @@ class TestIsomorphism:
         for _ in range(2):
             targets = [relabeled(h, rng) for h in entries]
             targets += [relabeled(swapped(h, rng), rng) for h in entries]
-            for g in entries:
-                for h in targets:
-                    assert is_isomorphic_small(g, h) == iso_reference(g, h)
             for h in targets:
                 assert match_catalog(h) == match_reference(h)
 
@@ -320,8 +328,6 @@ class TestIsomorphism:
         for seed in range(300):
             g = random_graph(rng, 12)
             assert match_catalog(g) == match_reference(g), seed
-            for h in (relabeled(g, rng), relabeled(swapped(g, rng), rng)):
-                assert is_isomorphic_small(g, h) == iso_reference(g, h), seed
 
 
 def single_flip_mutants():
@@ -340,7 +346,7 @@ WALKER_PATTERNS = ("2P3", "C4", "C6", "C7", "P3", "4K1", "T0", "T1", "3-pentagon
 
 @pytest.fixture
 def walker_results(monkeypatch):
-    """Every embed call that find_induced and is_isomorphic_small make, with
+    """Every embed call that find_induced and match_catalog make, with
     their own orders and masks, must return embed_reference's image list
     (or None) exactly: a refusal prints the image, not only its existence.
     Returns the list of the results."""
@@ -393,8 +399,7 @@ class TestWalker:
         for g in bases:
             h = relabeled(g, rng)
             _search_patterns(h)
-            assert is_isomorphic_small(g, g) is not None
-            assert is_isomorphic_small(g, h) is not None
+            assert (match_catalog(g) is None) == (match_catalog(h) is None)
         assert None in walker_results
 
 
@@ -432,9 +437,7 @@ def walker_nodes(plan, host, cands):
 
 
 def automorphisms(g):
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
+    nxg = to_nx(g)
     return list(GraphMatcher(nxg, nxg).isomorphisms_iter())
 
 
@@ -544,8 +547,6 @@ def test_caller_built_patterns_are_planned_per_call():
     emb = find_induced(host, named)
     assert emb is not None and emb.pattern is named and emb.is_valid(host)
     assert find_induced(pattern("C6").graph, named) is not None
-    assert is_isomorphic_small(p4, relabeled(p4, np.random.default_rng(1))) is not None
-    assert is_isomorphic_small(host, p4) is None
     del emb
     assert (sys.getrefcount(p4), sys.getrefcount(named), sys.getrefcount(host)) == before
     assert oracle._fixed_plan.cache_info().currsize <= len(fixed_graphs())

@@ -402,6 +402,31 @@ class TestRecognizeCmd:
         assert "argument --jobs: must be at least 1" in captured.err
         assert captured.out == ""
 
+    # int() takes each of these spellings; an integer option is ASCII digits
+    # with an optional minus sign, as core.parse_int reads it
+    @pytest.mark.parametrize("number", ["1_0", "+3", " 3 ", "٢"])
+    @pytest.mark.parametrize("template", [
+        "recognize {path} --jobs N", "color {path} --jobs N", "cwd {path} --jobs N",
+        "generate tent --out {out} --seed N",
+        "generate tent --out {out} --seed 1 --max-class-size N",
+        "generate saucer --out {out} --seed 1 --a-components 1 N",
+        "generate saucer --out {out} --seed 1 --z-components N 1",
+        "generate special --out {out} --seed 1 --max-component-size N",
+        "generate special --out {out} --seed 1 --universals 1 N",
+    ])
+    def test_integer_options_take_only_decimal_digits(self, tmp_path, capsys,
+                                                      template, number):
+        path = write_graph(tmp_path, "t0.json", pattern("T0").graph)
+        argv = [number if word == "N" else word.format(path=path, out=tmp_path)
+                for word in template.split()]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"not a decimal integer: {number!r}" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t0.json"]
+
     def test_jobs_one_runs_serially(self, tmp_path, capsys):
         path = write_graph(tmp_path, "t0.json", pattern("T0").graph)
         code, reports = run(capsys, "recognize", "--jobs", "1", path, path)
@@ -491,7 +516,7 @@ class TestRecognizeCmd:
     def test_import_path_stays_lean(self, tmp_path):
         # each command imports what it runs, when it runs: the colorer's LP
         # fractions, the graph matrix views numpy, --jobs > 1
-        # multiprocessing, cwd the expression module and its dataclass
+        # multiprocessing, cwd the expression modules and their dataclass
         # nodes, and a refusal's witness the oracle; recognize and cwd on an
         # in-class file never reach numpy, and recognize's records and the
         # oracle's are NamedTuples, so recognize never loads dataclasses or
@@ -506,11 +531,12 @@ class TestRecognizeCmd:
                           build_graph(21, [(i, i + 1) for i in range(20)]))
         lazy = ("fractions", "numpy", "multiprocessing", "dataclasses", "inspect",
                 "pentaseven.generate", "pentaseven.color", "pentaseven.cwd",
-                "pentaseven.oracle")
+                "pentaseven.expr", "pentaseven.oracle")
         argvs = [["recognize", t1], ["recognize", p21], ["recognize", c6],
                  ["cwd", p3], ["cwd", t1]]
         err, out = self.loaded_after(argvs, lazy)
-        cwd = "'dataclasses', 'inspect', 'pentaseven.cwd', 'pentaseven.oracle'"
+        cwd = ("'dataclasses', 'inspect', 'pentaseven.cwd', 'pentaseven.expr', "
+               "'pentaseven.oracle'")
         assert err == [
             "None []",
             "0 []",
@@ -602,7 +628,7 @@ class TestColorCwdCmd:
         assert code == 0
         rep = reports[0]
         assert rep["width"] <= 10 and rep["evaluates_to_input"] is True
-        from pentaseven.cwd import eval_to_graph, from_sexpr
+        from pentaseven.expr import eval_to_graph, from_sexpr
 
         assert eval_to_graph(from_sexpr(rep["expression"])) == pattern("T1").graph
 

@@ -325,6 +325,56 @@ class TestColorInClass:
             assert c.num_colors == max(bounds)
 
 
+def clique_tree_graph(rng, n):
+    """A chordal graph on 0..n-1 and a perfect elimination order of it: each
+    vertex v > 0 is joined to a random part of the clique formed by a random
+    earlier vertex u and u's own earlier neighbors, so along the reversed
+    vertex order every vertex's later neighbors form a clique."""
+    spread = float(rng.uniform(0.2, 1.0))
+    earlier: list[tuple[int, ...]] = [()]
+    edges = []
+    for v in range(1, n):
+        u = int(rng.integers(0, v))
+        earlier.append(tuple(w for w in (u, *earlier[u]) if rng.random() < spread))
+        edges += [(w, v) for w in earlier[v]]
+    return build_graph(n, edges), list(reversed(range(n)))
+
+
+def interval_graph(rng, n):
+    """An interval graph on 0..n-1 and a perfect elimination order of it:
+    the intervals by right end, as every later interval that meets one
+    contains its right end."""
+    left = rng.integers(0, 2 * n, size=n)
+    right = left + rng.integers(0, int(rng.integers(1, n + 1)) + 1, size=n)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if left[u] <= right[v] and left[v] <= right[u]]
+    return build_graph(n, edges), sorted(range(n), key=lambda v: (right[v], v))
+
+
+def largest_later_neighborhood(g, order):
+    """1 + the most neighbors a vertex has after it in order: the clique
+    number of g when order is a perfect elimination order."""
+    later = most = 0
+    for v in reversed(order):
+        most = max(most, (g.rows[v] & later).bit_count())
+        later |= 1 << v
+    return 1 + most
+
+
+@pytest.mark.parametrize("build", [clique_tree_graph, interval_graph])
+def test_chordal_colorings_are_optimal(build):
+    # chi = omega on chordal graphs, so a coloring with one color per vertex
+    # of the largest later neighborhood along an elimination order is
+    # optimal, at sizes no oracle reaches
+    rng = np.random.default_rng(23)
+    sizes = [int(rng.integers(5, 31)) for _ in range(150)] + [200, 800, 2000]
+    for n in sizes:
+        g, order = build(rng, n)
+        c = color_in_class(g)
+        assert verify_coloring(g, c), n
+        assert c.num_colors == largest_later_neighborhood(g, order), n
+
+
 class TestVerifyColoring:
     def test_proper_c7(self):
         g = pattern("C7").graph

@@ -13,23 +13,24 @@ from pentaseven.core import (
     build_graph,
     induced_subgraph,
 )
-from pentaseven.cwd import (
+from pentaseven.cwd import ExpressionRefusal, expr_for_class_graph
+from pentaseven.decompose import expand_thickening, least_simplicial, simplicial_prefix
+from pentaseven.expr import (
     Create,
     ExprError,
-    ExpressionRefusal,
     Join,
+    LabeledGraph,
     Rename,
     Union,
+    _complete_expr,
     eval_expr,
     eval_to_graph,
-    expr_for_class_graph,
     from_sexpr,
     iter_nodes,
     thickening_expr,
     to_sexpr,
     width,
 )
-from pentaseven.decompose import expand_thickening, least_simplicial, simplicial_prefix
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
 from pentaseven.recognize import NotInClassError, recognize
 
@@ -165,7 +166,7 @@ def eval_by_lists(expr):
             rows[k] |= mask_b
         for k in b:
             rows[k] |= mask_a
-    return cwd.LabeledGraph(Graph.from_rows(rows), tuple(order), dict(lab))
+    return LabeledGraph(Graph.from_rows(rows), tuple(order), dict(lab))
 
 
 def assert_same_eval(expr):
@@ -225,7 +226,7 @@ class TestMergeForestMatchesListEvaluator:
 
     def test_chain_helper_is_complete_expr(self):
         assert to_sexpr(chain_with(Create(2, 37), 37)) == to_sexpr(
-            cwd._complete_expr(list(range(100)), 1, 2)
+            _complete_expr(list(range(100)), 1, 2)
         )
 
     @pytest.mark.parametrize("bad", [

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from pentaseven.cwd import (
+from pentaseven.expr import (
     Create,
     ExprError,
     Join,

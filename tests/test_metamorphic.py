@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pentaseven import cwd
+from pentaseven import cwd, expr
 from pentaseven.color import color_in_class
 from pentaseven.core import Graph, induced_subgraph
 from pentaseven.generate import GenParams, gen_saucer, gen_special, gen_tent, mutate
@@ -46,7 +46,7 @@ def outputs(g: Graph) -> dict:
     except NotInClassError:
         colors = None
     try:
-        width = cwd.width(cwd.expr_for_class_graph(g))
+        width = expr.width(cwd.expr_for_class_graph(g))
     except (NotInClassError, cwd.ExpressionRefusal) as exc:
         width = type(exc).__name__
     return {
