@@ -8,10 +8,12 @@ consumes everything) are colored greedily off the elimination ordering; any
 other out-of-class input is refused.
 
 The weighted solver replaces an external integer-programming step: it rounds
-the exact LP relaxation down to a base of color classes, solves the residual
-exactly, and proves the total optimal against the lower bounds max weighted
-clique and ceil(LP), or else finds the optimum by branch and bound over the
-maximal independent sets of the quotient.
+the exact LP relaxation, solved in ints, down to a base of color classes,
+solves the residual exactly, and proves the total optimal against the lower
+bounds max weighted clique and ceil(LP), or else finds the optimum by branch
+and bound over the maximal independent sets of the quotient.  Color classes
+stay (set, times) pairs up to the final assignment, so the work does not grow
+with the weights.
 """
 
 from __future__ import annotations
@@ -71,53 +73,53 @@ def _maximal_indep(co_rows: list[int], r: int, p: int) -> list[int]:
 
 
 def _lp_cover(sets: list[int], weights: tuple[int, ...]):
-    """Exact rational LP relaxation of the set-multicover formulation.
+    """Exact LP relaxation of the set-multicover formulation, in ints.
 
     Solves max w.y subject to sum(y_v for v in S) <= 1 per independent set S,
-    y >= 0 (the dual of min sum x_S with coverage >= w), by dense simplex with
-    Bland's rule.  Each tableau row, and the objective row, is a list of ints
-    over one positive int denominator (Edmonds' integer-preserving
-    elimination): ratios compare by cross-multiplying and each row update is
-    reduced by the gcd of its entries, so the pivots are those of the same
-    simplex over Fractions.  Returns (value, y, x) as Fractions, where y is
-    the dual vector and x maps set index -> primal multiplicity.  Callers must
-    still verify y-feasibility before trusting the bound; weak duality then
-    makes w.y a lower bound on the integer optimum regardless of solver bugs.
+    y >= 0 (the dual of min sum x_S with coverage >= w), by Bland's simplex
+    on a dictionary: labels 0..n-1 are the y_v and n + s is the slack of set
+    s; one row per basic variable holds its coefficients over the n nonbasic
+    columns and its value, and the objective row the reduced costs, each as
+    ints over one positive int denominator, reduced by their gcd after every
+    update (Edmonds' integer-preserving elimination).  The entering variable
+    is the lowest label with a positive reduced cost and ratio ties go to the
+    smaller basic variable, so the pivots are those of the same simplex over
+    the rationals.  Returns (y, y_den, x, x_den): the dual vector y[v] / y_den
+    (w.y / y_den is the LP value) and set index -> primal multiplicity
+    x[s] / x_den, in ascending set order.  Callers must still verify
+    y-feasibility before trusting the bound; weak duality then makes w.y a
+    lower bound on the integer optimum regardless of solver bugs.
     """
-    from fractions import Fraction
-
-    n = len(weights)
-    m = len(sets)
-    # rows: constraints; columns: y vars, slacks, rhs; row i is tab[i] / den[i]
-    tab = []
-    for i, smask in enumerate(sets):
-        r = [smask >> v & 1 for v in range(n)] + [0] * (m + 1)
-        r[n + i] = r[-1] = 1
-        tab.append(r)
-    den = [1] * m
-    obj = list(weights) + [0] * (m + 1)
-    obj_den = 1
+    n, m = len(weights), len(sets)
+    cols = list(range(n))  # the label of each nonbasic column
     basis = list(range(n, n + m))
+    # row i < m is basic variable basis[i], row m the objective
+    tab = [[smask >> v & 1 for v in range(n)] + [1] for smask in sets]
+    tab.append(list(weights) + [0])
+    den = [1] * (m + 1)  # row i is tab[i] / den[i]
     while True:
-        enter = next((j for j in range(n + m) if obj[j] > 0), None)
+        obj = tab[m]
+        enter = min((c for c in range(n) if obj[c] > 0), key=cols.__getitem__,
+                    default=None)
         if enter is None:
             break
         # min ratio rhs/a over a > 0, ties to the smaller basic variable
         row = -1
-        for i, r in enumerate(tab):
-            a = r[enter]
+        for i in range(m):
+            rhs, a = tab[i][-1], tab[i][enter]
             if a <= 0:
                 continue
             if row >= 0:
-                d = r[-1] * best_a - best_rhs * a  # sign of this ratio - best
+                d = rhs * best_a - best_rhs * a  # sign of this ratio - best
                 if d > 0 or (d == 0 and basis[i] > basis[row]):
                     continue
-            row, best_rhs, best_a = i, r[-1], a
+            row, best_rhs, best_a = i, rhs, a
         if row < 0:
             raise ArithmeticError("unbounded LP; constraint matrix is broken")
-        # the pivot row divided by its pivot entry is prow / pd
+        # the pivot row solved for the entering variable is prow / pd; the
+        # leaving variable takes over the entering column
         prow = tab[row]
-        pd = prow[enter]
+        pd, prow[enter] = prow[enter], den[row]
         g = math.gcd(pd, *prow)
         if g > 1:
             prow = [c // g for c in prow]
@@ -127,22 +129,18 @@ def _lp_cover(sets: list[int], weights: tuple[int, ...]):
             f = r[enter]
             if f and i != row:
                 new = [a * pd - f * b for a, b in zip(r, prow)]
+                new[enter] -= f * pd
                 g = math.gcd(den[i] * pd, *new)
                 tab[i] = [c // g for c in new] if g > 1 else new
                 den[i] = den[i] * pd // g
-        f = obj[enter]
-        new = [a * pd - f * b for a, b in zip(obj, prow)]
-        g = math.gcd(obj_den * pd, *new)
-        obj = [c // g for c in new] if g > 1 else new
-        obj_den = obj_den * pd // g
-        basis[row] = enter
-    y = [Fraction(0)] * n
-    for i, b in enumerate(basis):
+        basis[row], cols[enter] = cols[enter], basis[row]
+    y_den = math.lcm(*(d for b, d in zip(basis, den) if b < n))
+    y = [0] * n
+    for b, r, d in zip(basis, tab, den):
         if b < n:
-            y[b] = Fraction(tab[i][-1], den[i])
-    value = Fraction(-obj[-1], obj_den)
-    x = {s: Fraction(-obj[n + s], obj_den) for s in range(m) if obj[n + s] != 0}
-    return value, y, x
+            y[b] = r[-1] * (y_den // d)
+    x = dict(sorted((s - n, -f) for s, f in zip(cols, tab[m]) if s >= n and f))
+    return y, y_den, x, den[m]
 
 
 def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
@@ -170,23 +168,15 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     # a sound lower bound by weak duality; the primal multiplicities, rounded
     # down, leave only a small residual instance to solve exactly
     all_sets = _maximal_indep(co_rows, 0, full)
+    y, y_den, x, x_den = _lp_cover(all_sets, inst.weights)
+    y_bits = [(1 << v, yv) for v, yv in enumerate(y) if yv]
     lp_floor = 0
-    lp_base: list[tuple[int, int]] = []
-    lp_value, y, x = _lp_cover(all_sets, inst.weights)
-    # y checked exactly, as int numerators over one common denominator
-    y_den = math.lcm(*(yv.denominator for yv in y))
-    y_num = [yv.numerator * (y_den // yv.denominator) for yv in y]
-    y_bits = [(1 << v, yn) for v, yn in enumerate(y_num) if yn]
-    feasible = all(yn >= 0 for yn in y_num) and all(
-        sum(yn for bit, yn in y_bits if smask & bit) <= y_den for smask in all_sets
-    )
-    if feasible:
-        wy = sum(w * yn for w, yn in zip(inst.weights, y_num))
+    if all(yv >= 0 for yv in y) and all(
+        sum(yv for bit, yv in y_bits if smask & bit) <= y_den for smask in all_sets
+    ):
+        wy = sum(w * yv for w, yv in zip(inst.weights, y))
         lp_floor = -(-wy // y_den)  # ceil of w.y
-    for s, mult in x.items():
-        times = int(mult) if mult >= 0 else 0
-        if times > 0:
-            lp_base.append((all_sets[s], times))
+    lp_base = [(all_sets[s], xs // x_den) for s, xs in x.items() if xs >= x_den]
 
     def greedy(wvec: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
         w = list(wvec)
@@ -260,20 +250,18 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
         exact[wvec] = (best, best_set)
         return best
 
-    def replay(wvec: tuple[int, ...]) -> list[int]:
-        """Walk the recorded decisions, one color class per step."""
-        out: list[int] = []
+    def replay(wvec: tuple[int, ...]) -> list[tuple[int, int]]:
+        """Walk the recorded decisions, as (color class, times) pairs."""
+        out: list[tuple[int, int]] = []
         while any(wvec):
             if wvec not in exact:
                 got = solve(wvec, greedy(wvec)[0])  # after a flush
                 assert got is not None
             choice = exact[wvec][1]
             if choice == "greedy":
-                _, chosen = greedy(wvec)
-                for smask, times in chosen:
-                    out.extend([smask] * times)
+                out += greedy(wvec)[1]
                 break
-            out.append(choice)
+            out.append((choice, 1))
             wvec = tuple(
                 wvec[v] - 1 if choice >> v & 1 else wvec[v] for v in range(q.n)
             )
@@ -289,8 +277,8 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
             for v in _iter_bits(smask):
                 residual[v] = max(0, residual[v] - times)
         r = tuple(residual)
-        classes = [smask for smask, times in lp_base for _ in range(times)]
-        k = len(classes)
+        classes = list(lp_base)
+        k = sum(times for _, times in lp_base)
         if any(r):
             fr = solve(r, greedy(r)[0])
             assert fr is not None
@@ -304,15 +292,18 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
                 classes = replay(inst.weights)
     finally:
         sys.setrecursionlimit(old_limit)
-    assert len(classes) == k
+    # class (smask, times) holds colors c..c + times - 1; each of its
+    # vertices takes as many of them as it still needs
     color_sets: list[list[int]] = [[] for _ in range(q.n)]
     remaining = list(inst.weights)
-    for color, smask in enumerate(classes, start=1):
+    c = 1
+    for smask, times in classes:
         for v in _iter_bits(smask):
-            if remaining[v] > 0:
-                color_sets[v].append(color)
-                remaining[v] -= 1
-    assert all(r == 0 for r in remaining)
+            t = min(times, remaining[v])
+            color_sets[v] += range(c, c + t)
+            remaining[v] -= t
+        c += times
+    assert c == k + 1 and not any(remaining)
     return k, color_sets
 
 

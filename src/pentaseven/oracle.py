@@ -16,7 +16,6 @@ from .catalog import pattern, search_plan
 from .core import CapError, Graph, _iter_bits, bits_of, greedy_extend, is_connected
 from .core import reach_mask, vertex_mask
 
-PATTERN_CAP = 10
 HOLE_CAP = 16
 CHROMATIC_CAP = 18
 CUTSET_CAP = 18
@@ -44,27 +43,24 @@ class Embedding(NamedTuple):
         )
 
 
-def _find_plan(p: Graph) -> SearchPlan:
-    # highest degree first, so adjacency constraints bite as early as possible
+@cache
+def _fixed_plan(name: str) -> SearchPlan:
+    """The plan of the fixed pattern name, built once per process: highest
+    degree first, so adjacency constraints bite as early as possible."""
+    p = pattern(name).graph
     rows = p.rows
     return search_plan(p, key=lambda u: (-rows[u].bit_count(), u))
 
 
-@cache
-def _fixed_plan(name: str) -> SearchPlan:
-    """The plan of the fixed pattern name, built once per process."""
-    return _find_plan(pattern(name).graph)
-
-
 def find_induced(g: Graph, h: NamedGraph) -> Embedding | None:
-    """Exhaustive search for an induced copy of h in g."""
+    """Exhaustive search for an induced copy of h in g.  h must be one of the
+    catalog's fixed patterns, as catalog.pattern returns them."""
+    if fixed_graphs().get(h.name) is not h:
+        raise ValueError(f"{h.name!r} is not one of the catalog's fixed patterns")
     p = h.graph
-    if p.n > PATTERN_CAP:
-        raise CapError(f"pattern {h.name} exceeds the {PATTERN_CAP}-vertex cap")
     if p.n > g.n:
         return None
-    # a caller's pattern, even one named like a fixed one, gets its own plan
-    plan = _fixed_plan(h.name) if fixed_graphs().get(h.name) is h else _find_plan(p)
+    plan = _fixed_plan(h.name)
     # degs_ok[d]: the vertices of degree >= d (degrees above p.n count as p.n)
     degs_ok = [0] * (p.n + 1)
     for v, r in enumerate(g.rows):

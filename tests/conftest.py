@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from pentaseven.catalog import _targets_by_key, pattern
+from pentaseven.color import _lp_cover
 from pentaseven.core import (
     Graph,
     _mask_of,
@@ -29,6 +32,19 @@ def random_graphs(draw, max_n: int = 12, min_n: int = 1):
 def is_free_of(g: Graph, *names: str) -> bool:
     """True iff g contains no induced copy of any named pattern."""
     return all(find_induced(g, pattern(nm)) is None for nm in names)
+
+
+def lp_in_fractions(sets, weights):
+    """_lp_cover's integer result as (value, y, x) in Fractions: value is
+    w.y / y_den, y_v is y[v] / y_den and x_s is x[s] / x_den, x's keys kept
+    in the order _lp_cover gave them."""
+    y, y_den, x, x_den = _lp_cover(sets, weights)
+    assert all(type(c) is int for c in (y_den, x_den, *y, *x, *x.values()))
+    assert y_den > 0 and x_den > 0
+    value = Fraction(sum(w * yv for w, yv in zip(weights, y)), y_den)
+    return value, [Fraction(yv, y_den) for yv in y], {
+        s: Fraction(xs, x_den) for s, xs in x.items()
+    }
 
 
 @pytest.fixture

@@ -537,18 +537,19 @@ def test_fixed_graphs_plan_their_searches_once(monkeypatch):
     assert None in warm and sum(e is not None for e in warm) > 10
 
 
-def test_caller_built_patterns_are_planned_per_call():
-    # a caller's graph, even one named like a fixed pattern, is searched
-    # with its own plan, and nothing keeps a reference to it
+def test_caller_built_patterns_are_refused():
+    # only the catalog's fixed patterns are searched: a caller's graph, even
+    # one named like a fixed pattern, is refused, and nothing keeps a
+    # reference to it
     p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     named = NamedGraph("C4", p4, {v: f"v{v}" for v in range(4)})
     host = build_graph(6, [(v, v + 1) for v in range(5)])
     before = sys.getrefcount(p4), sys.getrefcount(named), sys.getrefcount(host)
-    emb = find_induced(host, named)
-    assert emb is not None and emb.pattern is named and emb.is_valid(host)
-    assert find_induced(pattern("C6").graph, named) is not None
-    del emb
+    for g in (host, pattern("C6").graph):
+        with pytest.raises(ValueError, match="fixed patterns"):
+            find_induced(g, named)
     assert (sys.getrefcount(p4), sys.getrefcount(named), sys.getrefcount(host)) == before
+    assert find_induced(host, pattern("P3")) is not None
     assert oracle._fixed_plan.cache_info().currsize <= len(fixed_graphs())
 
 

@@ -514,11 +514,12 @@ class TestRecognizeCmd:
         return proc.stderr.splitlines(), proc.stdout.splitlines()
 
     def test_import_path_stays_lean(self, tmp_path):
-        # each command imports what it runs, when it runs: the colorer's LP
-        # fractions, the graph matrix views numpy, --jobs > 1
-        # multiprocessing, cwd the expression modules and their dataclass
-        # nodes, and a refusal's witness the oracle; recognize and cwd on an
-        # in-class file never reach numpy, and recognize's records and the
+        # each command imports what it runs, when it runs: the graph matrix
+        # views numpy, --jobs > 1 multiprocessing, cwd the expression
+        # modules and their dataclass nodes, color the colorer, and a
+        # refusal's witness the oracle; recognize, cwd and color on an
+        # in-class file never reach numpy, the colorer's exact LP runs in
+        # ints and never loads fractions, and recognize's records and the
         # oracle's are NamedTuples, so recognize never loads dataclasses or
         # inspect, not even for a witness
         from pentaseven.recognize import recognize
@@ -533,7 +534,7 @@ class TestRecognizeCmd:
                 "pentaseven.generate", "pentaseven.color", "pentaseven.cwd",
                 "pentaseven.expr", "pentaseven.oracle")
         argvs = [["recognize", t1], ["recognize", p21], ["recognize", c6],
-                 ["cwd", p3], ["cwd", t1]]
+                 ["cwd", p3], ["cwd", t1], ["color", t1]]
         err, out = self.loaded_after(argvs, lazy)
         cwd = ("'dataclasses', 'inspect', 'pentaseven.cwd', 'pentaseven.expr', "
                "'pentaseven.oracle'")
@@ -544,6 +545,8 @@ class TestRecognizeCmd:
             "0 ['pentaseven.oracle']",
             f"3 [{cwd}]",
             f"0 [{cwd}]",
+            "0 ['dataclasses', 'inspect', 'pentaseven.color', 'pentaseven.cwd', "
+            "'pentaseven.expr', 'pentaseven.oracle']",
         ]
         large = json.loads(out[1])["verdict"]
         assert large["kind"] == "not-in-class" and "witness" not in large

@@ -10,7 +10,6 @@ from pentaseven.catalog import pattern
 from pentaseven.color import (
     Coloring,
     WeightedInstance,
-    _lp_cover,
     _maximal_indep,
     color_in_class,
     solve_weighted,
@@ -21,7 +20,13 @@ from pentaseven.generate import GenParams, gen_saucer, gen_tent
 from pentaseven.oracle import chromatic_number_bf, max_clique_mask
 from pentaseven.recognize import NotInClassError, recognize
 
-from conftest import GROETZSCH_WEIGHTS, dedup_family_index, groetzsch, remainder
+from conftest import (
+    GROETZSCH_WEIGHTS,
+    dedup_family_index,
+    groetzsch,
+    lp_in_fractions,
+    remainder,
+)
 
 
 def complete(k):
@@ -76,12 +81,10 @@ def all_indep_sets(g):
 
 def assert_lp_matches_reference(g, weights):
     sets = all_indep_sets(g)
-    value, y, x = _lp_cover(sets, weights)
-    want_value, want_y, want_x = lp_cover_fraction(sets, weights)
-    assert (value, y, x) == (want_value, want_y, want_x)
-    assert list(x) == list(want_x)
-    for got in (value, *y, *x.values()):
-        assert type(got) is Fraction
+    got = lp_in_fractions(sets, weights)
+    want = lp_cover_fraction(sets, weights)
+    assert got == want
+    assert list(got[2]) == list(want[2])
 
 
 class TestLpCover:
@@ -188,7 +191,7 @@ class TestSolveWeighted:
         # chi = 4, but the largest clique is an edge and ceil(LP) is 3, so
         # only the root branch and bound proves that 3 colors do not suffice
         g = groetzsch()
-        assert _lp_cover(all_indep_sets(g), (1,) * 11)[0] == Fraction(29, 10)
+        assert lp_in_fractions(all_indep_sets(g), (1,) * 11)[0] == Fraction(29, 10)
         k, color_sets = solve_weighted(WeightedInstance(g, (1,) * 11))
         assert k == chromatic_number_bf(g)[0] == 4
         assert_valid_color_sets(g, (1,) * 11, k, color_sets)
@@ -197,7 +200,7 @@ class TestSolveWeighted:
         # ceil(LP) = ceil(79/10) = 8 is optimal; the LP base plus the exact
         # residual gives 9, and only the root branch and bound reaches 8
         g, weights = groetzsch(), GROETZSCH_WEIGHTS
-        assert _lp_cover(all_indep_sets(g), weights)[0] == Fraction(79, 10)
+        assert lp_in_fractions(all_indep_sets(g), weights)[0] == Fraction(79, 10)
         k, color_sets = solve_weighted(WeightedInstance(g, weights))
         assert k == 8
         assert_valid_color_sets(g, weights, k, color_sets)
@@ -245,7 +248,7 @@ def test_root_branch_and_bound_never_runs_on_the_catalog_bases(dist):
                 k, _ = solve_weighted(WeightedInstance(q, weights))
             assert sum(w is weights for w in calls) == 1, (entry.name, weights)
             omega = oracle.max_weighted_clique(q.rows, weights, q.full_mask)[0]
-            lp_value = _lp_cover(all_indep_sets(q), weights)[0]
+            lp_value = lp_in_fractions(all_indep_sets(q), weights)[0]
             assert k == max(omega, math.ceil(lp_value)), (entry.name, weights)
 
 

@@ -24,6 +24,7 @@ from conftest import (
     dedup_family_index,
     groetzsch,
     is_clique,
+    lp_in_fractions,
     random_graphs,
 )
 
@@ -141,9 +142,7 @@ def test_max_clique_vs_subset_scan(g, data):
 
 def test_lp_bound_vs_scipy_if_available():
     scipy_opt = pytest.importorskip("scipy.optimize")
-    from fractions import Fraction
-
-    from pentaseven.color import _lp_cover, _maximal_indep
+    from pentaseven.color import _maximal_indep
 
     rng = np.random.default_rng(7)
     for trial in range(25):
@@ -155,7 +154,7 @@ def test_lp_bound_vs_scipy_if_available():
         full = g.full_mask
         co_rows = [full & ~g.closed_row(v) for v in range(n)]
         sets = _maximal_indep(co_rows, 0, full)
-        value, y, x = _lp_cover(sets, weights)
+        value, y, x = lp_in_fractions(sets, weights)
         # independent solve of the primal: min 1.x, A x >= w, x >= 0
         a_ub = np.zeros((n, len(sets)))
         for j, smask in enumerate(sets):
@@ -169,7 +168,7 @@ def test_lp_bound_vs_scipy_if_available():
         assert abs(float(value) - res.fun) < 1e-7, (trial, value, res.fun)
         # the dual vector must be feasible, making w.y a valid bound
         for smask in sets:
-            assert sum(y[v] for v in bits_of(smask)) <= Fraction(1)
+            assert sum(y[v] for v in bits_of(smask)) <= 1
         assert all(yv >= 0 for yv in y)
 
 

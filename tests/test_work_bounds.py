@@ -3,14 +3,16 @@ attachment classifier and the partition verifiers.  A row read costs Θ(n/64) ma
 bound stated in row reads is a bound on time that timing noise cannot hide;
 a step that turned quadratic would read rows once per pair, not once per
 vertex.  The clique-width expression walkers are bounded in node-rule
-checks: one per node."""
+checks: one per node.  The weighted colorer's work is bounded in mask walks,
+and does not grow with the weights."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentaseven import cwd, expr
+from pentaseven import color, cwd, expr
 from pentaseven.catalog import T0_LABELS, catalog_entry
+from pentaseven.color import WeightedInstance, solve_weighted
 from pentaseven.core import Graph, build_graph
 from pentaseven.decompose import (
     expand_thickening,
@@ -167,3 +169,27 @@ def test_cwd_walkers_check_each_node_once(monkeypatch, walk):
     monkeypatch.setattr(expr, "_rule_break", counting)
     walk(e)
     assert len(calls) == size
+
+
+@pytest.mark.parametrize("name", ["M0", "T1", "M1"])
+def test_weighted_colorer_walks_do_not_grow_with_the_weights(monkeypatch, name):
+    # w, 10w and 1000w: the LP scales with the weights and its primal is
+    # integral here, so its rounded base covers every scale with the same
+    # (set, times) pairs, each walked once for the residual and once for the
+    # assignment; a walk per color would make about k + 6 (20 006 on M0 at
+    # 1000w)
+    q = catalog_entry(name).graph
+    iter_bits, walks = color._iter_bits, []
+
+    def counting(mask):
+        walks.append(mask)
+        return iter_bits(mask)
+
+    monkeypatch.setattr(color, "_iter_bits", counting)
+    counts = []
+    for scale in (1, 10, 1000):
+        weights = tuple(scale * (1 + v % 5) for v in range(q.n))
+        walks.clear()
+        solve_weighted(WeightedInstance(q, weights))
+        counts.append(len(walks))
+    assert counts[0] == counts[1] == counts[2] <= 2 * q.n, counts
