@@ -2,27 +2,28 @@
 
 Usage, from the repository root:
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Each mutant is an exact (file, old text, new text) edit of one file under
-`src/`.  For each mutant (all of them, or the ones named), the script copies
-`src/` to a temporary directory, applies the edit there and runs the tier-1
-tests against the copy, stopping at the first failure, with the two digest
-tests deselected: a digest only detects change, so it would kill every
-mutant that changes a report and show nothing about what the change means.
-The unmutated copy runs first and must pass, so that a kill is the mutant's
-and not a broken suite's.  Exits 1 when the unmutated copy fails or any
+`src/`.  For each mutant, the script copies `src/` to a temporary directory,
+applies the edit there and runs the tier-1 tests against the copy, stopping
+at the first failure, with the two digest tests deselected: a digest only
+detects change, so it would kill every mutant that changes a report and show
+nothing about what the change means.  The unmutated copy runs first and must
+pass, so that a kill is the mutant's and not a broken suite's; a mutant run
+that takes more than TIMEOUT_FACTOR times as long as the unmutated one is
+stopped and counts as killed.  Exits 1 when the unmutated copy fails or any
 mutant survives.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,11 +72,13 @@ DIGEST_TESTS = (
     "tests/test_corpus_digest.py::test_tiny_corpus_digest",
     "tests/test_report_digest.py::test_reports_match_golden_digest",
 )
-# a mutant that keeps a search from ending counts as killed
-TIMEOUT_S = 300
+# a mutant run that keeps a search from ending is stopped after this many
+# times the unmutated run's time, and counts as killed; a surviving mutant
+# runs the whole suite in about the unmutated time
+TIMEOUT_FACTOR = 3
 
 
-def run_tier1(src: Path) -> tuple[bool, str]:
+def run_tier1(src: Path, timeout: float | None) -> tuple[bool, str]:
     """(passed, summary) of the tier-1 tests run against the tree src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -86,9 +89,9 @@ def run_tier1(src: Path) -> tuple[bool, str]:
     try:
         # run from the temporary directory, so hypothesis keeps its examples there
         proc = subprocess.run(cmd, cwd=src.parent, env=env, capture_output=True,
-                              text=True, timeout=TIMEOUT_S)
+                              text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return False, f"timed out after {TIMEOUT_S} s"
+        return False, f"timed out after {timeout:.0f} s"
     lines = proc.stdout.strip().splitlines() or proc.stderr.strip().splitlines()
     failed = [ln.split(" - ")[0] for ln in lines if ln.startswith(("FAILED ", "ERROR "))]
     summary = lines[-1] if lines else f"exit {proc.returncode}"
@@ -104,25 +107,22 @@ def apply_edit(src: Path, name: str) -> None:
     target.write_text(text.replace(old, new))
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default: all)")
-    args = ap.parse_args(argv)
-    unknown = [nm for nm in args.names if nm not in MUTANTS]
-    if unknown:
-        ap.error(f"unknown mutants: {', '.join(unknown)}")
+def main() -> int:
     survivors = []
-    for name in [None, *(args.names or MUTANTS)]:
+    timeout = None
+    for name in [None, *MUTANTS]:
         with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
             src = Path(tmp) / "src"
             shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
             if name is not None:
                 apply_edit(src, name)
-            passed, summary = run_tier1(src)
+            start = time.monotonic()
+            passed, summary = run_tier1(src, timeout)
         if name is None:
             print(f"unmutated: {summary}", flush=True)
             if not passed:
                 return 1
+            timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
         else:
             print(f"{name}: {'SURVIVED' if passed else 'killed'} ({summary})", flush=True)
             if passed:
