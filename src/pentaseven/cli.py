@@ -128,7 +128,8 @@ def load_graph(path: str) -> tuple[Graph, str]:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     digest = hashlib.sha256(raw).hexdigest()
-    text = raw.decode("utf-8", errors="replace")
+    # a UTF-8 byte order mark would hide either format's first line
+    text = raw.decode("utf-8", errors="replace").removeprefix("\ufeff")
     del raw  # the parsers need only the text
     parse = parse_edge_json if text.lstrip().startswith("{") else parse_dimacs
     # The parse builds up to millions of edge lists or tuples and no
@@ -288,19 +289,20 @@ def _color(g: Graph, args) -> tuple[int, dict]:
 
 
 def _cwd(g: Graph, args) -> tuple[int, dict]:
-    from . import cwd, recognize
+    from . import cwd, expr, recognize
 
     try:
-        expr = cwd.expr_for_class_graph(g)
+        # the one check of every node: the three readers below share it
+        checked = expr.walk(cwd.expr_for_class_graph(g))
     except (recognize.NotInClassError, cwd.ExpressionRefusal) as exc:
         body = {"refusal": {"reason": str(exc)}}
         if isinstance(exc, recognize.NotInClassError):
             body["refusal"]["verdict"] = report_to_json(exc.report)
         return EXIT_REFUSED, body
     return EXIT_OK, {
-        "width": cwd.width(expr),
-        "expression": cwd.to_sexpr(expr),
-        "evaluates_to_input": cwd.eval_to_graph(expr) == g,
+        "width": cwd.width(checked),
+        "expression": cwd.to_sexpr(checked),
+        "evaluates_to_input": cwd.eval_to_graph(checked) == g,
     }
 
 

@@ -8,19 +8,19 @@ Expressions carry explicit vertex ids through their create leaves, so an
 evaluated expression can be compared to a target graph by equality rather
 than isomorphism.  Nodes are slotted value dataclasses: compared by value
 and type (as tuples, Join(1, 2, c) would equal Rename(1, 2, c)),
-unhashable, never mutated once built.  One walk, _nodes, lists the nodes
+unhashable, never mutated once built.  One function, walk, lists the nodes
 and tests each against the id and label rule (_rule_break); every walker
-reads that walk and raises ExprError, with a path, for the first node that
-is not a node or breaks the rule.  Walks are plain stack loops that
-dispatch on the exact node type: expressions for thickenings get deep (one
-chain link per vertex), so nothing recurses.
+reads that walk, or is handed it as a Walk, and raises ExprError, with a
+path, for the first node that is not a node or breaks the rule.  Walks are
+plain stack loops that dispatch on the exact node type: expressions for
+thickenings get deep (one chain link per vertex), so nothing recurses.
 """
 
 from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Graph, _iter_bits, parse_int
 
@@ -69,14 +69,26 @@ class LabeledGraph:
     labeling: dict[int, int]  # expression vertex id -> label
 
 
-def _nodes(expr: Expr) -> tuple[list, int, ExprError | None]:
-    """The nodes of expr in pre-order, right child first, with anything that
-    is not a node listed as a leaf; the position in that list of the last
-    node that breaks the node rule (see _rule_break), or -1; and the error
-    naming that node, or None.  Reversed, the list is the left-to-right
-    post-order of a recursive evaluation, so the last break in the list is
-    the first break the evaluation meets.  This is the one walk that tests
-    the rule: every other walker reads it."""
+class Walk(NamedTuple):
+    """The checked walk of an expression: its root; its nodes in pre-order,
+    right child first, with anything that is not a node listed as a leaf;
+    the position in that list of the last node that breaks the node rule
+    (see _rule_break), or -1; and the error naming that node, or None.
+    Reversed, the list is the left-to-right post-order of a recursive
+    evaluation, so the last break in the list is the first break the
+    evaluation meets.  Readers share it and never change it."""
+
+    root: Expr
+    nodes: list
+    last: int
+    error: ExprError | None
+
+
+def walk(expr: Expr | Walk) -> Walk:
+    """expr's walk, or expr itself if it is a Walk: the one walk that tests
+    the rule, which every walker below reads."""
+    if type(expr) is Walk:
+        return expr
     nodes = []
     last, message = -1, None
     stack = [expr]
@@ -94,11 +106,11 @@ def _nodes(expr: Expr) -> tuple[list, int, ExprError | None]:
                 node = node.child
             else:
                 break
-    return nodes, last, ExprError(_path(expr, last), message) if message else None
+    return Walk(expr, nodes, last, ExprError(_path(expr, last), message) if message else None)
 
 
 def _path(expr: Expr, pos: int) -> str:
-    """Path from the root to the node at position pos of _nodes(expr)."""
+    """Path from the root to the node at position pos of walk(expr)."""
     stack: list[tuple] = [(expr, None)]  # (node, (name, parent's link) or None)
     for _ in range(pos):
         node, up = stack.pop()
@@ -119,7 +131,7 @@ def _rule_break(node: object) -> str | None:
     """Why node breaks the node rule, or None.  The rule: a node is a
     Create, Union, Join or Rename; a label is a plain int >= 1 and a vertex
     id a plain int >= 0, so a bool or a float is neither; a join's two
-    labels are distinct.  This is the rule's only statement; _nodes applies
+    labels are distinct.  This is the rule's only statement; walk applies
     it to every node."""
     t = type(node)
     if t is Create:
@@ -143,20 +155,24 @@ def _rule_break(node: object) -> str | None:
     return None
 
 
-def iter_nodes(expr: Expr):
+def _checked(expr: Expr | Walk) -> Walk:
+    """walk(expr); raises its error, the first break an evaluation meets."""
+    w = walk(expr)
+    if w.error:
+        raise w.error
+    return w
+
+
+def iter_nodes(expr: Expr | Walk):
     """Iterator over the nodes of expr, in pre-order, right child first.
-    Raises ExprError for the first node, in the order of a recursive
-    evaluation, that breaks the node rule."""
-    nodes, _, broken = _nodes(expr)
-    if broken:
-        raise broken
-    return iter(nodes)
+    Raises _checked's error."""
+    return iter(_checked(expr).nodes)
 
 
-def width(expr: Expr) -> int:
+def width(expr: Expr | Walk) -> int:
     """Number of distinct labels mentioned anywhere in the expression."""
     labels: set[int] = set()
-    for node in iter_nodes(expr):
+    for node in _checked(expr).nodes:
         t = type(node)
         if t is Create:
             labels.add(node.label)
@@ -169,7 +185,7 @@ def width(expr: Expr) -> int:
     return len(labels)
 
 
-def eval_expr(expr: Expr) -> LabeledGraph:
+def eval_expr(expr: Expr | Walk) -> LabeledGraph:
     """Evaluate the four-operation semantics; joins are idempotent.
 
     Linear in the size of the expression, up to the cost of OR-ing vertex
@@ -185,7 +201,7 @@ def eval_expr(expr: Expr) -> LabeledGraph:
     so a union before it whose sides share a vertex id is the error, and
     otherwise that node is.
     """
-    nodes, last, broken = _nodes(expr)
+    root, nodes, last, broken = walk(expr)
     # nodes[last + 1:] is the part evaluated before the first break, and
     # holds only valid nodes
     vertices = [node.vertex for node in reversed(nodes[last + 1:]) if type(node) is Create]
@@ -233,7 +249,7 @@ def eval_expr(expr: Expr) -> LabeledGraph:
                 if lmask & rmask:
                     dup = [order[k] for k in _iter_bits(lmask & rmask)]
                     message = f"duplicate vertex ids across union: {dup}"
-                    raise ExprError(_path(expr, pos), message)
+                    raise ExprError(_path(root, pos), message)
             if len(value) < len(right):
                 value, right = right, value
                 values[-1] = value
@@ -275,7 +291,7 @@ def eval_expr(expr: Expr) -> LabeledGraph:
     return LabeledGraph(Graph.from_rows(rows), tuple(order), labeling)
 
 
-def eval_to_graph(expr: Expr) -> Graph:
+def eval_to_graph(expr: Expr | Walk) -> Graph:
     """Evaluate an expression whose vertex ids are exactly 0..n-1."""
     lg = eval_expr(expr)
     if lg.ids != tuple(range(len(lg.ids))):
@@ -341,13 +357,13 @@ def thickening_expr(
 _CLOSE = object()  # a closing parenthesis on to_sexpr's work stack
 
 
-def to_sexpr(expr: Expr) -> str:
+def to_sexpr(expr: Expr | Walk) -> str:
     """The expression in the grammar from_sexpr reads, written in one
     pre-order walk: an operator's text is written when the walk reaches it.
-    Raises iter_nodes's error for an expression that breaks the node rule."""
-    iter_nodes(expr)  # the check; the writer below tests nothing
+    Raises _checked's error for an expression that breaks the node rule."""
+    root = _checked(expr).root  # the check; the writer below tests nothing
     out: list[str] = []
-    work: list[object] = [expr]  # right children and closers
+    work: list[object] = [root]  # right children and closers
     while work:
         node = work.pop()
         if node is _CLOSE:

@@ -1,10 +1,13 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import pentaseven
 from pentaseven.catalog import _targets_by_key, pattern
 from pentaseven.color import _lp_cover
 from pentaseven.core import (
@@ -17,6 +20,18 @@ from pentaseven.core import (
 from pentaseven.decompose import SimplicialPrefix, simplicial_seed
 from pentaseven.expr import Expr, _complete_expr
 from pentaseven.oracle import find_induced
+
+
+# the source root of the package under test, which need not be the
+# checkout's own src/
+SRC = Path(pentaseven.__file__).resolve().parent.parent
+
+
+def fresh_env(**extra: str) -> dict[str, str]:
+    """The environment, with extra, for a fresh interpreter that imports
+    the package under test: SRC first on PYTHONPATH."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 @st.composite

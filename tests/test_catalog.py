@@ -1,8 +1,6 @@
-import os
 import subprocess
 import sys
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +27,7 @@ from pentaseven.oracle import find_induced
 
 from conftest import (
     dedup_family_index,
+    fresh_env,
     is_free_of,
     isomorphic,
     random_graphs,
@@ -598,10 +597,7 @@ def test_fresh_recognize_builds_one_target_plan():
         "print(len(built), catalog._target_plan.cache_info().currsize,\n"
         "      len(catalog._targets_by_key()))\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1", "22"]

@@ -1,12 +1,12 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from pentaseven import cli
 from pentaseven.catalog import pattern
 from pentaseven.core import VERTEX_CAP, VertexCapError, build_graph
+
+from conftest import fresh_env
 
 
 def write_graph(tmp_path, name, g):
@@ -131,6 +133,30 @@ class TestFormats:
         code, reports = run(capsys, "recognize", str(path))
         assert code == cli.EXIT_INPUT
         assert "edge endpoint out of range 1..3 in 'e -1 2'" in reports[0]["error"]
+
+    @pytest.mark.parametrize("command", ["recognize", "cwd"])
+    @pytest.mark.parametrize("fmt", ["edge-json", "dimacs"])
+    def test_byte_order_mark_is_no_part_of_either_format(self, tmp_path, capsys,
+                                                        fmt, command):
+        # a file led by a UTF-8 byte order mark reads as the same file
+        # without it; the input hash stays that of the file's bytes
+        g = pattern("T1").graph
+        if fmt == "edge-json":
+            text = json.dumps(cli.graph_to_edge_json(g))
+        else:
+            text = "\n".join([f"p edge {g.n} {g.num_edges}",
+                              *(f"e {u + 1} {v + 1}" for u, v in g.edges())])
+        bodies = []
+        for name, data in (("plain", text.encode()), ("bom", "\ufeff".encode() + text.encode())):
+            path = tmp_path / name
+            path.write_bytes(data)
+            code, (report,) = run(capsys, command, str(path))
+            assert code == 0, report
+            assert report["input_hash"] == hashlib.sha256(data).hexdigest()
+            for key in ("input", "input_hash", "timing_ms"):
+                del report[key]
+            bodies.append(report)
+        assert data[:3] == b"\xef\xbb\xbf" and bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("name, text", [
         ("big.col", "p edge 100000000 1\ne 1 2\n"),
@@ -472,11 +498,7 @@ class TestRecognizeCmd:
         # oracle's own cap or break the import
         g = build_graph(21, [(i, i + 1) for i in range(20)])
         path = write_graph(tmp_path, "p21.json", g)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PENTASEVEN_ORACLE_CAP="30",
-                   PENTASEVEN_KERNELS="bogus",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = fresh_env(PENTASEVEN_ORACLE_CAP="30", PENTASEVEN_KERNELS="bogus")
         proc = subprocess.run(
             [sys.executable, "-m", "pentaseven.cli", "recognize",
              "--oracle-crosscheck", path],
@@ -503,12 +525,9 @@ class TestRecognizeCmd:
             f"for argv in {argvs!r}:\n"
             "    loaded(cli.main(argv))\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=fresh_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stderr.splitlines(), proc.stdout.splitlines()

@@ -1,6 +1,7 @@
 """Errors of the clique-width expression reader and walkers: the integers
-from_sexpr reads, and the order of two errors in one expression, a union
-whose sides share a vertex id and a node that breaks the node rule."""
+from_sexpr reads, the order of two errors in one expression, a union whose
+sides share a vertex id and a node that breaks the node rule, and the same
+errors from walkers handed the expression's walk."""
 
 import re
 
@@ -17,6 +18,7 @@ from pentaseven.expr import (
     from_sexpr,
     iter_nodes,
     to_sexpr,
+    walk,
     width,
 )
 
@@ -120,3 +122,26 @@ def test_random_duplicates_and_rule_breaks_in_either_order():
             # two leaves share an id, and their union comes after the break
             break_first += 1
     assert dup_first >= 10 and break_first >= 10, (dup_first, break_first)
+
+
+def outcome(read, expr):
+    """What read returns on expr, or the (path, message) it raises."""
+    try:
+        return read(expr)
+    except ExprError as err:
+        return err.path, str(err)
+
+
+def test_walkers_handed_the_walk_answer_as_handed_the_expression():
+    # a Walk stands in for its expression: each walker returns the same
+    # value or raises the same error, the evaluator's duplicate ids included
+    answers = {True: 0, False: 0}  # raised -> count
+    for seed in range(300):
+        for expr in spoiled_twice(seed):
+            w = walk(expr)
+            assert walk(w) is w
+            for read in (*NON_EVALUATING, eval_expr):
+                want = outcome(read, expr)
+                assert outcome(read, w) == want
+                answers[type(want) is tuple] += 1
+    assert min(answers.values()) >= 100, answers

@@ -9,14 +9,14 @@ inside functions and under `TYPE_CHECKING`.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
 
+from conftest import SRC, fresh_env
+
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
-PKG = SRC / "pentaseven"
+PKG = SRC / "pentaseven"  # the package under test, not the checkout's copy
 
 
 def _tree(module: str) -> ast.Module:
@@ -119,9 +119,7 @@ def loaded_by_import(module: str) -> list[str]:
         f"import pentaseven.{module}\n"
         "print(sorted(m for m in sys.modules if m.startswith('pentaseven')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout)

@@ -2,15 +2,17 @@
 attachment classifier and the partition verifiers.  A row read costs Θ(n/64) machine words, so a
 bound stated in row reads is a bound on time that timing noise cannot hide;
 a step that turned quadratic would read rows once per pair, not once per
-vertex.  The clique-width expression walkers are bounded in node-rule
-checks: one per node.  The weighted colorer's work is bounded in mask walks,
-and does not grow with the weights."""
+vertex.  The clique-width expression walkers, and a whole `cwd` op, are
+bounded in node-rule checks: one per node.  The weighted colorer's work is
+bounded in mask walks, and does not grow with the weights."""
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentaseven import color, cwd, expr
+from pentaseven import cli, color, cwd, expr
 from pentaseven.catalog import T0_LABELS, catalog_entry
 from pentaseven.color import WeightedInstance, solve_weighted
 from pentaseven.core import Graph, build_graph
@@ -150,6 +152,18 @@ def test_passing_verification_on_thickenings(name, n):
     assert_verification_reads_at_most_two_rows_per_vertex(g, report.saucer or report.tent)
 
 
+def counted_rule_checks(monkeypatch) -> list:
+    """The nodes passed to expr._rule_break from now on, in call order."""
+    rule_break, calls = expr._rule_break, []
+
+    def counting(node):
+        calls.append(node)
+        return rule_break(node)
+
+    monkeypatch.setattr(expr, "_rule_break", counting)
+    return calls
+
+
 @pytest.mark.parametrize("walk", [expr.width, expr.to_sexpr, expr.eval_expr,
                                   lambda e: list(expr.iter_nodes(e))],
                          ids=["width", "to_sexpr", "eval_expr", "iter_nodes"])
@@ -160,15 +174,32 @@ def test_cwd_walkers_check_each_node_once(monkeypatch, walk):
     e = cwd.expr_for_class_graph(thickening("M0", 750, universals=10))
     size = sum(1 for _ in expr.iter_nodes(e))
     assert size > 3000
-    rule_break, calls = expr._rule_break, []
-
-    def counting(node):
-        calls.append(node)
-        return rule_break(node)
-
-    monkeypatch.setattr(expr, "_rule_break", counting)
+    calls = counted_rule_checks(monkeypatch)
     walk(e)
     assert len(calls) == size
+
+
+def test_walkers_handed_the_walk_check_nothing(monkeypatch):
+    w = expr.walk(cwd.expr_for_class_graph(thickening("M0", 200, universals=3)))
+    calls = counted_rule_checks(monkeypatch)
+    for walk in (expr.width, expr.to_sexpr, expr.eval_to_graph, expr.iter_nodes):
+        walk(w)
+    assert calls == []
+
+
+def test_a_cwd_op_checks_each_node_once(monkeypatch, tmp_path, capsys):
+    # cli reads the width, the text and the evaluation from one checked
+    # walk: one node-rule check per node, where a reader that walked the
+    # expression again would add one per node
+    g = thickening("M0", 750, universals=10)
+    path = tmp_path / "m0.json"
+    path.write_text(json.dumps(cli.graph_to_edge_json(g)))
+    size = sum(1 for _ in expr.iter_nodes(cwd.expr_for_class_graph(g)))
+    calls = counted_rule_checks(monkeypatch)
+    assert cli.main(["cwd", "--jobs", "1", str(path)]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["evaluates_to_input"] is True
+    assert size > 3000 and len(calls) == size
 
 
 @pytest.mark.parametrize("name", ["M0", "T1", "M1"])

@@ -66,6 +66,48 @@ MUTANTS = {
         "t = min(times, remaining[v])",
         "t = times",
     ),
+    # the embedding walker ignores the pattern's ties
+    "embed-ignores-ties": (
+        "pentaseven/catalog.py",
+        "tied = ties[k]",
+        "tied = ()",
+    ),
+    # every later level of order[k]'s degree is tied to k, automorphism or not
+    "ties-on-every-same-degree-level": (
+        "pentaseven/catalog.py",
+        "            sigma = embed(plan, p, [*fixed, 1 << order[j], *rest])\n"
+        "            if sigma is None:\n"
+        "                continue\n"
+        "            tied.append(j)\n",
+        "            tied.append(j)\n"
+        "            sigma = embed(plan, p, [*fixed, 1 << order[j], *rest])\n"
+        "            if sigma is None:\n"
+        "                continue\n",
+    ),
+    # the walker takes masks that differ across an orbit of the pattern
+    "embed-drops-orbit-check": (
+        "pentaseven/catalog.py",
+        "for k, o in plan.orbits:",
+        "for k, o in ():",
+    ),
+    # the expression algebra loads the pipeline it certifies
+    "expr-imports-pipeline": (
+        "pentaseven/expr.py",
+        "from .core import Graph, _iter_bits, parse_int\n",
+        "from .core import Graph, _iter_bits, parse_int\nfrom . import recognize  # noqa: F401\n",
+    ),
+    # a walker handed an expression's walk walks and checks it again
+    "cwd-rechecks": (
+        "pentaseven/expr.py",
+        "    if type(expr) is Walk:\n        return expr\n",
+        "    if type(expr) is Walk:\n        expr = expr.root\n",
+    ),
+    # the one checked walk records no rule break, so no walker raises one
+    "walk-records-no-break": (
+        "pentaseven/expr.py",
+        "last, message = len(nodes), why",
+        "pass",
+    ),
 }
 
 DIGEST_TESTS = (
