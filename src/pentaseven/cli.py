@@ -16,10 +16,11 @@ import os
 import sys
 import time
 from functools import cache, partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
-from .core import CapError, Graph, build_graph, check_vertex_cap, parse_int, relation
+from .core import CapError, Graph, _iter_bits, build_graph, check_vertex_cap, fold_pairs
+from .core import parse_int, relation
 
 if TYPE_CHECKING:
     from . import oracle, recognize
@@ -52,12 +53,13 @@ def _exit_for(exc: BaseException) -> tuple[int, str]:
 # graph file formats
 
 
-def _build(n, edges) -> Graph:
-    """build_graph behind the vertex cap, which is checked before the n
-    neighborhood rows are allocated; malformed input becomes an InputError."""
+def _build(n, edges, build) -> Graph:
+    """build (build_graph or fold_pairs) behind the vertex cap, which is
+    checked before the n neighborhood rows are allocated; malformed input
+    becomes an InputError."""
     check_vertex_cap(n)
     try:
-        return build_graph(n, edges)
+        return build(n, edges)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -102,7 +104,7 @@ def parse_dimacs(text: str) -> Graph:
         raise InputError("missing 'p edge' header")
     if m != len(edges):
         raise InputError(f"header declares {m} edges, found {len(edges)} 'e' lines")
-    return _build(n, edges)
+    return _build(n, edges, fold_pairs)  # each endpoint came from parse_int
 
 
 def parse_edge_json(text: str) -> Graph:
@@ -117,7 +119,11 @@ def parse_edge_json(text: str) -> Graph:
         raise InputError("edge-json needs an object with 'n' and 'edges'")
     if not isinstance(data["edges"], list):
         raise InputError("'edges' must be a list of vertex pairs")
-    return _build(data["n"], data["edges"])
+    # json.loads makes a bool, the one value besides a plain int that a list
+    # index takes, only of the literals true and false; every other value
+    # fails fold_pairs' indexing
+    screened = "t" not in text and "f" not in text
+    return _build(data["n"], data["edges"], fold_pairs if screened else build_graph)
 
 
 def load_graph(path: str) -> tuple[Graph, str]:
@@ -145,6 +151,19 @@ def load_graph(path: str) -> tuple[Graph, str]:
 
 def graph_to_edge_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+
+
+def edge_json_chunks(g: Graph) -> Iterator[str]:
+    """The text of json.dumps(graph_to_edge_json(g), sort_keys=True), one
+    vertex's pairs at a time, so that writing it never lists every edge."""
+    yield '{"edges": ['
+    sep = ""
+    for u, r in enumerate(g.rows):
+        above = r & -(2 << u)  # the neighbors above u
+        if above:
+            yield sep + ", ".join(f"[{u}, {v}]" for v in _iter_bits(above))
+            sep = ", "
+    yield f'], "n": {g.n}}}'
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +389,10 @@ def run_generate(args) -> tuple[int, dict]:
             "certificate": partition_to_json(part)}
     try:
         os.makedirs(args.out, exist_ok=True)
-        for path, data in zip(files, (graph_to_edge_json(g), cert)):
+        texts = (edge_json_chunks(g), [json.dumps(cert, sort_keys=True)])
+        for path, chunks in zip(files, texts):
             with open(path, "w") as fh:
-                json.dump(data, fh, sort_keys=True, indent=None)
+                fh.writelines(chunks)
                 fh.write("\n")
     except OSError as exc:
         raise InputError(f"cannot write to {args.out}: {exc}") from None

@@ -187,36 +187,52 @@ def build_graph(n: int, edges: Sequence[Sequence[int]]) -> Graph:
     endpoint types; any other input is read again to name its first bad
     pair, so edges must be a sequence, not a one-shot iterator.
     """
+    return _fold(n, edges, _plain_int_pairs(edges))
+
+
+def fold_pairs(n: int, edges: Sequence[Sequence[int]]) -> Graph:
+    """build_graph without its per-pair type test, for pairs that hold no
+    bool and no other stand-in for an int that indexes a list (a numpy
+    integer).  Every other value build_graph rejects already fails the
+    fold's indexing, so this rejects the same inputs with the same errors.
+    The text readers call it: DIMACS endpoints come from parse_int, and an
+    edge-json text holding neither 't' nor 'f' has no true or false."""
+    return _fold(n, edges, edges)
+
+
+def _plain_int_pairs(edges: Iterable) -> Iterator[tuple[int, int]]:
+    """The pairs of edges, each after a test that both endpoints are plain
+    ints."""
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise TypeError("endpoint is not a plain int")
+        yield u, v
+
+
+def _fold(n: int, edges: Iterable, pairs: Iterable) -> Graph:
+    """The graph of pairs, a view of edges that reads each pair of edges
+    once.  No endpoint is range-checked: bit holds the n vertex bits
+    followed by n Nones and each endpoint indexes both rows and bit, so one
+    outside 0..n-1 either indexes past a list (IndexError) or ORs a None
+    (TypeError).  A loop (v, v) sets bit v of rows[v], looked for after the
+    fold.  On any failure edges is read again to name its first bad pair.
+    """
     if type(n) is not int:
         raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("graphs are nonnull: need n >= 1")
     bit: list[int | None] = [1 << v for v in range(n)]
     bit += [None] * n
+    rows = [0] * n
     try:
-        rows = _or_rows(n, bit, edges)
+        for u, v in pairs:
+            rows[u] |= bit[v]
+            rows[v] |= bit[u]
     except (TypeError, ValueError, IndexError):
-        rows = None
-    if rows is None or any(r & b for r, b in zip(rows, bit)):  # bad pair or loop
+        raise _bad_pair_error(n, edges) from None
+    if any(r & b for r, b in zip(rows, bit)):  # a loop
         raise _bad_pair_error(n, edges)
     return Graph.from_rows(rows)
-
-
-def _or_rows(n: int, bit: list[int | None], edges: Iterable) -> list[int]:
-    """Rows of the pairs in edges, for plain int endpoints only.
-
-    No endpoint is range-checked: bit holds the n vertex bits followed by n
-    Nones and each endpoint indexes both rows and bit, so one outside 0..n-1
-    either indexes past a list (IndexError) or ORs a None (TypeError).  A
-    loop (v, v) sets bit v of rows[v], which the caller looks for.
-    """
-    rows = [0] * n
-    for u, v in edges:
-        if type(u) is not int or type(v) is not int:
-            raise TypeError("endpoint is not a plain int")
-        rows[u] |= bit[v]
-        rows[v] |= bit[u]
-    return rows
 
 
 def _bad_pair_error(n: int, edges: Iterable) -> ValueError:

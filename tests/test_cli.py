@@ -3,20 +3,21 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pentaseven import cli
 from pentaseven.catalog import pattern
-from pentaseven.core import VERTEX_CAP, VertexCapError, build_graph
+from pentaseven.core import VERTEX_CAP, Graph, VertexCapError, build_graph
 
-from conftest import fresh_env
+from conftest import fresh_env, random_graphs
 
 
 def write_graph(tmp_path, name, g):
@@ -83,6 +84,9 @@ class TestFormats:
         deep_bad_pair([17, 1.5], "edge endpoint 1.5 in [17, 1.5] is not an integer"),
         deep_bad_pair([1, 2, 3], "edge [1, 2, 3] is not a pair of vertices"),
         deep_bad_pair([17, 17], "loop edge [17, 17]"),
+        # a false in a text without the letter t
+        ('{"n": 3, "edges": [[1, false]]}', "False"),
+        deep_bad_pair([17, False], "edge endpoint False in [17, False] is not an integer"),
     ])
     def test_non_integer_input_exit_2(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.json"
@@ -257,6 +261,83 @@ class TestParsePausesCollector:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+def parse_edge_json_reference(text):
+    """parse_edge_json of a text that decodes to an object with 'n' and a
+    list of 'edges' under the vertex cap: build_graph on what json.loads
+    gives."""
+    data = json.loads(text)
+    try:
+        return build_graph(data["n"], data["edges"])
+    except ValueError as exc:
+        raise cli.InputError(str(exc)) from None
+
+
+@st.composite
+def edge_json_texts(draw):
+    """Edge-json texts of valid pairs, with or without a duplicate, and up
+    to three bad pairs inserted anywhere: loops, ints out of range on both
+    sides, true, false, NaN, infinities, floats, strings, null, and pairs of
+    length 1 and 3; the count is sometimes not a positive plain int, and
+    extra top-level keys spell the letters t and f or neither."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    pairs = []
+    if n > 1:  # v = u + d mod n with d in 1..n-1 never equals u
+        valid = st.tuples(vertex, st.integers(1, n - 1)).map(
+            lambda p: [p[0], (p[0] + p[1]) % n]
+        )
+        pairs = draw(st.lists(valid, max_size=16))
+        if pairs and draw(st.booleans()):
+            pairs.append(draw(st.sampled_from(pairs)))  # a duplicate
+    outside = st.one_of(st.integers(-2 * n - 1, -1), st.integers(n, 2 * n + 1),
+                        st.just(10**30))
+    # half of the values that are not ints are bools, the only ones a list
+    # index takes
+    odd = st.one_of(st.booleans(),
+                    st.sampled_from([math.nan, math.inf, 1.5, "0", "t", None]))
+    bad = st.one_of(
+        st.tuples(vertex, odd).map(list),
+        st.tuples(odd, vertex).map(list),
+        vertex.map(lambda v: [v, v]),
+        st.tuples(vertex, outside).map(list),
+        st.tuples(outside, vertex).map(list),
+        st.lists(st.one_of(vertex, outside, odd), min_size=1, max_size=3),
+        st.one_of(vertex, odd),
+    )
+    for pair in draw(st.lists(bad, max_size=3)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    count = draw(st.sampled_from([n, n, n, 0, -1, 3.0, True]))
+    extra = draw(st.dictionaries(st.sampled_from(["format", "kind", "seed", "m"]),
+                                 st.integers(0, 9) | st.text("abtfz", max_size=3),
+                                 max_size=2))
+    return json.dumps({"n": count, "edges": pairs, **extra},
+                      sort_keys=draw(st.booleans()))
+
+
+@given(edge_json_texts())
+@settings(max_examples=400, deadline=None)
+def test_parse_edge_json_matches_build_graph(text):
+    # a text without the letters t and f is folded with no type test
+    event("screened" if "t" not in text and "f" not in text else "checked")
+    try:
+        want = parse_edge_json_reference(text)
+    except cli.InputError as exc:
+        event("rejected")
+        with pytest.raises(cli.InputError) as got:
+            cli.parse_edge_json(text)
+        assert str(got.value) == str(exc)
+    else:
+        event("accepted")
+        assert cli.parse_edge_json(text) == want
+
+
+@given(random_graphs(max_n=12))
+@settings(max_examples=100, deadline=None)
+def test_edge_json_chunks_spell_the_list_form(g):
+    text = "".join(cli.edge_json_chunks(g))
+    assert text == json.dumps(cli.graph_to_edge_json(g), sort_keys=True)
 
 
 # exit-code contract inputs: any bytes, JSON of small ints, nested lists and
@@ -665,6 +746,44 @@ class TestGenerateCmd:
             assert code == 0
         for name in ("saucer-7.json", "saucer-7.cert.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["special", "saucer", "tent"])
+    def test_edge_json_bytes_are_the_list_form(self, tmp_path, capsys, monkeypatch, kind):
+        from pentaseven import generate
+
+        made = []
+        gen = getattr(generate, f"gen_{kind}")
+
+        def spy(params):
+            made.append(gen(params))
+            return made[-1]
+
+        monkeypatch.setattr(generate, f"gen_{kind}", spy)
+        for seed in range(4):
+            assert run(capsys, "generate", kind, "--seed", str(seed),
+                       "--out", str(tmp_path))[0] == 0
+            g, _ = made[-1]
+            want = json.dumps(cli.graph_to_edge_json(g), sort_keys=True) + "\n"
+            assert (tmp_path / f"{kind}-{seed}.json").read_bytes() == want.encode()
+
+    def test_edge_json_is_written_row_by_row(self, tmp_path):
+        # two cliques of 750 vertices, 561 750 edges: the list form holds one
+        # two-element list per edge at once, at least 72 bytes each (about
+        # 40 MB; json.dump of it peaked at 98 MB), while the row-by-row text
+        # holds one vertex's pairs at a time
+        n = 1500
+        half = (1 << n // 2) - 1
+        g = Graph.from_rows([(half if u < n // 2 else half << n // 2) ^ 1 << u
+                             for u in range(n)])
+        list_form = g.num_edges * sys.getsizeof([0, 1])
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "dense.json", "w") as fh:
+                fh.writelines(cli.edge_json_chunks(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < list_form // 100
 
     def test_out_is_a_file_exit_2(self, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -4,7 +4,9 @@ bound stated in row reads is a bound on time that timing noise cannot hide;
 a step that turned quadratic would read rows once per pair, not once per
 vertex.  The clique-width expression walkers, and a whole `cwd` op, are
 bounded in node-rule checks: one per node.  The weighted colorer's work is
-bounded in mask walks, and does not grow with the weights."""
+bounded in mask walks, and does not grow with the weights.  Building a graph
+from pairs, by `build_graph` or by either text reader, reads valid pairs
+once, and a bad pair costs exactly one more read to name it."""
 
 import json
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentaseven import cli, color, cwd, expr
+from pentaseven import cli, color, core, cwd, expr
 from pentaseven.catalog import T0_LABELS, catalog_entry
 from pentaseven.color import WeightedInstance, solve_weighted
 from pentaseven.core import Graph, build_graph
@@ -224,3 +226,106 @@ def test_weighted_colorer_walks_do_not_grow_with_the_weights(monkeypatch, name):
         solve_weighted(WeightedInstance(q, weights))
         counts.append(len(walks))
     assert counts[0] == counts[1] == counts[2] <= 2 * q.n, counts
+
+
+class CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def counted_rereads(monkeypatch) -> list:
+    """The vertex counts passed to core._bad_pair_error from now on."""
+    bad_pair_error, calls = core._bad_pair_error, []
+
+    def counting(n, edges):
+        calls.append(n)
+        return bad_pair_error(n, edges)
+
+    monkeypatch.setattr(core, "_bad_pair_error", counting)
+    return calls
+
+
+def counted_json_pairs(monkeypatch) -> list:
+    """The pair lists json.loads gives cli from now on, as CountingLists."""
+    loads, lists = json.loads, []
+
+    def counting(text):
+        data = loads(text)
+        lists.append(CountingList(data["edges"]))
+        data["edges"] = lists[-1]
+        return data
+
+    monkeypatch.setattr(cli.json, "loads", counting)
+    return lists
+
+
+def counted_folds(monkeypatch) -> dict:
+    """How often cli calls each builder from now on."""
+    calls = {"fold_pairs": 0, "build_graph": 0}
+    for name in calls:
+        def counting(n, edges, build=getattr(cli, name), name=name):
+            calls[name] += 1
+            return build(n, edges)
+
+        monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+LOAD_GRAPH = thickening("M0", 200, universals=3)
+
+
+def test_build_graph_reads_valid_pairs_once(monkeypatch):
+    rereads = counted_rereads(monkeypatch)
+    pairs = CountingList(LOAD_GRAPH.edges())
+    assert build_graph(LOAD_GRAPH.n, pairs) == LOAD_GRAPH
+    assert pairs.reads == 1 and rereads == []
+
+
+# a text without the letters t and f is folded without a type test; with
+# them, by build_graph
+@pytest.mark.parametrize("extra, builder", [("", "fold_pairs"),
+                                            (', "format": 1', "build_graph")])
+def test_edge_json_reads_valid_pairs_once(monkeypatch, extra, builder):
+    text = json.dumps(cli.graph_to_edge_json(LOAD_GRAPH))[:-1] + extra + "}"
+    rereads, lists = counted_rereads(monkeypatch), counted_json_pairs(monkeypatch)
+    folds = counted_folds(monkeypatch)
+    assert cli.parse_edge_json(text) == LOAD_GRAPH
+    assert [edges.reads for edges in lists] == [1] and rereads == []
+    assert folds[builder] == 1 and sum(folds.values()) == 1
+
+
+def test_dimacs_reads_valid_pairs_once(monkeypatch):
+    g = LOAD_GRAPH
+    text = "\n".join([f"p edge {g.n} {g.num_edges}",
+                      *(f"e {u + 1} {v + 1}" for u, v in g.edges())])
+    rereads, lists = counted_rereads(monkeypatch), []
+
+    def counting_fold(n, edges, fold=core.fold_pairs):
+        lists.append(CountingList(edges))
+        return fold(n, lists[-1])
+
+    monkeypatch.setattr(cli, "fold_pairs", counting_fold)
+    assert cli.parse_dimacs(text) == g
+    assert [edges.reads for edges in lists] == [1] and rereads == []
+
+
+@pytest.mark.parametrize("bad", [[0, 1000], [5, 5], [0, True], [0, "1"]],
+                         ids=["range", "loop", "bool", "string"])
+def test_a_bad_pair_costs_one_reread(monkeypatch, bad):
+    pairs = LOAD_GRAPH.edges()
+    pairs.insert(len(pairs) // 2, bad)
+    rereads = counted_rereads(monkeypatch)
+    counted = CountingList(pairs)
+    with pytest.raises(ValueError):
+        build_graph(LOAD_GRAPH.n, counted)
+    assert counted.reads == 2 and rereads == [LOAD_GRAPH.n]
+    rereads.clear()
+    lists = counted_json_pairs(monkeypatch)
+    with pytest.raises(cli.InputError):
+        cli.parse_edge_json(json.dumps({"n": LOAD_GRAPH.n, "edges": pairs}))
+    assert [edges.reads for edges in lists] == [2] and rereads == [LOAD_GRAPH.n]

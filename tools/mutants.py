@@ -108,6 +108,24 @@ MUTANTS = {
         "last, message = len(nodes), why",
         "pass",
     ),
+    # the edge-json screen looks for true but not for false
+    "json-screen-misses-false": (
+        "pentaseven/cli.py",
+        'screened = "t" not in text and "f" not in text',
+        'screened = "t" not in text',
+    ),
+    # edge-json pairs are always folded without the type test
+    "text-fold-unscreened": (
+        "pentaseven/cli.py",
+        "fold_pairs if screened else build_graph",
+        "fold_pairs",
+    ),
+    # the fold never looks for a loop on the diagonal
+    "fold-skips-loop-check": (
+        "pentaseven/core.py",
+        "if any(r & b for r, b in zip(rows, bit)):  # a loop",
+        "if False:",
+    ),
 }
 
 DIGEST_TESTS = (
