@@ -19,8 +19,7 @@ from functools import cache, partial
 from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
-from .core import CapError, Graph, _iter_bits, build_graph, check_vertex_cap, fold_pairs
-from .core import parse_int, relation
+from .core import CapError, Graph, _fold, _iter_bits, check_vertex_cap, parse_int, relation
 
 if TYPE_CHECKING:
     from . import oracle, recognize
@@ -53,13 +52,13 @@ def _exit_for(exc: BaseException) -> tuple[int, str]:
 # graph file formats
 
 
-def _build(n, edges, build) -> Graph:
-    """build (build_graph or fold_pairs) behind the vertex cap, which is
-    checked before the n neighborhood rows are allocated; malformed input
-    becomes an InputError."""
+def _build(n, edges, checked: bool) -> Graph:
+    """build_graph, with or without its endpoint type test (core._fold),
+    behind the vertex cap, which is checked before the n neighborhood rows
+    are allocated; malformed input becomes an InputError."""
     check_vertex_cap(n)
     try:
-        return build(n, edges)
+        return _fold(n, edges, checked)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -104,7 +103,7 @@ def parse_dimacs(text: str) -> Graph:
         raise InputError("missing 'p edge' header")
     if m != len(edges):
         raise InputError(f"header declares {m} edges, found {len(edges)} 'e' lines")
-    return _build(n, edges, fold_pairs)  # each endpoint came from parse_int
+    return _build(n, edges, checked=False)  # each endpoint came from parse_int
 
 
 def parse_edge_json(text: str) -> Graph:
@@ -120,10 +119,11 @@ def parse_edge_json(text: str) -> Graph:
     if not isinstance(data["edges"], list):
         raise InputError("'edges' must be a list of vertex pairs")
     # json.loads makes a bool, the one value besides a plain int that a list
-    # index takes, only of the literals true and false; every other value
-    # fails fold_pairs' indexing
-    screened = "t" not in text and "f" not in text
-    return _build(data["n"], data["edges"], fold_pairs if screened else build_graph)
+    # index takes, only of the literals true and false, and a text that
+    # lacks one of a literal's letters does not hold it; every other value
+    # fails the fold's indexing
+    may_hold_bool = all(c in text for c in "tru") or all(c in text for c in "fal")
+    return _build(data["n"], data["edges"], checked=may_hold_bool)
 
 
 def load_graph(path: str) -> tuple[Graph, str]:

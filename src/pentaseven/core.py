@@ -187,31 +187,17 @@ def build_graph(n: int, edges: Sequence[Sequence[int]]) -> Graph:
     endpoint types; any other input is read again to name its first bad
     pair, so edges must be a sequence, not a one-shot iterator.
     """
-    return _fold(n, edges, _plain_int_pairs(edges))
+    return _fold(n, edges, checked=True)
 
 
-def fold_pairs(n: int, edges: Sequence[Sequence[int]]) -> Graph:
-    """build_graph without its per-pair type test, for pairs that hold no
-    bool and no other stand-in for an int that indexes a list (a numpy
-    integer).  Every other value build_graph rejects already fails the
-    fold's indexing, so this rejects the same inputs with the same errors.
-    The text readers call it: DIMACS endpoints come from parse_int, and an
-    edge-json text holding neither 't' nor 'f' has no true or false."""
-    return _fold(n, edges, edges)
+def _fold(n: int, edges: Iterable, checked: bool) -> Graph:
+    """The graph of the pairs of edges, read once when they are valid.
 
-
-def _plain_int_pairs(edges: Iterable) -> Iterator[tuple[int, int]]:
-    """The pairs of edges, each after a test that both endpoints are plain
-    ints."""
-    for u, v in edges:
-        if type(u) is not int or type(v) is not int:
-            raise TypeError("endpoint is not a plain int")
-        yield u, v
-
-
-def _fold(n: int, edges: Iterable, pairs: Iterable) -> Graph:
-    """The graph of pairs, a view of edges that reads each pair of edges
-    once.  No endpoint is range-checked: bit holds the n vertex bits
+    checked tests that both endpoints of each pair are plain ints.  A caller
+    may leave it out only for pairs that hold no bool and no other stand-in
+    for an int that indexes a list (a numpy integer): every other value
+    build_graph rejects fails the fold's indexing, and is named by the same
+    error.  No endpoint is range-checked: bit holds the n vertex bits
     followed by n Nones and each endpoint indexes both rows and bit, so one
     outside 0..n-1 either indexes past a list (IndexError) or ORs a None
     (TypeError).  A loop (v, v) sets bit v of rows[v], looked for after the
@@ -225,7 +211,9 @@ def _fold(n: int, edges: Iterable, pairs: Iterable) -> Graph:
     bit += [None] * n
     rows = [0] * n
     try:
-        for u, v in pairs:
+        for u, v in edges:
+            if checked and (type(u) is not int or type(v) is not int):
+                raise TypeError("endpoint is not a plain int")
             rows[u] |= bit[v]
             rows[v] |= bit[u]
     except (TypeError, ValueError, IndexError):

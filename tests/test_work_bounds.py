@@ -264,16 +264,17 @@ def counted_json_pairs(monkeypatch) -> list:
     return lists
 
 
-def counted_folds(monkeypatch) -> dict:
-    """How often cli calls each builder from now on."""
-    calls = {"fold_pairs": 0, "build_graph": 0}
-    for name in calls:
-        def counting(n, edges, build=getattr(cli, name), name=name):
-            calls[name] += 1
-            return build(n, edges)
+def counted_folds(monkeypatch, wrap=lambda edges: edges) -> list:
+    """The checked flag of each fold cli makes from now on; wrap replaces
+    the pairs each fold is given."""
+    fold, checks = cli._fold, []
 
-        monkeypatch.setattr(cli, name, counting)
-    return calls
+    def counting(n, edges, checked):
+        checks.append(checked)
+        return fold(n, wrap(edges), checked)
+
+    monkeypatch.setattr(cli, "_fold", counting)
+    return checks
 
 
 LOAD_GRAPH = thickening("M0", 200, universals=3)
@@ -286,17 +287,19 @@ def test_build_graph_reads_valid_pairs_once(monkeypatch):
     assert pairs.reads == 1 and rereads == []
 
 
-# a text without the letters t and f is folded without a type test; with
-# them, by build_graph
-@pytest.mark.parametrize("extra, builder", [("", "fold_pairs"),
-                                            (', "format": 1', "build_graph")])
-def test_edge_json_reads_valid_pairs_once(monkeypatch, extra, builder):
+# a text that lacks one letter of true and one of false is folded without
+# the type test; one that may hold either, with it
+@pytest.mark.parametrize("extra, checked", [("", False),
+                                            (', "format": "t"', False),
+                                            (', "directed": false', True),
+                                            (', "true": 1', True)])
+def test_edge_json_reads_valid_pairs_once(monkeypatch, extra, checked):
     text = json.dumps(cli.graph_to_edge_json(LOAD_GRAPH))[:-1] + extra + "}"
     rereads, lists = counted_rereads(monkeypatch), counted_json_pairs(monkeypatch)
     folds = counted_folds(monkeypatch)
     assert cli.parse_edge_json(text) == LOAD_GRAPH
     assert [edges.reads for edges in lists] == [1] and rereads == []
-    assert folds[builder] == 1 and sum(folds.values()) == 1
+    assert folds == [checked]
 
 
 def test_dimacs_reads_valid_pairs_once(monkeypatch):
@@ -305,13 +308,14 @@ def test_dimacs_reads_valid_pairs_once(monkeypatch):
                       *(f"e {u + 1} {v + 1}" for u, v in g.edges())])
     rereads, lists = counted_rereads(monkeypatch), []
 
-    def counting_fold(n, edges, fold=core.fold_pairs):
+    def counting(edges):
         lists.append(CountingList(edges))
-        return fold(n, lists[-1])
+        return lists[-1]
 
-    monkeypatch.setattr(cli, "fold_pairs", counting_fold)
+    folds = counted_folds(monkeypatch, wrap=counting)
     assert cli.parse_dimacs(text) == g
     assert [edges.reads for edges in lists] == [1] and rereads == []
+    assert folds == [False]
 
 
 @pytest.mark.parametrize("bad", [[0, 1000], [5, 5], [0, True], [0, "1"]],

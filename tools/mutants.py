@@ -111,14 +111,14 @@ MUTANTS = {
     # the edge-json screen looks for true but not for false
     "json-screen-misses-false": (
         "pentaseven/cli.py",
-        'screened = "t" not in text and "f" not in text',
-        'screened = "t" not in text',
+        'may_hold_bool = all(c in text for c in "tru") or all(c in text for c in "fal")',
+        'may_hold_bool = all(c in text for c in "tru")',
     ),
     # edge-json pairs are always folded without the type test
     "text-fold-unscreened": (
         "pentaseven/cli.py",
-        "fold_pairs if screened else build_graph",
-        "fold_pairs",
+        'checked=may_hold_bool)',
+        'checked=False)',
     ),
     # the fold never looks for a loop on the diagonal
     "fold-skips-loop-check": (
