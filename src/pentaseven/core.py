@@ -68,6 +68,21 @@ def bits_of(mask: int) -> frozenset[int]:
     return frozenset(_iter_bits(mask))
 
 
+def _bits_above(rows: Sequence[int]) -> Iterator[list[int]]:
+    """For each u in order, the bits of rows[u] above u, ascending.  Each
+    row's bits are read as binary text, one str.find per bit: _iter_bits
+    builds three row-wide ints per bit, so a dense row would cost O(n/64)
+    per member."""
+    for u, r in enumerate(rows):
+        text = bin(r >> (u + 1))[:1:-1]  # bit u + 1 first
+        above = []
+        i = text.find("1")
+        while i >= 0:
+            above.append(u + 1 + i)
+            i = text.find("1", i + 1)
+        yield above
+
+
 class Graph:
     """Immutable simple graph on vertices 0..n-1, stored as neighborhood rows."""
 
@@ -138,8 +153,7 @@ class Graph:
         return bits_of(self.rows[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        # r & -(2 << u) keeps the neighbors above u
-        return [(u, v) for u, r in enumerate(self.rows) for v in _iter_bits(r & -(2 << u))]
+        return [(u, v) for u, above in enumerate(_bits_above(self.rows)) for v in above]
 
     @property
     def num_edges(self) -> int:
@@ -190,23 +204,40 @@ def build_graph(n: int, edges: Sequence[Sequence[int]]) -> Graph:
     return _fold(n, edges, checked=True)
 
 
-def _fold(n: int, edges: Iterable, checked: bool) -> Graph:
+def _fold(n: int, edges: Sequence, checked: bool) -> Graph:
     """The graph of the pairs of edges, read once when they are valid.
 
     checked tests that both endpoints of each pair are plain ints.  A caller
     may leave it out only for pairs that hold no bool and no other stand-in
     for an int that indexes a list (a numpy integer): every other value
     build_graph rejects fails the fold's indexing, and is named by the same
-    error.  No endpoint is range-checked: bit holds the n vertex bits
-    followed by n Nones and each endpoint indexes both rows and bit, so one
-    outside 0..n-1 either indexes past a list (IndexError) or ORs a None
-    (TypeError).  A loop (v, v) sets bit v of rows[v], looked for after the
-    fold.  On any failure edges is read again to name its first bad pair.
+    error.  No endpoint is range-checked: in each loop an endpoint indexes
+    a list of exactly n entries and a list of n entries followed by n
+    Nones, so one outside 0..n-1 indexes past a list (IndexError) or hits a
+    None (TypeError).  A loop (v, v) marks the diagonal, looked for after
+    the fold.  On any failure edges is read again to name its first bad
+    pair.
+
+    Unchecked lists of at least n(n + 64)/8 pairs are folded into n rows of
+    n bytes, packed into ints once (_cell_rows); any other list ORs bits
+    into int rows, which costs O(n/64) per pair (_bit_rows).  At n^2/8 pairs
+    the n^2 cells stay within a constant factor of the pairs' text, and the
+    64n term keeps small graphs, whose rows are a word or two wide, on the
+    int rows.
     """
     if type(n) is not int:
         raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("graphs are nonnull: need n >= 1")
+    if not checked and 8 * len(edges) >= n * (n + 64):
+        return Graph.from_rows(_cell_rows(n, edges))
+    return Graph.from_rows(_bit_rows(n, edges, checked))
+
+
+def _bit_rows(n: int, edges: Sequence, checked: bool) -> list[int]:
+    """_fold's rows, ORed one bit per endpoint into ints: each endpoint
+    indexes both rows and bit, which holds the n vertex bits followed by n
+    Nones."""
     bit: list[int | None] = [1 << v for v in range(n)]
     bit += [None] * n
     rows = [0] * n
@@ -220,7 +251,39 @@ def _fold(n: int, edges: Iterable, checked: bool) -> Graph:
         raise _bad_pair_error(n, edges) from None
     if any(r & b for r, b in zip(rows, bit)):  # a loop
         raise _bad_pair_error(n, edges)
-    return Graph.from_rows(rows)
+    return rows
+
+
+# the bytes 0 and 1 as the digits "0" and "1"
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _cell_rows(n: int, edges: Sequence) -> list[int]:
+    """_fold's rows, set one byte per endpoint in n rows of exactly n bytes
+    followed by n Nones, each endpoint indexing both the row list and a row:
+    a row padded to whole bytes would take some endpoints below -n, which
+    the row list wraps onto a real row.  The rows are then packed into ints
+    all at once: joined with padding to whole bytes, read as one base-2
+    number (linear, and exempt from the digit limit) and cut into rows of
+    bytes."""
+    cells: list[bytearray | None] = [bytearray(n) for _ in range(n)]
+    cells += [None] * n
+    try:
+        for u, v in edges:
+            cells[u][v] = 1
+            cells[v][u] = 1
+    except (TypeError, ValueError, IndexError):
+        raise _bad_pair_error(n, edges) from None
+    if any(map(bytearray.__getitem__, cells, range(n))):  # a loop
+        raise _bad_pair_error(n, edges)
+    pad = bytes(-n % 8)
+    # each row followed by its padding; cell v of row u is bit v of the
+    # row's bytes, so the text runs from the last row's padding down to cell
+    # 0 of row 0
+    digits = pad.join([*cells[:n], b""]).translate(_DIGITS)[::-1]
+    width = (n + 7) // 8
+    packed = int(digits, 2).to_bytes(width * n, "little")
+    return [int.from_bytes(packed[i:i + width], "little") for i in range(0, width * n, width)]
 
 
 def _bad_pair_error(n: int, edges: Iterable) -> ValueError:

@@ -1,6 +1,8 @@
+import contextlib
 import os
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 import pentaseven
+from pentaseven import core
 from pentaseven.catalog import _targets_by_key, pattern
 from pentaseven.color import _lp_cover
 from pentaseven.core import (
@@ -25,6 +28,22 @@ from pentaseven.oracle import find_induced
 # the source root of the package under test, which need not be the
 # checkout's own src/
 SRC = Path(pentaseven.__file__).resolve().parent.parent
+
+
+@contextlib.contextmanager
+def fold_loops():
+    """The loop each core._fold inside the block takes, "cell" or "row", in
+    order."""
+    loops = []
+
+    def spy(name, loop):
+        def counted(*args):
+            loops.append(name)
+            return loop(*args)
+        return mock.patch.object(core, loop.__name__, counted)
+
+    with spy("cell", core._cell_rows), spy("row", core._bit_rows):
+        yield loops
 
 
 def fresh_env(**extra: str) -> dict[str, str]:

@@ -10,14 +10,14 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from pentaseven import cli
 from pentaseven.catalog import pattern
 from pentaseven.core import VERTEX_CAP, Graph, VertexCapError, build_graph
 
-from conftest import fresh_env, random_graphs
+from conftest import fold_loops, fresh_env, random_graphs
 
 
 def write_graph(tmp_path, name, g):
@@ -276,22 +276,29 @@ def parse_edge_json_reference(text):
 
 @st.composite
 def edge_json_texts(draw):
-    """Edge-json texts of valid pairs, with or without a duplicate, and up
-    to three bad pairs inserted anywhere: loops, ints out of range on both
-    sides, true, false, NaN, infinities, floats, strings, null, and pairs of
-    length 1 and 3; the count is sometimes not a positive plain int, and
-    extra top-level keys hold bools, or strings that spell all the letters
-    of true or of false, some of them, or none."""
+    """Edge-json texts of valid pairs, with or without a duplicate, some
+    repeated until the list is about as long as the cell fold's density
+    rule asks, and up to three bad pairs inserted anywhere: loops, ints
+    out of range on both sides, true, false, NaN, infinities, floats,
+    strings, null, and pairs of length 1 and 3; the count of a list not
+    repeated is sometimes not a positive plain int, and extra top-level
+    keys hold bools, or strings that spell all the letters of true or of
+    false, some of them, or none."""
     n = draw(st.integers(1, 8))
     vertex = st.integers(0, n - 1)
     pairs = []
+    dense = draw(st.booleans())
     if n > 1:  # v = u + d mod n with d in 1..n-1 never equals u
         valid = st.tuples(vertex, st.integers(1, n - 1)).map(
             lambda p: [p[0], (p[0] + p[1]) % n]
         )
-        pairs = draw(st.lists(valid, max_size=16))
+        pairs = draw(st.lists(valid, min_size=dense, max_size=16))
         if pairs and draw(st.booleans()):
             pairs.append(draw(st.sampled_from(pairs)))  # a duplicate
+        if dense:
+            # repeats to about n(n + 64)/8 pairs, the fewest the cell fold takes
+            need = -(-n * (n + 64) // (8 * len(pairs)))
+            pairs *= draw(st.integers(max(2, need - 1), need + 1))
     outside = st.one_of(st.integers(-2 * n - 1, -1), st.integers(n, 2 * n + 1),
                         st.just(10**30))
     # half of the values that are not ints are bools, the only ones a list
@@ -309,7 +316,7 @@ def edge_json_texts(draw):
     )
     for pair in draw(st.lists(bad, max_size=3)):
         pairs.insert(draw(st.integers(0, len(pairs))), pair)
-    count = draw(st.sampled_from([n, n, n, 0, -1, 3.0, True]))
+    count = n if dense else draw(st.sampled_from([n, n, n, 0, -1, 3.0, True]))
     extra = draw(st.dictionaries(st.sampled_from(["format", "kind", "seed", "m"]),
                                  st.integers(0, 9) | st.booleans()
                                  | st.text("trufalz", max_size=4),
@@ -329,12 +336,52 @@ def test_parse_edge_json_matches_build_graph(text):
         want = parse_edge_json_reference(text)
     except cli.InputError as exc:
         event("rejected")
-        with pytest.raises(cli.InputError) as got:
+        with fold_loops() as loops, pytest.raises(cli.InputError) as got:
             cli.parse_edge_json(text)
         assert str(got.value) == str(exc)
     else:
         event("accepted")
-        assert cli.parse_edge_json(text) == want
+        with fold_loops() as loops:
+            assert cli.parse_edge_json(text) == want
+    for loop in loops:  # none when the count is refused
+        event(f"{loop} fold")
+
+
+# 84 pairs on n = 8 take the cell fold; an endpoint in -2n..-n-1 indexes a
+# real row in the row list, and one in -n..-1 a row's last cells
+CELL_FOLD_BAD = [[2, -16], [-16, 2], [2, -9], [-9, 2], [2, -8], [-1, 2],
+                 [2, 8], [8, 2], [2, 15], [15, 2], [2, 16], [2, 10**30], [10**30, 2],
+                 [2, 1.5], [1.5, 2], [3, 3]]
+
+
+@pytest.mark.parametrize("bad", CELL_FOLD_BAD, ids=json.dumps)
+def test_cell_fold_names_the_bad_pair_as_build_graph_does(bad):
+    pairs = [[u, v] for u in range(8) for v in range(u + 1, 8)] * 3
+    pairs.insert(40, bad)
+    pairs.insert(60, [0, 99])  # a later bad pair is not the one named
+    text = json.dumps({"n": 8, "edges": pairs})
+    with pytest.raises(cli.InputError) as want:
+        parse_edge_json_reference(text)
+    with fold_loops() as loops, pytest.raises(cli.InputError) as got:
+        cli.parse_edge_json(text)
+    assert str(got.value) == str(want.value) and loops == ["cell"]
+    assert json.dumps(bad)[1:-1] in str(got.value)
+
+
+@given(random_graphs(min_n=2, max_n=40))
+@settings(max_examples=60, deadline=None)
+def test_dense_dimacs_is_its_edge_json_twin(g):
+    # each edge repeated, in both directions, until the list takes the cell
+    # fold
+    assume(g.num_edges)
+    pairs = [*g.edges(), *((v, u) for u, v in g.edges())]
+    pairs *= -(-g.n * (g.n + 64) // (8 * len(pairs)))
+    dimacs = "\n".join([f"p edge {g.n} {len(pairs)}",
+                        *(f"e {u + 1} {v + 1}" for u, v in pairs)])
+    with fold_loops() as loops:
+        assert cli.parse_dimacs(dimacs) == g
+        assert cli.parse_edge_json(json.dumps({"n": g.n, "edges": pairs})) == g
+    assert loops == ["cell", "cell"]
 
 
 @given(random_graphs(max_n=12))

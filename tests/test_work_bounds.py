@@ -6,7 +6,9 @@ vertex.  The clique-width expression walkers, and a whole `cwd` op, are
 bounded in node-rule checks: one per node.  The weighted colorer's work is
 bounded in mask walks, and does not grow with the weights.  Building a graph
 from pairs, by `build_graph` or by either text reader, reads valid pairs
-once, and a bad pair costs exactly one more read to name it."""
+once, and a bad pair costs exactly one more read to name it, whichever of
+the fold's two loops runs; the loop a benchmark-like graph takes is
+pinned."""
 
 import json
 
@@ -35,7 +37,7 @@ from pentaseven.recognize import (
     verify_tent_partition,
 )
 
-from conftest import counting_copy, random_graphs
+from conftest import counting_copy, fold_loops, random_graphs
 
 STEPS = [strip_universals, twin_classes]
 
@@ -278,6 +280,25 @@ def counted_folds(monkeypatch, wrap=lambda edges: edges) -> list:
 
 
 LOAD_GRAPH = thickening("M0", 200, universals=3)
+# the benchmark's pendant graphs: about n / 8 components of up to 20 vertices
+PENDANT_SAUCER, _ = gen_saucer(GenParams(seed=0, max_class_size=3, a_components=(32, 32),
+                                         z_components=(32, 32), max_component_size=20,
+                                         universal_count=(1, 3)))
+DESK_SAUCER, _ = gen_saucer(GenParams(seed=2, max_class_size=2, a_components=(0, 3),
+                                      z_components=(0, 3), max_component_size=3))
+
+
+# the cell loop costs n^2 bytes, and is taken only by unchecked lists of at
+# least n(n + 64)/8 pairs: the dense thickenings, not the sparse pendant
+# graphs nor a small desk graph of middling density
+@pytest.mark.parametrize("g, loop", [(LOAD_GRAPH, "cell"), (PENDANT_SAUCER, "row"),
+                                     (DESK_SAUCER, "row")],
+                         ids=["thickening-207", "pendant-saucer-350", "desk-saucer-24"])
+def test_benchmark_shapes_take_their_loop(g, loop):
+    with fold_loops() as loops:
+        assert cli.parse_edge_json(json.dumps(cli.graph_to_edge_json(g))) == g
+        assert build_graph(g.n, g.edges()) == g
+    assert loops == [loop, "row"]
 
 
 def test_build_graph_reads_valid_pairs_once(monkeypatch):
@@ -297,9 +318,10 @@ def test_edge_json_reads_valid_pairs_once(monkeypatch, extra, checked):
     text = json.dumps(cli.graph_to_edge_json(LOAD_GRAPH))[:-1] + extra + "}"
     rereads, lists = counted_rereads(monkeypatch), counted_json_pairs(monkeypatch)
     folds = counted_folds(monkeypatch)
-    assert cli.parse_edge_json(text) == LOAD_GRAPH
+    with fold_loops() as loops:
+        assert cli.parse_edge_json(text) == LOAD_GRAPH
     assert [edges.reads for edges in lists] == [1] and rereads == []
-    assert folds == [checked]
+    assert folds == [checked] and loops == ["row" if checked else "cell"]
 
 
 def test_dimacs_reads_valid_pairs_once(monkeypatch):
@@ -313,23 +335,30 @@ def test_dimacs_reads_valid_pairs_once(monkeypatch):
         return lists[-1]
 
     folds = counted_folds(monkeypatch, wrap=counting)
-    assert cli.parse_dimacs(text) == g
+    with fold_loops() as loops:
+        assert cli.parse_dimacs(text) == g
     assert [edges.reads for edges in lists] == [1] and rereads == []
-    assert folds == [False]
+    assert folds == [False] and loops == ["cell"]
 
 
-@pytest.mark.parametrize("bad", [[0, 1000], [5, 5], [0, True], [0, "1"]],
-                         ids=["range", "loop", "bool", "string"])
-def test_a_bad_pair_costs_one_reread(monkeypatch, bad):
+# the text holding true is checked and takes the row loop; every other one
+# takes the cell loop
+@pytest.mark.parametrize("bad, loop", [([0, 1000], "cell"), ([5, 5], "cell"),
+                                       ([0, True], "row"), ([0, "1"], "cell"),
+                                       ([-LOAD_GRAPH.n - 1, 0], "cell"),
+                                       ([0, LOAD_GRAPH.n], "cell"), ([0, 1.5], "cell")],
+                         ids=["range", "loop", "bool", "string", "wraps", "n", "float"])
+def test_a_bad_pair_costs_one_reread(monkeypatch, bad, loop):
     pairs = LOAD_GRAPH.edges()
     pairs.insert(len(pairs) // 2, bad)
     rereads = counted_rereads(monkeypatch)
     counted = CountingList(pairs)
-    with pytest.raises(ValueError):
+    with fold_loops() as loops, pytest.raises(ValueError):
         build_graph(LOAD_GRAPH.n, counted)
-    assert counted.reads == 2 and rereads == [LOAD_GRAPH.n]
+    assert counted.reads == 2 and rereads == [LOAD_GRAPH.n] and loops == ["row"]
     rereads.clear()
     lists = counted_json_pairs(monkeypatch)
-    with pytest.raises(cli.InputError):
+    with fold_loops() as loops, pytest.raises(cli.InputError):
         cli.parse_edge_json(json.dumps({"n": LOAD_GRAPH.n, "edges": pairs}))
     assert [edges.reads for edges in lists] == [2] and rereads == [LOAD_GRAPH.n]
+    assert loops == [loop]

@@ -126,6 +126,24 @@ MUTANTS = {
         "if any(r & b for r, b in zip(rows, bit)):  # a loop",
         "if False:",
     ),
+    # the cell loop sets each pair's cell in the first endpoint's row only
+    "cell-fold-one-direction": (
+        "pentaseven/core.py",
+        "            cells[v][u] = 1\n",
+        "",
+    ),
+    # the cell loop never looks for a loop on the diagonal
+    "cell-fold-skips-loop-check": (
+        "pentaseven/core.py",
+        "if any(map(bytearray.__getitem__, cells, range(n))):  # a loop",
+        "if False:",
+    ),
+    # the cell loop's rows are one byte longer than n
+    "cell-rows-past-n": (
+        "pentaseven/core.py",
+        "[bytearray(n) for _ in range(n)]",
+        "[bytearray(n + 1) for _ in range(n)]",
+    ),
 }
 
 DIGEST_TESTS = (
