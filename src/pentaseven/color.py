@@ -7,27 +7,26 @@ a matching lower bound, so the result is optimal.  Chordal inputs (prefix
 consumes everything) are colored greedily off the elimination ordering; any
 other out-of-class input is refused.
 
-The weighted solver replaces an external integer-programming step: it rounds
-the exact LP relaxation, solved in ints, down to a base of color classes,
-solves the residual exactly, and proves the total optimal against the lower
-bounds max weighted clique and ceil(LP), or else finds the optimum by branch
-and bound over the maximal independent sets of the quotient.  Color classes
-stay (set, times) pairs up to the final assignment, so the work does not grow
-with the weights.
+The weighted solver replaces an external integer-programming step.  It
+solves the exact LP relaxation in ints and reads k = ceil(LP) off the root
+dual, which, once checked feasible, proves that no coloring uses fewer
+colors.  The rounded-down LP primal is a base of color classes, and the
+residual is peeled one class at a time, each keeping the residual's
+ceil(LP) within the colors left.  On the catalog bases ceil(LP) is the
+weighted chromatic number, so the peel never gets stuck there; where it
+does, the solver raises rather than return more than k colors.  Color
+classes stay (set, times) pairs up to the final assignment, so the work
+does not grow with the weights.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .catalog import QUOTIENT_CAP
 from .core import CapError, Graph, _iter_bits, greedy_extend
-from .oracle import max_weighted_clique
 from .recognize import NotInClassError, recognize
-
-_MEMO_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -147,151 +146,61 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     """Exact weighted chromatic number of the quotient.
 
     Returns (k, color sets): vertex v receives exactly weights[v] colors from
-    1..k, and adjacent vertices get disjoint sets.  The LP primal, rounded
-    down, plus an exact solve of the residual gives k.  When k exceeds the
-    root lower bound, the larger of the maximum weighted clique and ceil(LP),
-    a branch and bound over the whole instance decides the optimum.  Both
-    searches branch on the maximal independent sets containing a
-    maximum-residual-weight vertex, are bounded below by the exact maximum
-    weighted clique, and memoize exact values and proven lower bounds
-    separately.
+    1..k, and adjacent vertices get disjoint sets.  k is ceil(LP), read off
+    the root dual y once it is checked feasible, so by weak duality no
+    coloring uses fewer colors.  The root primal, rounded down, gives a base
+    of color classes; the residual r is then peeled one color class at a
+    time, each a maximal independent set cut to the support of r whose
+    removal leaves ceil(LP) within the colors left.  Such a class exists
+    whenever each residual needs only ceil(LP) of its own colors; on the
+    catalog bases no weighting tried has needed more.  Raises
+    ArithmeticError when the dual fails its check or no class can be
+    peeled.
     """
     q = inst.quotient
     if q.n > QUOTIENT_CAP:
         raise CapError(f"weighted solver capped at {QUOTIENT_CAP} vertices")
-    rows = q.rows
     full = q.full_mask
     co_rows = [full & ~q.closed_row(v) for v in range(q.n)]
-    mis_cache: dict[tuple[int, int], list[int]] = {}
-
-    # fractional relaxation at the root: a verified-feasible dual vector is
-    # a sound lower bound by weak duality; the primal multiplicities, rounded
-    # down, leave only a small residual instance to solve exactly
     all_sets = _maximal_indep(co_rows, 0, full)
     y, y_den, x, x_den = _lp_cover(all_sets, inst.weights)
     y_bits = [(1 << v, yv) for v, yv in enumerate(y) if yv]
-    lp_floor = 0
-    if all(yv >= 0 for yv in y) and all(
-        sum(yv for bit, yv in y_bits if smask & bit) <= y_den for smask in all_sets
+    if any(yv < 0 for yv in y) or any(
+        sum(yv for bit, yv in y_bits if smask & bit) > y_den for smask in all_sets
     ):
-        wy = sum(w * yv for w, yv in zip(inst.weights, y))
-        lp_floor = -(-wy // y_den)  # ceil of w.y
-    lp_base = [(all_sets[s], xs // x_den) for s, xs in x.items() if xs >= x_den]
-
-    def greedy(wvec: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
-        w = list(wvec)
-        chosen: list[tuple[int, int]] = []
-        total = 0
-        while True:
-            support = [v for v in range(q.n) if w[v] > 0]
-            if not support:
-                return total, chosen
-            support.sort(key=lambda v: -w[v])
-            smask = 0
-            for v in support:
-                if not rows[v] & smask:
-                    smask |= 1 << v
-            times = min(w[v] for v in _iter_bits(smask))
-            chosen.append((smask, times))
-            total += times
-            for v in _iter_bits(smask):
-                w[v] -= times
-
-    exact: dict[tuple[int, ...], tuple[int, object]] = {}
-    floor_memo: dict[tuple[int, ...], int] = {}
-
-    def solve(wvec: tuple[int, ...], budget: int) -> int | None:
-        """Exact f(wvec) when f <= budget, else None (proving f > budget)."""
-        known = exact.get(wvec)
-        if known is not None:
-            return known[0] if known[0] <= budget else None
-        support = 0
-        for v in range(q.n):
-            if wvec[v] > 0:
-                support |= 1 << v
-        if not support:
-            return 0
-        lb = max(
-            max_weighted_clique(rows, wvec, support)[0], floor_memo.get(wvec, 0)
-        )
-        if lb > budget:
-            return None
-        ub, _ = greedy(wvec)
-        if lb == ub:
-            exact[wvec] = (ub, "greedy")
-            return ub
-        pivot = max(_iter_bits(support), key=lambda v: (wvec[v], -v))
-        key = (support, pivot)
-        sets = mis_cache.get(key)
-        if sets is None:
-            sets = _maximal_indep(co_rows, 1 << pivot, co_rows[pivot] & support)
-            mis_cache[key] = sets
-        best: int | None = ub if ub <= budget else None
-        best_set: object = "greedy"
-        limit = (best - 1 if best is not None else budget) - 1
-        for smask in sets:
-            if limit + 1 < lb:
+        raise ArithmeticError("the LP dual is infeasible; the simplex is broken")
+    k = -(-sum(w * yv for w, yv in zip(inst.weights, y)) // y_den)  # ceil of w.y
+    classes = [(all_sets[s], xs // x_den) for s, xs in x.items() if xs >= x_den]
+    residual = list(inst.weights)
+    for smask, times in classes:
+        for v in _iter_bits(smask):
+            residual[v] = max(0, residual[v] - times)
+    r = tuple(residual)
+    left = k - sum(times for _, times in classes)
+    # the fractional parts of x cover r at LP(w) minus the base, and nothing
+    # covers r for less, or the base would beat LP(w): they solve r's LP
+    x = {s: xs % x_den for s, xs in x.items() if xs % x_den}
+    while any(r):
+        support = sum(1 << v for v, rv in enumerate(r) if rv)
+        order = sorted(x, key=lambda s: (-x[s], s))
+        order += [s for s in range(len(all_sets)) if s not in x]
+        tried = {0}
+        for s in order:
+            cut = all_sets[s] & support
+            if cut in tried:
+                continue
+            tried.add(cut)
+            nxt = tuple(rv - (cut >> v & 1) for v, rv in enumerate(r))
+            _, _, x, x_den = _lp_cover(all_sets, nxt)
+            if -(-sum(x.values()) // x_den) <= left - 1:
                 break
-            nxt = tuple(
-                wvec[v] - 1 if smask >> v & 1 else wvec[v] for v in range(q.n)
+        else:
+            raise ArithmeticError(
+                f"no color class peels the weights {inst.weights} within ceil(LP): "
+                "a residual needs more colors than its LP bound"
             )
-            got = solve(nxt, limit)
-            if got is not None:
-                best, best_set = 1 + got, smask
-                limit = best - 2
-                if best == lb:
-                    break
-        if len(exact) + len(floor_memo) > _MEMO_BUDGET:
-            exact.clear()
-            floor_memo.clear()
-        if best is None:
-            floor_memo[wvec] = max(floor_memo.get(wvec, 0), budget + 1)
-            return None
-        exact[wvec] = (best, best_set)
-        return best
-
-    def replay(wvec: tuple[int, ...]) -> list[tuple[int, int]]:
-        """Walk the recorded decisions, as (color class, times) pairs."""
-        out: list[tuple[int, int]] = []
-        while any(wvec):
-            if wvec not in exact:
-                got = solve(wvec, greedy(wvec)[0])  # after a flush
-                assert got is not None
-            choice = exact[wvec][1]
-            if choice == "greedy":
-                out += greedy(wvec)[1]
-                break
-            out.append((choice, 1))
-            wvec = tuple(
-                wvec[v] - 1 if choice >> v & 1 else wvec[v] for v in range(q.n)
-            )
-        return out
-
-    # the chain of branching decisions is one frame per color class
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 3 * sum(inst.weights) + 10_000))
-    try:
-        # the floor of the LP primal plus an exact small residual
-        residual = list(inst.weights)
-        for smask, times in lp_base:
-            for v in _iter_bits(smask):
-                residual[v] = max(0, residual[v] - times)
-        r = tuple(residual)
-        classes = list(lp_base)
-        k = sum(times for _, times in lp_base)
-        if any(r):
-            fr = solve(r, greedy(r)[0])
-            assert fr is not None
-            classes += replay(r)
-            k += fr
-        lb_root = max(max_weighted_clique(rows, inst.weights, full)[0], lp_floor)
-        if k > lb_root:
-            got = solve(inst.weights, k - 1)
-            if got is not None:
-                k = got
-                classes = replay(inst.weights)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        classes.append((cut, 1))
+        r, left = nxt, left - 1
     # class (smask, times) holds colors c..c + times - 1; each of its
     # vertices takes as many of them as it still needs
     color_sets: list[list[int]] = [[] for _ in range(q.n)]

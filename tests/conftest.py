@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 import pentaseven
-from pentaseven import core
+from pentaseven import color, core
 from pentaseven.catalog import _targets_by_key, pattern
 from pentaseven.color import _lp_cover
 from pentaseven.core import (
@@ -44,6 +44,18 @@ def fold_loops():
 
     with spy("cell", core._cell_rows), spy("row", core._bit_rows):
         yield loops
+
+
+def recorded_lp_solves(monkeypatch) -> list:
+    """The (sets, weights, result) of each color._lp_cover call from now on."""
+    solves = []
+
+    def recorded(sets, weights):
+        solves.append((sets, weights, _lp_cover(sets, weights)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(color, "_lp_cover", recorded)
+    return solves
 
 
 def fresh_env(**extra: str) -> dict[str, str]:
@@ -87,7 +99,8 @@ def rng():
 
 
 # weights on groetzsch() where ceil(LP) = ceil(79/10) = 8 is the optimum but
-# the rounded-down LP primal plus an exact residual solve gives 9
+# the residual of the rounded-down LP primal needs one color more than the
+# colors left for it, so the colorer's peel must get stuck
 GROETZSCH_WEIGHTS = (2, 2, 3, 3, 3, 2, 3, 4, 3, 4, 2)
 
 

@@ -1,12 +1,13 @@
+import itertools
 import math
+import re
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from pentaseven import cli, color, oracle
-from pentaseven.catalog import pattern
+from pentaseven.catalog import catalog_entry, pattern
 from pentaseven.color import (
     Coloring,
     WeightedInstance,
@@ -17,7 +18,7 @@ from pentaseven.color import (
 from pentaseven.core import Graph, build_graph, verify_coloring
 from pentaseven.decompose import expand_thickening
 from pentaseven.generate import GenParams, gen_saucer, gen_tent
-from pentaseven.oracle import chromatic_number_bf, max_clique_mask
+from pentaseven.oracle import CHROMATIC_CAP, chromatic_number_bf, max_clique_mask
 from pentaseven.recognize import NotInClassError, recognize
 
 from conftest import (
@@ -25,6 +26,7 @@ from conftest import (
     dedup_family_index,
     groetzsch,
     lp_in_fractions,
+    recorded_lp_solves,
     remainder,
 )
 
@@ -171,48 +173,47 @@ class TestSolveWeighted:
         with pytest.raises(ValueError, match="plain ints >= 1"):
             WeightedInstance(pattern("C7").graph, (weight,) * 7)
 
-    def test_exact_on_random_quotients(self, rng):
+    def test_exact_on_the_catalog_bases(self, rng):
+        # weights of 1 and 2 keep every expansion within the oracle's cap
         done = 0
-        for trial in range(60):
-            n = int(rng.integers(2, 8))
-            p = rng.uniform(0.2, 0.8)
-            adj = np.triu(rng.random((n, n)) < p, 1)
-            g = Graph(adj | adj.T)
-            weights = tuple(int(rng.integers(1, 4)) for _ in range(n))
-            if sum(weights) > 16:
-                continue
-            k, _ = solve_weighted(WeightedInstance(g, weights))
-            big, _ = expand_thickening(g, list(weights))
-            assert k == chromatic_number_bf(big)[0]
-            done += 1
+        for entry in dedup_family_index():
+            g = entry.graph
+            for _ in range(3):
+                weights = tuple(int(w) for w in rng.integers(1, 3, g.n))
+                if sum(weights) > CHROMATIC_CAP:
+                    continue
+                k, color_sets = solve_weighted(WeightedInstance(g, weights))
+                big, _ = expand_thickening(g, list(weights))
+                assert k == chromatic_number_bf(big)[0], (entry.name, weights)
+                assert_valid_color_sets(g, weights, k, color_sets)
+                done += 1
         assert done >= 30
 
-    def test_groetzsch_needs_root_search(self):
-        # chi = 4, but the largest clique is an edge and ceil(LP) is 3, so
-        # only the root branch and bound proves that 3 colors do not suffice
+    @pytest.mark.parametrize("weights, lp_value",
+                             [((1,) * 11, Fraction(29, 10)),
+                              (GROETZSCH_WEIGHTS, Fraction(79, 10))],
+                             ids=["unit", "weighted"])
+    def test_groetzsch_lies_outside_the_lp_rounding(self, weights, lp_value):
+        # chi_w is 4 and 8 here while ceil(LP) is 3 and 8; at both weightings
+        # some residual needs more colors than its ceil(LP), so the peel
+        # finds no color class to take, and says so rather than return k
         g = groetzsch()
-        assert lp_in_fractions(all_indep_sets(g), (1,) * 11)[0] == Fraction(29, 10)
-        k, color_sets = solve_weighted(WeightedInstance(g, (1,) * 11))
-        assert k == chromatic_number_bf(g)[0] == 4
-        assert_valid_color_sets(g, (1,) * 11, k, color_sets)
+        assert lp_in_fractions(all_indep_sets(g), weights)[0] == lp_value
+        with pytest.raises(ArithmeticError, match=re.escape(str(weights))):
+            solve_weighted(WeightedInstance(g, weights))
 
-    def test_groetzsch_weighted_root_search_beats_lp_base(self):
-        # ceil(LP) = ceil(79/10) = 8 is optimal; the LP base plus the exact
-        # residual gives 9, and only the root branch and bound reaches 8
-        g, weights = groetzsch(), GROETZSCH_WEIGHTS
-        assert lp_in_fractions(all_indep_sets(g), weights)[0] == Fraction(79, 10)
-        k, color_sets = solve_weighted(WeightedInstance(g, weights))
-        assert k == 8
-        assert_valid_color_sets(g, weights, k, color_sets)
+    def test_infeasible_dual_raises(self, monkeypatch):
+        # a dual that breaks a set's constraint bounds nothing, so the
+        # solver must not read k off it
+        lp_cover = color._lp_cover
 
-    def test_memo_flush_keeps_the_result(self, monkeypatch):
-        # a tiny memo budget flushes the memos inside the search, so replay
-        # finds decisions missing and solves their instances again
-        inst = WeightedInstance(groetzsch(), GROETZSCH_WEIGHTS)
-        want = solve_weighted(inst)
-        monkeypatch.setattr("pentaseven.color._MEMO_BUDGET", 2)
-        assert solve_weighted(inst) == want
-        assert want[0] == 8
+        def broken(sets, weights):
+            y, y_den, x, x_den = lp_cover(sets, weights)
+            return [yv + y_den for yv in y], y_den, x, x_den
+
+        monkeypatch.setattr(color, "_lp_cover", broken)
+        with pytest.raises(ArithmeticError, match="dual is infeasible"):
+            solve_weighted(WeightedInstance(pattern("C7").graph, (1,) * 7))
 
 
 # weightings of a quotient on n vertices, drawn from a numpy generator
@@ -227,29 +228,42 @@ WEIGHTINGS = {
 }
 
 
+def assert_peels_to_ceil_lp(q, weights, solves) -> int:
+    """solve_weighted on (q, weights) returns k = ceil(w.y) of its first LP,
+    the root LP over every maximal independent set, after at most
+    2 + n * |sets| LP solves, and valid color sets; returns k."""
+    solves.clear()
+    k, color_sets = solve_weighted(WeightedInstance(q, weights))
+    sets, root_weights, (y, y_den, _, _) = solves[0]
+    assert sets == all_indep_sets(q) and root_weights == weights
+    assert k == -(-sum(w * yv for w, yv in zip(weights, y)) // y_den), weights
+    assert len(solves) <= 2 + q.n * len(sets), weights
+    assert_valid_color_sets(q, weights, k, color_sets)
+    return k
+
+
 @pytest.mark.parametrize("dist", sorted(WEIGHTINGS))
-def test_root_branch_and_bound_never_runs_on_the_catalog_bases(dist):
-    """solve_weighted proves every k on the 22 bases by its root bounds: k is
-    max(max weighted clique, ceil(LP)) and the instance's own weights reach
-    max_weighted_clique once, for that bound, never for a root search."""
-    calls = []
-
-    def counted(rows, weights, support):
-        calls.append(weights)
-        return oracle.max_weighted_clique(rows, weights, support)
-
+def test_catalog_bases_take_ceil_lp_colors(monkeypatch, dist):
+    """On the 22 bases solve_weighted returns k = ceil(LP), which is at least
+    the max weighted clique."""
+    solves = recorded_lp_solves(monkeypatch)
     for entry in dedup_family_index():
         q = entry.graph
         rng = np.random.default_rng([sorted(WEIGHTINGS).index(dist), q.n, q.num_edges])
         for _ in range(8):
             weights = tuple(int(w) for w in WEIGHTINGS[dist](rng, q.n))
-            calls.clear()
-            with mock.patch.object(color, "max_weighted_clique", counted):
-                k, _ = solve_weighted(WeightedInstance(q, weights))
-            assert sum(w is weights for w in calls) == 1, (entry.name, weights)
+            k = assert_peels_to_ceil_lp(q, weights, solves)
             omega = oracle.max_weighted_clique(q.rows, weights, q.full_mask)[0]
-            lp_value = lp_in_fractions(all_indep_sets(q), weights)[0]
-            assert k == max(omega, math.ceil(lp_value)), (entry.name, weights)
+            assert k >= omega, (entry.name, weights)
+
+
+@pytest.mark.parametrize("name", ["M0", "M2", "T1"])
+def test_every_one_two_weighting_peels_to_ceil_lp(monkeypatch, name):
+    """Every w in {1, 2}^n: the peel never gets stuck."""
+    q = catalog_entry(name).graph
+    solves = recorded_lp_solves(monkeypatch)
+    for weights in itertools.product((1, 2), repeat=q.n):
+        assert_peels_to_ceil_lp(q, weights, solves)
 
 
 class TestColorInClass:

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import corpus_digest  # noqa: E402
 
 TINY = dict(seeds=[1], scale=0.2, stride=10)
-TINY_DIGEST = "cc84b871d5f6c7df403724cae3653e241339402a06f242f715fcea2dd2402e89"
+TINY_DIGEST = "cf571fe1f042ab19ebff207284eeb3aa735d1d4d389a4b0bfd0dafa37471503d"
 
 
 def test_tiny_corpus_digest(capsys):

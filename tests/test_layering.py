@@ -1,8 +1,9 @@
 """The module layering: the structure definitions and the clique-width
 expression algebra stand apart from the pipeline that builds partitions and
 expressions, so a reader who checks a partition or an expression trusts
-`core` and `structure` or `expr` and nothing else; and the simplicial
-elimination lives in `decompose` alone.
+`core` and `structure` or `expr` and nothing else; the simplicial
+elimination lives in `decompose` alone; and the colorer leans on no oracle
+search.
 
 Imports are read with `ast` from each module's source, including imports
 inside functions and under `TYPE_CHECKING`.
@@ -110,6 +111,13 @@ def test_recognize_defines_no_structure_name_and_uses_each_it_imports():
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported and imported <= used
+
+
+def test_color_imports_neither_the_oracle_nor_sys():
+    # the colorer reads k off the LP and searches nothing, so it needs no
+    # clique bound from the oracle and no deeper recursion limit
+    assert not imports("color") & {"pentaseven.oracle", "sys"}
+    assert not any("setrecursionlimit" in path.read_text() for path in PKG.glob("*.py"))
 
 
 def loaded_by_import(module: str) -> list[str]:

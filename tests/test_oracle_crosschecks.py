@@ -19,14 +19,7 @@ from pentaseven.oracle import (
     max_weighted_clique,
 )
 
-from conftest import (
-    GROETZSCH_WEIGHTS,
-    dedup_family_index,
-    groetzsch,
-    is_clique,
-    lp_in_fractions,
-    random_graphs,
-)
+from conftest import dedup_family_index, is_clique, lp_in_fractions, random_graphs
 
 
 def holes_by_subset_scan(g):
@@ -203,11 +196,9 @@ def test_solve_weighted_vs_milp_if_available():
     from pentaseven.color import WeightedInstance, solve_weighted
 
     rng = np.random.default_rng(11)
-    cases = [(groetzsch(), (1,) * 11), (groetzsch(), GROETZSCH_WEIGHTS)]
     for entry in dedup_family_index():
+        g = entry.graph
         for _ in range(5):
-            weights = tuple(int(w) for w in rng.integers(1, 201, entry.graph.n))
-            cases.append((entry.graph, weights))
-    for g, weights in cases:
-        k, _ = solve_weighted(WeightedInstance(g, weights))
-        assert k == weighted_chi_by_milp(g, weights, scipy_opt), weights
+            weights = tuple(int(w) for w in rng.integers(1, 201, g.n))
+            k, _ = solve_weighted(WeightedInstance(g, weights))
+            assert k == weighted_chi_by_milp(g, weights, scipy_opt), weights

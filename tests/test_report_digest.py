@@ -23,7 +23,7 @@ from pentaseven.decompose import expand_thickening
 
 from conftest import dedup_family_index
 
-REPORT_DIGEST = "04b8ce9e09bb43c7229f48207561786fbaf079fd45898bace65046042a9cddb3"
+REPORT_DIGEST = "b9365f6971755763d1e30178a685e0e2db2f0947b20472cef9c4be9235313b14"
 
 _TIMING = re.compile(r'"timing_ms": [-+0-9.eE]+')
 

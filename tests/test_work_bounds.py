@@ -4,11 +4,11 @@ bound stated in row reads is a bound on time that timing noise cannot hide;
 a step that turned quadratic would read rows once per pair, not once per
 vertex.  The clique-width expression walkers, and a whole `cwd` op, are
 bounded in node-rule checks: one per node.  The weighted colorer's work is
-bounded in mask walks, and does not grow with the weights.  Building a graph
-from pairs, by `build_graph` or by either text reader, reads valid pairs
-once, and a bad pair costs exactly one more read to name it, whichever of
-the fold's two loops runs; the loop a benchmark-like graph takes is
-pinned."""
+bounded in mask walks, which do not grow with the weights, and in LP
+solves.  Building a graph from pairs, by `build_graph` or by either text
+reader, reads valid pairs once, and a bad pair costs exactly one more read
+to name it, whichever of the fold's two loops runs; the loop a
+benchmark-like graph takes is pinned."""
 
 import json
 
@@ -37,7 +37,13 @@ from pentaseven.recognize import (
     verify_tent_partition,
 )
 
-from conftest import counting_copy, fold_loops, random_graphs
+from conftest import (
+    counting_copy,
+    dedup_family_index,
+    fold_loops,
+    random_graphs,
+    recorded_lp_solves,
+)
 
 STEPS = [strip_universals, twin_classes]
 
@@ -228,6 +234,25 @@ def test_weighted_colorer_walks_do_not_grow_with_the_weights(monkeypatch, name):
         solve_weighted(WeightedInstance(q, weights))
         counts.append(len(walks))
     assert counts[0] == counts[1] == counts[2] <= 2 * q.n, counts
+
+
+def test_weighted_colorer_solves_at_most_one_lp_per_set_per_color(monkeypatch, rng):
+    # the root LP, then per peeled color at most one LP per maximal
+    # independent set, and at most n colors are peeled: a peel that
+    # searched, or that solved an LP per candidate more than once, would
+    # break 2 + n * |sets|; most weightings take the root LP alone, not all
+    solves = recorded_lp_solves(monkeypatch)
+    most = 0
+    for entry in dedup_family_index():
+        q = entry.graph
+        for _ in range(5):
+            base = [int(w) for w in rng.integers(1, 4, q.n)]
+            for scale in (1, 10, 1000):
+                solves.clear()
+                solve_weighted(WeightedInstance(q, tuple(scale * w for w in base)))
+                assert len(solves) <= 2 + q.n * len(solves[0][0]), (entry.name, base, scale)
+                most = max(most, len(solves))
+    assert most > 1
 
 
 class CountingList(list):

@@ -66,6 +66,18 @@ MUTANTS = {
         "t = min(times, remaining[v])",
         "t = times",
     ),
+    # the peel starts from the whole weights, not the rounded-down LP primal
+    "peel-skips-floor": (
+        "pentaseven/color.py",
+        "classes = [(all_sets[s], xs // x_den) for s, xs in x.items() if xs >= x_den]",
+        "classes = []",
+    ),
+    # the peel takes its first candidate without testing the residual's LP
+    "peel-skips-lp-test": (
+        "pentaseven/color.py",
+        "if -(-sum(x.values()) // x_den) <= left - 1:",
+        "if True:",
+    ),
     # the embedding walker ignores the pattern's ties
     "embed-ignores-ties": (
         "pentaseven/catalog.py",
