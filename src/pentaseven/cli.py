@@ -19,7 +19,7 @@ from functools import cache, partial
 from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
-from .core import CapError, Graph, _bits_above, _fold, check_vertex_cap, parse_int, relation
+from .core import CapError, Graph, _fold, bits, check_vertex_cap, parse_int, relation
 
 if TYPE_CHECKING:
     from . import oracle, recognize
@@ -158,8 +158,8 @@ def edge_json_chunks(g: Graph) -> Iterator[str]:
     vertex's pairs at a time, so that writing it never lists every edge."""
     yield '{"edges": ['
     sep = ""
-    for u, above in enumerate(_bits_above(g.rows)):
-        if above:
+    for u, r in enumerate(g.rows):
+        if above := bits(r & -(2 << u)):
             yield sep + ", ".join(f"[{u}, {v}]" for v in above)
             sep = ", "
     yield f'], "n": {g.n}}}'

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import QUOTIENT_CAP
-from .core import CapError, Graph, _iter_bits, greedy_extend
+from .core import CapError, Graph, bits, greedy_extend
 from .recognize import NotInClassError, recognize
 
 
@@ -173,7 +173,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     classes = [(all_sets[s], xs // x_den) for s, xs in x.items() if xs >= x_den]
     residual = list(inst.weights)
     for smask, times in classes:
-        for v in _iter_bits(smask):
+        for v in bits(smask):
             residual[v] = max(0, residual[v] - times)
     r = tuple(residual)
     left = k - sum(times for _, times in classes)
@@ -207,7 +207,7 @@ def solve_weighted(inst: WeightedInstance) -> tuple[int, list[list[int]]]:
     remaining = list(inst.weights)
     c = 1
     for smask, times in classes:
-        for v in _iter_bits(smask):
+        for v in bits(smask):
             t = min(times, remaining[v])
             color_sets[v] += range(c, c + t)
             remaining[v] -= t

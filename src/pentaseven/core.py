@@ -1,7 +1,8 @@
 """Immutable simple graphs and the set/neighborhood predicates everything else uses.
 
 Vertices are 0..n-1.  A graph is its vertex count and one Python integer
-bitmask per vertex (its neighborhood row); every routine works on these rows.
+bitmask per vertex (its neighborhood row); every routine works on these rows,
+and `bits` lists the members of a mask, ascending.
 Graphs are nonnull (n >= 1) and loop-free.  numpy enters only at the edges,
 and is imported only there: `Graph(adj)` packs a dense boolean matrix and
 `.adj` unpacks one on request.
@@ -10,7 +11,7 @@ and is imported only there: `Graph(adj)` packs a dense boolean matrix and
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 COMPLETE = "complete"
 ANTICOMPLETE = "anticomplete"
@@ -57,37 +58,28 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def bits(mask: int) -> list[int]:
+    """The members of mask, ascending.  bin(mask) is read reversed and split
+    at each 1: a piece's length is the gap of zeros below a member, so one
+    member costs O(1) however wide the mask (a low-bit loop builds three
+    mask-wide ints per member)."""
+    out = []
+    v = -1
+    for gap in bin(mask)[:1:-1].split("1")[:-1]:  # the last piece is above the top bit
+        v += len(gap) + 1
+        out.append(v)
+    return out
 
 
 def bits_of(mask: int) -> frozenset[int]:
-    return frozenset(_iter_bits(mask))
-
-
-def _bits_above(rows: Sequence[int]) -> Iterator[list[int]]:
-    """For each u in order, the bits of rows[u] above u, ascending.  Each
-    row's bits are read as binary text, one str.find per bit: _iter_bits
-    builds three row-wide ints per bit, so a dense row would cost O(n/64)
-    per member."""
-    for u, r in enumerate(rows):
-        text = bin(r >> (u + 1))[:1:-1]  # bit u + 1 first
-        above = []
-        i = text.find("1")
-        while i >= 0:
-            above.append(u + 1 + i)
-            i = text.find("1", i + 1)
-        yield above
+    return frozenset(bits(mask))
 
 
 class Graph:
     """Immutable simple graph on vertices 0..n-1, stored as neighborhood rows."""
 
     # _simplicial: the simplicial seed, memoized by decompose.simplicial_seed
-    __slots__ = ("n", "rows", "_hash", "_simplicial")
+    __slots__ = ("n", "rows", "_simplicial")
 
     def __init__(self, adj):
         import numpy as np
@@ -104,7 +96,7 @@ class Graph:
         packed = np.packbits(adj, axis=1, bitorder="little")
         self.n = adj.shape[0]
         self.rows = tuple(int.from_bytes(p.tobytes(), "little") for p in packed)
-        self._hash = self._simplicial = None
+        self._simplicial = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "Graph":
@@ -116,7 +108,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = len(rows)
         g.rows = tuple(rows)
-        g._hash = g._simplicial = None
+        g._simplicial = None
         return g
 
     # -- bitmask views -------------------------------------------------
@@ -153,7 +145,7 @@ class Graph:
         return bits_of(self.rows[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, above in enumerate(_bits_above(self.rows)) for v in above]
+        return [(u, v) for u, r in enumerate(self.rows) for v in bits(r & -(2 << u))]
 
     @property
     def num_edges(self) -> int:
@@ -169,9 +161,7 @@ class Graph:
         return self.n == other.n and self.rows == other.rows
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.rows))
-        return self._hash
+        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -315,15 +305,13 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
         raise ValueError("induced subgraph of a set with a member that is not a vertex")
     if not keep:
         raise ValueError("induced subgraph of the empty set (graphs are nonnull)")
-    vs = list(_iter_bits(keep))
+    vs = bits(keep)
     index = {old: new for new, old in enumerate(vs)}
     rows = []
     for old in vs:
-        r, m = 0, g.rows[old] & keep
-        while m:
-            low = m & -m
-            r |= 1 << index[low.bit_length() - 1]
-            m ^= low
+        r = 0
+        for u in bits(g.rows[old] & keep):
+            r |= 1 << index[u]
         rows.append(r)
     return Graph.from_rows(rows), index
 
@@ -336,11 +324,10 @@ def relation(g: Graph, a: Iterable[int], b: Iterable[int]) -> str:
     if not ma or not mb:
         raise ValueError("relation needs nonempty sets")
     if both := ma & mb:
-        low = next(_iter_bits(both))
-        raise ValueError(f"relation needs disjoint sets, both contain {low}")
+        raise ValueError(f"relation needs disjoint sets, both contain {bits(both)[0]}")
     rows = g.rows
     seen_edge = seen_nonedge = False
-    for u in _iter_bits(ma):
+    for u in bits(ma):
         hits = rows[u] & mb
         if hits:
             seen_edge = True
@@ -382,7 +369,7 @@ def components(g: Graph) -> list[frozenset[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
+    return reach_mask(g.rows, 1, g.full_mask) == g.full_mask
 
 
 def nonadjacent_pair(

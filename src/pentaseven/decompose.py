@@ -20,7 +20,7 @@ import heapq
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import Graph, _iter_bits, _mask_of, induced_subgraph, nonadjacent_pair
+from .core import Graph, _mask_of, bits, induced_subgraph, nonadjacent_pair
 
 
 class SimplicialPrefix(NamedTuple):
@@ -145,12 +145,9 @@ def twin_classes(g: Graph, within: int) -> TwinDecomposition:
     by smallest member, so quotient vertex i is the first member of class i.
     """
     groups: dict[int, list[int]] = {}
-    rows, m = g.rows, within
-    while m:  # lowest first, so groups open in class order
-        low = m & -m
-        v = low.bit_length() - 1
-        groups.setdefault((rows[v] | low) & within, []).append(v)  # N[v] in within
-        m ^= low
+    rows = g.rows
+    for v in bits(within):  # lowest first, so groups open in class order
+        groups.setdefault((rows[v] | 1 << v) & within, []).append(v)  # N[v] in within
     return TwinDecomposition(tuple(map(tuple, groups.values())), g)
 
 
@@ -174,7 +171,7 @@ def expand_thickening(
     rows = []
     for v in range(h.n):
         out = 0
-        for u in _iter_bits(h.rows[v]):
+        for u in bits(h.rows[v]):
             out |= masks[u]
         rows.extend(out | masks[v] & ~(1 << a) for a in classmap[v])
     return Graph.from_rows(rows), classmap
@@ -188,7 +185,7 @@ def strip_universals(g: Graph, within: int) -> tuple[tuple[int, ...], int]:
     universal).
     """
     w = 0
-    for v in _iter_bits(within):
+    for v in bits(within):
         if g.closed_row(v) & within == within:
             w |= 1 << v
-    return tuple(_iter_bits(w)), within & ~w
+    return tuple(bits(w)), within & ~w

@@ -22,7 +22,7 @@ import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import Graph, _iter_bits, parse_int
+from .core import Graph, bits, parse_int
 
 
 class ExprError(ValueError):
@@ -247,7 +247,7 @@ def eval_expr(expr: Expr | Walk) -> LabeledGraph:
                 for y in right.values():
                     rmask |= member[y]
                 if lmask & rmask:
-                    dup = [order[k] for k in _iter_bits(lmask & rmask)]
+                    dup = [order[k] for k in bits(lmask & rmask)]
                     message = f"duplicate vertex ids across union: {dup}"
                     raise ExprError(_path(root, pos), message)
             if len(value) < len(right):

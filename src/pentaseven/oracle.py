@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .catalog import VERDICT_CAP, NamedGraph, SearchPlan, embed, fixed_graphs
 from .catalog import pattern, search_plan
-from .core import CapError, Graph, _iter_bits, bits_of, greedy_extend, is_connected
+from .core import CapError, Graph, bits, bits_of, greedy_extend, is_connected
 from .core import reach_mask, vertex_mask
 
 HOLE_CAP = 16
@@ -121,7 +121,7 @@ def max_weighted_clique(
             if total > best:
                 best, best_mask = total, cur
             return
-        rest = sum(weights[u] for u in _iter_bits(cand))
+        rest = sum(weights[u] for u in bits(cand))
         while cand:
             if total + rest <= best:
                 return

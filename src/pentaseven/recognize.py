@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import QUOTIENT_CAP, T0_LABELS, VERDICT_CAP, catalog_entry, match_catalog
 from .catalog import pattern
-from .core import Graph, _iter_bits, _mask_of, bits_of, component_masks, vertex_mask
+from .core import Graph, _mask_of, bits, bits_of, component_masks, vertex_mask
 # unused here, but perfbench/spans.py patches recognize.induced_subgraph
 from .core import induced_subgraph  # noqa: F401
 from .decompose import (
@@ -197,7 +197,7 @@ def _attachment(anchor: _Anchor, pat: int, v: int) -> Attachment | Violation:
         return Violation(
             anchor.clause,
             f"vertex {v} meets {anchor.what} in inadmissible pattern "
-            f"{sorted(anchor.names[k] for k in _iter_bits(pat))}",
+            f"{sorted(anchor.names[k] for k in bits(pat))}",
             witness=(v,),
         )
     return hit
@@ -237,14 +237,17 @@ def classify_vs_T0(g: Graph, t: dict[str, int], x: int) -> Attachment | Violatio
 # reconstruction
 
 
+def _by_degree(g: Graph, mask: int) -> tuple[int, ...]:
+    """The members of mask by decreasing degree, ties in ascending order: a
+    clique's candidate nested order, whose validity the verifier checks."""
+    rows = g.rows
+    return tuple(sorted(bits(mask), key=lambda u: -rows[u].bit_count()))  # stable
+
+
 def _clique_components_ordered(g: Graph, members: int) -> tuple[tuple[int, ...], ...]:
     """Split the vertex mask members into connected components, each ordered
-    by decreasing closed degree.  Chain validity is left to the verifier."""
-    rows = g.rows
-    return tuple(
-        tuple(sorted(_iter_bits(m), key=lambda u: (-rows[u].bit_count(), u)))
-        for m in component_masks(rows, members)
-    )
+    by _by_degree."""
+    return tuple(_by_degree(g, m) for m in component_masks(g.rows, members))
 
 
 def _attachment_classes(
@@ -313,14 +316,13 @@ def build_tent_from_T0(
         return buckets
     y = buckets[Attachment("y")]
     z = buckets[Attachment("anticomplete")]
-    y_order = tuple(sorted(_iter_bits(y), key=lambda u: (-g.rows[u].bit_count(), u)))
     part = TentPartition(
         **{lab: bits_of(buckets[Attachment("clone", lab)]) for lab in T0_LABELS},
         f2=bits_of(buckets[Attachment("f", 2)]),
         f3=bits_of(buckets[Attachment("f", 3)]),
         w=bits_of(buckets[Attachment("complete")]),
         y=bits_of(y), z=bits_of(z),
-        y_order=y_order, z_components=_clique_components_ordered(g, z),
+        y_order=_by_degree(g, y), z_components=_clique_components_ordered(g, z),
     )
     violations = verify_tent_partition(g, part)
     if violations:

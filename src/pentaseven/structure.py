@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from operator import itemgetter, or_
 from typing import NamedTuple
 
-from .core import Graph, _iter_bits, _mask_of, bits_of, vertex_mask
+from .core import Graph, _mask_of, bits, bits_of, vertex_mask
 
 MOD7 = tuple(range(7))
 
@@ -118,7 +118,7 @@ class _Clauses:
         if got is None:
             rows = self.g.rows
             union, closed = 0, -1  # -1 has every bit set
-            for v in _iter_bits(mask):
+            for v in bits(mask):
                 r = rows[v]
                 union |= r
                 closed &= r | 1 << v
@@ -135,6 +135,7 @@ class _Clauses:
 
     def _walk(self, ma: int, mb: int, meet: bool) -> tuple[int, int] | None:
         rows = self.g.rows
+        # frozenset order, not ascending: the witness it names is in the reports
         for v in bits_of(ma):
             bad = mb & rows[v] if meet else mb & ~(rows[v] | 1 << v)
             if bad:

@@ -14,6 +14,7 @@ from pentaseven.core import (
     MIXED,
     Graph,
     _mask_of,
+    bits,
     bits_of,
     build_graph,
     components,
@@ -35,6 +36,31 @@ from conftest import is_clique, is_simplicial, isomorphic, random_graphs, simpli
 
 def c7():
     return build_graph(7, [(i, (i + 1) % 7) for i in range(7)])
+
+
+def members(mask: int) -> list[int]:
+    """The members of mask, ascending, by definition."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+class TestBits:
+    def test_edge_masks(self):
+        assert bits(0) == []
+        assert bits(1) == [0]
+        assert bits(1 << 9_999) == [9_999]
+        assert bits((1 << 10_000) - 1) == list(range(10_000))
+
+    @given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_definition(self, mask):
+        assert bits(mask) == members(mask)
+
+    @given(random_graphs(min_n=1, max_n=200))
+    @settings(max_examples=60, deadline=None)
+    def test_edges_are_the_bits_above_each_vertex(self, g):
+        # rows of up to 200 bits span several machine words
+        want = [(u, v) for u, r in enumerate(g.rows) for v in members(r) if v > u]
+        assert g.edges() == want
 
 
 class TestBuildGraph:

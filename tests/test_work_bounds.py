@@ -220,13 +220,13 @@ def test_weighted_colorer_walks_do_not_grow_with_the_weights(monkeypatch, name):
     # assignment; a walk per color would make about k + 6 (20 006 on M0 at
     # 1000w)
     q = catalog_entry(name).graph
-    iter_bits, walks = color._iter_bits, []
+    bits, walks = color.bits, []
 
     def counting(mask):
         walks.append(mask)
-        return iter_bits(mask)
+        return bits(mask)
 
-    monkeypatch.setattr(color, "_iter_bits", counting)
+    monkeypatch.setattr(color, "bits", counting)
     counts = []
     for scale in (1, 10, 1000):
         weights = tuple(scale * (1 + v % 5) for v in range(q.n))

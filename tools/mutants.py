@@ -39,14 +39,14 @@ MUTANTS = {
     # the universal strip never tests vertex 0
     "strip-skips-vertex-0": (
         "pentaseven/decompose.py",
-        "    for v in _iter_bits(within):\n        if g.closed_row(v) & within == within:",
-        "    for v in _iter_bits(within & ~1):\n        if g.closed_row(v) & within == within:",
+        "    for v in bits(within):\n        if g.closed_row(v) & within == within:",
+        "    for v in bits(within & ~1):\n        if g.closed_row(v) & within == within:",
     ),
     # the universal strip leaves its highest universal vertex in place
     "strip-keeps-highest-universal": (
         "pentaseven/decompose.py",
-        "    return tuple(_iter_bits(w)), within & ~w",
-        "    w &= ~(1 << w.bit_length() >> 1)\n    return tuple(_iter_bits(w)), within & ~w",
+        "    return tuple(bits(w)), within & ~w",
+        "    w &= ~(1 << w.bit_length() >> 1)\n    return tuple(bits(w)), within & ~w",
     ),
     # the LP's ratio ties go to the larger basic variable, against Bland
     "lp-ratio-ties-to-larger-basic": (
@@ -105,8 +105,8 @@ MUTANTS = {
     # the expression algebra loads the pipeline it certifies
     "expr-imports-pipeline": (
         "pentaseven/expr.py",
-        "from .core import Graph, _iter_bits, parse_int\n",
-        "from .core import Graph, _iter_bits, parse_int\nfrom . import recognize  # noqa: F401\n",
+        "from .core import Graph, bits, parse_int\n",
+        "from .core import Graph, bits, parse_int\nfrom . import recognize  # noqa: F401\n",
     ),
     # a walker handed an expression's walk walks and checks it again
     "cwd-rechecks": (
@@ -155,6 +155,18 @@ MUTANTS = {
         "pentaseven/core.py",
         "[bytearray(n) for _ in range(n)]",
         "[bytearray(n + 1) for _ in range(n)]",
+    ),
+    # the bit walker drops each mask's highest member
+    "bits-drops-highest": (
+        "pentaseven/core.py",
+        'in bin(mask)[:1:-1].split("1")[:-1]:',
+        'in bin(mask)[:1:-1].split("1")[:-2]:',
+    ),
+    # the edge list skips each vertex's next vertex
+    "edges-skips-next-vertex": (
+        "pentaseven/core.py",
+        "for v in bits(r & -(2 << u))]",
+        "for v in bits(r & -(4 << u))]",
     ),
 }
 
